@@ -61,8 +61,6 @@ from .theories import (
     hha_extra_axioms,
     ho_compatible_axioms,
     ws_axioms,
-    zsk_axioms,
-    zws_axioms,
 )
 from .translate import (
     CompatibilityCertificate,

@@ -187,11 +187,14 @@ def gen_add_axiomatic_proof(n: int) -> Proof:
     """The axiomatic proof: the base instance plus n fixed unfolding blocks."""
     axioms = add_compatible_axioms().as_dict()
     y, x, z = var0("y"), var0("x"), var0("z")
+    nums = [ZERO]  # nums[k] is the numeral k; the blocks share its nodes
+    for _ in range(2 * n - 1):
+        nums.append(s_(nums[-1]))
     proof: Proof = ForallE(
-        add_atom(ZERO, numeral(n), numeral(n)),
+        add_atom(ZERO, nums[n], nums[n]),
         var=y,
         body=add_atom(ZERO, y, y),
-        term=numeral(n),
+        term=nums[n],
         sub=Assume("add-base-ax", axioms["add-base-ax"]),
     )
     step_body = Forall(
@@ -208,7 +211,7 @@ def gen_add_axiomatic_proof(n: int) -> Proof:
         ),
     )
     for k in range(1, n + 1):
-        a, b, c = numeral(k - 1), numeral(n), numeral(n + k - 1)
+        a, b, c = nums[k - 1], nums[n], nums[n + k - 1]
         fwd = Imp(add_atom(s_(a), b, s_(c)), add_atom(a, b, c))
         bwd = Imp(add_atom(a, b, c), add_atom(s_(a), b, s_(c)))
         e1 = ForallE(
@@ -683,6 +686,12 @@ def enumerate_probe_terms(max_size: int) -> Iterable[tuple[Term, bool, bool]]:
     term it is applied to; decoding an encoded proposition never produces
     that shape.
     """
+    for _, bucket in _probe_terms_by_size(max_size):
+        yield from bucket
+
+
+def _probe_terms_by_size(max_size: int) -> Iterable[tuple[int, list[tuple[Term, bool, bool]]]]:
+    """The terms of ``enumerate_probe_terms`` in buckets of one size and sort."""
     by_key: dict[tuple[str, int], list[tuple[Term, bool, bool]]] = {}
     for k in range(1, max_size + 1):
         for sort in ("0", "list"):
@@ -707,7 +716,7 @@ def enumerate_probe_terms(max_size: int) -> Iterable[tuple[Term, bool, bool]]:
                                     (App(fn, (t1, t2), result), h1 or h2 or is_sub, nested)
                                 )
             by_key[(sort, k)] = bucket
-            yield from bucket
+            yield k, bucket
 
 
 def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> BenchReport:
@@ -722,10 +731,10 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
     report = BenchReport("ws-linearity")
     per_size: dict[int, dict] = {}
     worst_nested = None
-    for term, has_redex, nested in enumerate_probe_terms(max_size):
+    sized = ((n, *entry) for n, bucket in _probe_terms_by_size(max_size) for entry in bucket)
+    for n, term, has_redex, nested in sized:
         if nested and not include_nested:
             continue
-        n = size(term)
         row = per_size.setdefault(
             n,
             {

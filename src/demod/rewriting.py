@@ -53,6 +53,22 @@ class CongruenceError(Exception):
 
 Lhs = Union[Term, Atom]
 
+# The head symbols of an object's arguments; None for a variable argument.
+ArgHeads = tuple[Optional[str], ...]
+
+
+def _head(x: Obj) -> Optional[str]:
+    """The key under which rules for this head symbol are indexed."""
+    if isinstance(x, App):
+        return x.fn
+    if isinstance(x, Atom):
+        return "@" + x.pred
+    return None
+
+
+def _arg_heads(x: Union[App, Atom]) -> ArgHeads:
+    return tuple(a.fn if isinstance(a, App) else None for a in x.args)
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -104,20 +120,36 @@ class RewriteSystem:
         raise KeyError(f"{self.name} has no rule {name!r}")
 
     @cached_property
-    def _by_head(self) -> dict[str, tuple[Rule, ...]]:
-        index: dict[str, list[Rule]] = {}
+    def _by_head(self) -> dict[str, tuple[tuple[Rule, ArgHeads], ...]]:
+        index: dict[str, list[tuple[Rule, ArgHeads]]] = {}
         for r in self.rules:
-            key = f"@{r.lhs.pred}" if isinstance(r.lhs, Atom) else r.lhs.fn
-            index.setdefault(key, []).append(r)
+            index.setdefault(_head(r.lhs), []).append((r, _arg_heads(r.lhs)))
         return {k: tuple(v) for k, v in index.items()}
 
+    @cached_property
+    def _by_shape(self) -> dict[tuple[str, ArgHeads], tuple[Rule, ...]]:
+        return {}
+
     def candidates(self, subject: Obj) -> tuple[Rule, ...]:
-        """Rules whose left side could match at the root of the subject."""
-        if isinstance(subject, App):
-            return self._by_head.get(subject.fn, ())
-        if isinstance(subject, Atom):
-            return self._by_head.get(f"@{subject.pred}", ())
-        return ()
+        """Rules whose left side could match at the root of the subject, in rule order.
+
+        A one-level discrimination tree: a rule is kept when its head symbol
+        is the subject's and each argument of its left side is a variable or
+        has the head symbol of the subject's argument.
+        """
+        head = _head(subject)
+        rules = self._by_head.get(head)
+        if rules is None:
+            return ()
+        args = _arg_heads(subject)
+        got = self._by_shape.get((head, args))
+        if got is None:
+            got = self._by_shape[head, args] = tuple(
+                r
+                for r, want in rules
+                if len(want) == len(args) and all(w is None or w == a for w, a in zip(want, args))
+            )
+        return got
 
     def default_fuel(self, x: Obj) -> int:
         return self.fuel_coeff * size(x) ** self.fuel_degree
@@ -162,11 +194,6 @@ class Trace:
             RewriteStep(s.position, s.rule, s.subst, not s.forward) for s in reversed(self.steps)
         )
         return Trace(self.end, self.start, flipped)
-
-    def then(self, other: "Trace") -> "Trace":
-        if not alpha_equal(self.end, other.start):
-            raise RuleError("traces do not compose")
-        return Trace(self.start, other.end, self.steps + other.steps)
 
 
 def match(pattern: Obj, subject: Obj) -> Optional[dict[Var, Term]]:
@@ -275,7 +302,9 @@ def normalize(
             )
         pos, rule, sigma = redex
         cur = apply_redex(cur, redex)
-        steps.append(RewriteStep(pos, rule.name, tuple(sorted(sigma.items(), key=str))))
+        # sort by the variable alone: str() of a bound term recurses through it
+        bound = sorted(sigma.items(), key=lambda vt: (vt[0].name, vt[0].sort))
+        steps.append(RewriteStep(pos, rule.name, tuple(bound)))
 
 
 def congruent_auto(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
@@ -480,11 +509,30 @@ def check_left_linear(system: RewriteSystem) -> bool:
 
 
 def longest_derivation(x: Obj, system: RewriteSystem, fuel: int = 100_000) -> int:
-    """Exact maximal derivation length from x, by exhaustive memoized search."""
+    """Exact maximal derivation length from x, by exhaustive memoized search.
+
+    Below a node whose head symbol no rule has, rewrites in different
+    children never interact and the node itself never becomes a redex, so
+    the search adds up the children's longest derivations.  The test is on
+    the head symbol alone: rewriting a child can change its head, so the
+    argument shapes ``candidates`` filters on are not stable under search.
+    """
     memo: dict[Obj, int] = {}
     budget = [fuel]
+    heads = system._by_head
 
-    def go(t: Obj) -> int:
+    def split(t: Obj) -> int:
+        total = 0
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if _head(u) in heads:
+                total += search(u)
+            else:
+                stack.extend(children(u))
+        return total
+
+    def search(t: Obj) -> int:
         got = memo.get(t)
         if got is not None:
             return got
@@ -493,8 +541,8 @@ def longest_derivation(x: Obj, system: RewriteSystem, fuel: int = 100_000) -> in
             budget[0] -= 1
             if budget[0] < 0:
                 raise FuelExhausted("longest_derivation search budget exhausted")
-            best = max(best, 1 + go(apply_redex(t, redex)))
+            best = max(best, 1 + split(apply_redex(t, redex)))
         memo[t] = best
         return best
 
-    return go(x)
+    return split(x)

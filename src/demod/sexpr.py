@@ -67,10 +67,37 @@ def show(sx: Sx) -> str:
 
 
 def show_pretty(sx: Sx, width: int = 100) -> str:
-    flat = show(sx)
-    if len(flat) <= width or isinstance(sx, str):
-        return flat
-    head, *rest = sx
-    lines = [show_pretty(x, width) for x in rest]
-    body = "\n".join("  " + line.replace("\n", "\n  ") for line in lines)
-    return f"({show(head) if isinstance(head, str) else show_pretty(head, width)}\n{body})"
+    """Print lists wider than ``width`` as their head, then one element per line.
+
+    Each element line is indented two spaces deeper than its list.  Flat
+    widths are computed once per subtree, so printing is linear in the output.
+    """
+    flat_width: dict[int, int] = {}
+
+    def measure(x: Sx) -> int:
+        if isinstance(x, str):
+            return len(x)
+        w = 2 + max(len(x) - 1, 0) + sum(measure(y) for y in x)
+        flat_width[id(x)] = w
+        return w
+
+    out: list[str] = []
+
+    def emit(x: Sx, indent: str) -> None:
+        if isinstance(x, str) or flat_width[id(x)] <= width:
+            out.append(show(x))
+            return
+        head, *rest = x
+        out.append("(")
+        emit(head, indent)
+        inner = indent + "  "
+        for y in rest:
+            out.append("\n" + inner)
+            emit(y, inner)
+        if not rest:
+            out.append("\n" + indent)
+        out.append(")")
+
+    measure(sx)
+    emit(sx, "")
+    return "".join(out)

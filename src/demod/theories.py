@@ -634,16 +634,6 @@ def eq_at(a: Term, b: Term) -> Proposition:
     return Atom(f"=^{sort_of(a).level}", (a, b))
 
 
-def comp_ax(cfg: OrderConfig) -> Presentation:
-    g = Var("g", CLASS)
-    out = []
-    for j in range(cfg.i):
-        a, b = Var("a", arith(j + 1)), Var("b", arith(j))
-        prop = Forall(g, Exists(a, Forall(b, iff(mem(j, b, a), member([b], g)))))
-        out.append((f"comp-ax^{j}", prop))
-    return Presentation("Comp-ax", tuple(out))
-
-
 def comp_sk(cfg: OrderConfig) -> Presentation:
     g = Var("g", CLASS)
     out = []
@@ -652,26 +642,6 @@ def comp_sk(cfg: OrderConfig) -> Presentation:
         prop = Forall(g, Forall(b, iff(mem(j, b, comp(j + 1, g)), member([b], g))))
         out.append((f"comp-sk^{j}", prop))
     return Presentation("Comp-sk", tuple(out))
-
-
-def zws_axioms(cfg: OrderConfig) -> Presentation:
-    core = Presentation(
-        "Z-ws-core",
-        (("refl", refl_axiom()),)
-        + robinson_axioms()
-        + (("leibniz-ax", leibniz_ax()), ("ind-ax", ind_ax())),
-    )
-    return Presentation("Z-ws", (core + comp_ax(cfg) + ws_axioms(cfg)).axioms)
-
-
-def zsk_axioms(cfg: OrderConfig) -> Presentation:
-    core = Presentation(
-        "Z-sk-core",
-        (("refl", refl_axiom()),)
-        + robinson_axioms()
-        + (("leibniz-ax", leibniz_ax()), ("ind-ax", ind_ax())),
-    )
-    return Presentation("Z-sk", (core + comp_sk(cfg) + ws_axioms(cfg)).axioms)
 
 
 def ho_compatible_axioms(cfg: OrderConfig) -> Presentation:

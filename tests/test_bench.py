@@ -38,6 +38,70 @@ def test_gen_add_proofs():
         assert va.length == 1 + 5 * n
 
 
+def test_modulo_add_checks_past_the_recursion_limit():
+    # numerals of 200 nested nodes once broke the trace step ordering
+    assert check_nd(gen_add_modulo_proof(200), system=add_system()).ok
+
+
+def _axiomatic_reference(n):
+    """The axiomatic Add proof built with fresh numerals in every block."""
+    from demod.nd import AndE, Assume, ForallE, ImpE, conclusion_of
+    from demod.syntax import And, Forall, Imp
+    from demod.theories import ZERO, add_atom, numeral, s_, var0
+
+    axioms = add_compatible_axioms().as_dict()
+    y, x, z = var0("y"), var0("x"), var0("z")
+    proof = ForallE(
+        add_atom(ZERO, numeral(n), numeral(n)),
+        var=y,
+        body=add_atom(ZERO, y, y),
+        term=numeral(n),
+        sub=Assume("add-base-ax", axioms["add-base-ax"]),
+    )
+    step_body = Forall(
+        x,
+        Forall(
+            y,
+            Forall(
+                z,
+                And(
+                    Imp(add_atom(s_(x), y, s_(z)), add_atom(x, y, z)),
+                    Imp(add_atom(x, y, z), add_atom(s_(x), y, s_(z))),
+                ),
+            ),
+        ),
+    )
+    for k in range(1, n + 1):
+        a, b, c = numeral(k - 1), numeral(n), numeral(n + k - 1)
+        fwd = Imp(add_atom(s_(a), b, s_(c)), add_atom(a, b, c))
+        bwd = Imp(add_atom(a, b, c), add_atom(s_(a), b, s_(c)))
+        e1 = ForallE(
+            Forall(y, Forall(z, And(Imp(add_atom(s_(a), y, s_(z)), add_atom(a, y, z)),
+                                     Imp(add_atom(a, y, z), add_atom(s_(a), y, s_(z)))))),
+            var=x,
+            body=step_body.body,
+            term=a,
+            sub=Assume("add-step-ax", axioms["add-step-ax"]),
+        )
+        e2 = ForallE(
+            Forall(z, And(Imp(add_atom(s_(a), b, s_(z)), add_atom(a, b, z)),
+                          Imp(add_atom(a, b, z), add_atom(s_(a), b, s_(z))))),
+            var=y,
+            body=conclusion_of(e1).body,
+            term=b,
+            sub=e1,
+        )
+        e3 = ForallE(And(fwd, bwd), var=z, body=conclusion_of(e2).body, term=c, sub=e2)
+        back = AndE(bwd, other=fwd, side="right", sub=e3)
+        proof = ImpE(add_atom(s_(a), b, s_(c)), minor=proof, major=back)
+    return proof
+
+
+def test_axiomatic_proof_shares_numerals_and_keeps_its_shape():
+    for n in range(0, 13):
+        assert gen_add_axiomatic_proof(n) == _axiomatic_reference(n), n
+
+
 def test_bench_add_report():
     report = bench_add(6)
     modulo = [r for r in report.rows if r["system"] == "modulo"]
@@ -77,8 +141,19 @@ def test_ws_probe_small():
     assert report.summary["nested_over_size"] == 0  # stacking needs size > 8
     report2 = probe_ws_exhaustive(9)
     assert report2.summary["flat_within_size"]
-    assert report2.summary["nested_over_size"] > 0
-    assert report2.summary["worst_nested"] is not None
+    assert [(r["size"], r["count"], r["max_derivation"]) for r in report2.rows] == [
+        (1, 3, 0),
+        (2, 4, 0),
+        (3, 16, 1),
+        (4, 52, 2),
+        (5, 204, 3),
+        (6, 804, 4),
+        (7, 3336, 6),
+        (8, 14116, 8),
+        (9, 61108, 10),
+    ]
+    assert report2.summary["nested_over_size"] == 42
+    assert report2.summary["worst_nested"] == ("sub^0(sub^0(s(s(s(s(0)))), nil), nil)", 9, 10)
 
 
 def test_probe_sampled_ho():

@@ -8,6 +8,7 @@ from demod.rewriting import (
     RewriteStep,
     RewriteSystem,
     Trace,
+    apply_redex,
     check_left_linear,
     congruent,
     congruent_auto,
@@ -24,7 +25,7 @@ from demod.rewriting import (
     unify,
     verify_trace,
 )
-from demod.syntax import TRUE, Var, alpha_equal, arith, size
+from demod.syntax import TRUE, Var, alpha_equal, arith, positions, size
 from demod.theories import (
     ZERO,
     add_atom,
@@ -205,3 +206,119 @@ def test_strategy_independence_on_flagged_systems():
         nf_li, _ = normalize(subject, system, strategy=leftmost_innermost)
         nf_rand, _ = normalize(subject, system, strategy=random_strategy(rng.randrange(1 << 30)))
         assert aeq(nf_lo, nf_li) and aeq(nf_lo, nf_rand), subject
+
+
+def _longest_reference(x, system):
+    """Plain exhaustive memoized search over every rule at every position."""
+    memo = {}
+
+    def go(t):
+        if t not in memo:
+            steps = [
+                (pos, rule, sigma)
+                for pos, sub in positions(t)
+                for rule in system.rules
+                if (sigma := match(rule.lhs, sub)) is not None
+            ]
+            memo[t] = max((1 + go(apply_redex(t, r)) for r in steps), default=0)
+        return memo[t]
+
+    return go(x)
+
+
+def test_longest_derivation_agrees_with_plain_search():
+    from demod.bench import enumerate_probe_terms
+    from demod.syntax import And, Forall
+    from demod.theories import OrderConfig, build_WS
+
+    ws = build_WS(OrderConfig(1))
+    for t, _, _ in enumerate_probe_terms(7):
+        assert longest_derivation(t, ws) == _longest_reference(t, ws), t
+    atoms = [
+        add_atom(numeral(a), numeral(b), numeral(c))
+        for a in range(3)
+        for b in range(3)
+        for c in range(5)
+    ] + [add_atom(s_(x), y, s_(z)), add_atom(ZERO, y, y), add_atom(s_(ZERO), x, x)]
+    props = atoms + [And(p, q) for p, q in zip(atoms, atoms[5:])]
+    props += [Forall(x, And(p, Forall(y, p))) for p in atoms[::4]]
+    for p in props:
+        assert longest_derivation(p, ADD) == _longest_reference(p, ADD), p
+
+
+def test_longest_derivation_splits_on_head_not_argument_shape():
+    # no rule matches the outer sub^0 until its first argument is rewritten
+    from demod.syntax import App, LIST
+    from demod.theories import OrderConfig, build_WS
+
+    ws = build_WS(OrderConfig(1))
+    nil = App("nil", (), LIST)
+    one = App("1^0", (), arith(0))
+    inner = App("sub^0", (one, nil), arith(0))
+    outer = App("sub^0", (inner, App("cons^0", (ZERO, nil), LIST)), arith(0))
+    term = App("S^0", (outer,), arith(0))
+    assert longest_derivation(term, ws) == 2 == _longest_reference(term, ws)
+
+
+def test_candidates_keep_every_matching_rule_in_order():
+    import random as _r
+
+    from demod.bench import _random_template, enumerate_probe_terms
+    from demod.theories import (
+        OrderConfig,
+        build_HHA,
+        build_HO,
+        build_WS,
+        encode_prop,
+        eq as eq_,
+        member,
+        null,
+        plus,
+        pred_,
+        times,
+    )
+
+    rng = _r.Random(4)
+    cfg = OrderConfig(1)
+    ws, ho, hha = build_WS(cfg), build_HO(cfg), build_HHA(cfg)
+
+    def arith_term(depth):
+        if depth == 0:
+            return rng.choice([ZERO, x, y])
+        op = rng.choice([s_, pred_, plus, times])
+        if op in (s_, pred_):
+            return op(arith_term(depth - 1))
+        return op(arith_term(depth - 1), arith_term(depth - 1))
+
+    subjects = {ADD: [], ws: [], ho: [], hha: []}
+    for _ in range(60):
+        a, b, c = (rng.choice([numeral(rng.randrange(3)), x, y, s_(z)]) for _ in range(3))
+        subjects[ADD].append(add_atom(a, b, c))
+    probe = [t for t, has, _ in enumerate_probe_terms(7) if has]
+    subjects[ws] += rng.sample(probe, 200)
+    for _ in range(60):
+        tmpl = _random_template(rng)
+        enc = encode_prop(tmpl.body, tmpl.params)
+        subjects[ho].append(member([rng.choice([numeral(rng.randrange(3)), x])], enc.cls))
+    subjects[hha] += subjects[ho][:30]
+    for _ in range(60):
+        u, v = arith_term(rng.randrange(3)), arith_term(rng.randrange(3))
+        subjects[hha] += [eq_(u, v), null(u), member([u], encode_prop(eq_(x, v), (x,)).cls)]
+
+    checked = 0
+    for system, starts in subjects.items():
+        walk = system.congruence_system()
+        for start in starts:
+            cur = start
+            for _ in range(8):  # the start and a few objects along a random derivation
+                for _, sub in positions(cur):
+                    cands = system.candidates(sub)
+                    assert list(cands) == [r for r in system.rules if r in cands]
+                    hits = [r for r in system.rules if match(r.lhs, sub) is not None]
+                    assert set(hits) <= set(cands), (system.name, sub)
+                    checked += bool(hits)
+                redexes = rewrite_redexes(cur, walk)
+                if not redexes:
+                    break
+                cur = apply_redex(cur, rng.choice(redexes))
+    assert checked > 1000

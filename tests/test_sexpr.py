@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demod.fileformat import (
     FormatError,
@@ -26,7 +27,7 @@ from demod.fileformat import (
 from demod.hilbert import Template, check_hilbert, instance, schema_line, zi_axiom_schemata, HilbertProof
 from demod.nd import check_nd, witness_all
 from demod.rewriting import connecting_trace, verify_trace
-from demod.sexpr import SexprError, parse, parse_many, show
+from demod.sexpr import SexprError, parse, parse_many, show, show_pretty
 from demod.syntax import Exists, Forall, Imp, Or, TRUE, Var, alpha_equal, arith
 from demod.theories import (
     OrderConfig,
@@ -57,6 +58,39 @@ def test_sexpr_round_trip():
     with pytest.raises(SexprError):
         parse("a b")
     assert parse_many("a b") == ["a", "b"]
+
+
+def _show_pretty_reference(sx, width=100):
+    """The printer that re-renders every subtree at every level."""
+    flat = show(sx)
+    if len(flat) <= width or isinstance(sx, str):
+        return flat
+    head, *rest = sx
+    lines = [_show_pretty_reference(x, width) for x in rest]
+    body = "\n".join("  " + line.replace("\n", "\n  ") for line in lines)
+    return f"({show(head) if isinstance(head, str) else _show_pretty_reference(head, width)}\n{body})"
+
+
+sexprs = st.recursive(
+    st.text("abxyz01^.-+", min_size=1, max_size=12),
+    lambda inner: st.lists(inner, max_size=6),
+    max_leaves=60,
+)
+
+
+@given(sexprs, st.integers(2, 40))
+@settings(max_examples=300)
+def test_show_pretty_matches_reference(sx, width):
+    assert show_pretty(sx, width) == _show_pretty_reference(sx, width)
+    assert parse_many(show_pretty(sx, width)) == [sx]
+
+
+def test_show_pretty_matches_reference_on_a_large_proof():
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.fileformat import nd_proof_document
+
+    doc = nd_proof_document(gen_add_axiomatic_proof(40))
+    assert show_pretty(doc) == _show_pretty_reference(doc)
 
 
 def test_term_and_prop_round_trip():
