@@ -9,8 +9,6 @@ Parsing is signature-directed, so terms carry their sorts after reading.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import nd
 from .hilbert import (
     GenLine,
@@ -72,7 +70,7 @@ def parse_sort(atom: str) -> Sort:
         return LIST
     if atom == "class":
         return CLASS
-    if atom.isdigit():
+    if atom.isdecimal():
         return arith(int(atom))
     raise FormatError(f"not a sort: {atom!r}")
 
@@ -82,7 +80,7 @@ def show_var(v: Var) -> str:
 
 
 def parse_var(atom: str) -> Var:
-    if "." not in atom:
+    if not isinstance(atom, str) or "." not in atom:
         raise FormatError(f"not a variable: {atom!r}")
     name, _, sort = atom.rpartition(".")
     return Var(name, parse_sort(sort))
@@ -104,10 +102,9 @@ def term_from_sx(sx: Sx, sig: Signature) -> Term:
                 raise FormatError(f"variable {sx!r} has an undeclared sort")
             return v
         return sig.app(sx)
-    head, *args = sx
-    if not isinstance(head, str):
+    if not sx or not isinstance(sx[0], str):
         raise FormatError(f"bad term {show(sx)}")
-    return sig.app(head, *[term_from_sx(a, sig) for a in args])
+    return sig.app(sx[0], *[term_from_sx(a, sig) for a in sx[1:]])
 
 
 def prop_to_sx(p: Proposition) -> Sx:
@@ -132,14 +129,20 @@ def prop_to_sx(p: Proposition) -> Sx:
     raise FormatError(f"not a proposition: {p!r}")
 
 
+_CONNECTIVE_ARITY = {"and": 2, "or": 2, "imp": 2, "iff": 2, "not": 1, "forall": 2, "exists": 2}
+
+
 def prop_from_sx(sx: Sx, sig: Signature) -> Proposition:
     if sx == "true":
         return TRUE
     if sx == "false":
         return FALSE
-    if isinstance(sx, str):
-        raise FormatError(f"bad proposition {sx!r}")
+    if isinstance(sx, str) or not sx or not isinstance(sx[0], str):
+        raise FormatError(f"bad proposition {show(sx)}")
     head, *rest = sx
+    arity = _CONNECTIVE_ARITY.get(head)
+    if arity is not None and len(rest) != arity:
+        raise FormatError(f"{head} takes {arity} arguments, found {len(rest)}")
     if head == "and":
         return And(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
     if head == "or":
@@ -154,7 +157,7 @@ def prop_from_sx(sx: Sx, sig: Signature) -> Proposition:
         return Forall(parse_var(rest[0]), prop_from_sx(rest[1], sig))
     if head == "exists":
         return Exists(parse_var(rest[0]), prop_from_sx(rest[1], sig))
-    if isinstance(head, str) and head in sig.preds:
+    if head in sig.preds:
         return sig.atom(head, *[term_from_sx(a, sig) for a in rest])
     raise FormatError(f"unknown proposition head {head!r}")
 
@@ -268,9 +271,19 @@ def trace_to_sx(trace: Trace) -> Sx:
 def trace_from_sx(sx: Sx, sig: Signature) -> Trace:
     steps = []
     for form in sx[1:]:
+        if not (isinstance(form, list) and len(form) == 5 and form[0] == "step"
+                and isinstance(form[1], list) and isinstance(form[2], str)
+                and form[3] in ("fwd", "bwd") and isinstance(form[4], list)):
+            raise FormatError(f"expected (step POS RULE fwd|bwd BINDS), found {show(form)}")
         _, pos, rule, direction, binds = form
-        subst = tuple((parse_var(v), term_from_sx(t, sig)) for v, t in binds)
-        steps.append(RewriteStep(tuple(int(i) for i in pos), rule, subst, direction == "fwd"))
+        if not all(isinstance(i, str) and i.isdecimal() for i in pos):
+            raise FormatError(f"bad position {show(pos)}")
+        subst = []
+        for bind in binds:
+            if not (isinstance(bind, list) and len(bind) == 2):
+                raise FormatError(f"expected (VAR TERM), found {show(bind)}")
+            subst.append((parse_var(bind[0]), term_from_sx(bind[1], sig)))
+        steps.append(RewriteStep(tuple(int(i) for i in pos), rule, tuple(subst), direction == "fwd"))
     return Trace(None, None, tuple(steps))
 
 
@@ -279,126 +292,60 @@ def trace_from_sx(sx: Sx, sig: Signature) -> Trace:
 
 
 def proof_to_sx(p: nd.Proof) -> Sx:
-    def via(*pairs) -> list[Sx]:
-        out = []
-        for slot, tr in pairs:
-            if tr is not None:
-                out.append([slot, *trace_to_sx(tr)[1:]])
-        return out
-
-    if isinstance(p, nd.Hyp):
-        return ["hyp", p.label, prop_to_sx(p.prop)]
-    if isinstance(p, nd.Assume):
-        return ["assume", p.name, prop_to_sx(p.prop)]
-    if isinstance(p, nd.ImpI):
-        return ["imp-i", prop_to_sx(p.conclusion), prop_to_sx(p.hyp), p.label,
-                proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.ImpE):
-        return ["imp-e", prop_to_sx(p.conclusion), proof_to_sx(p.minor),
-                proof_to_sx(p.major)] + via(("via", p.via))
-    if isinstance(p, nd.AndI):
-        return ["and-i", prop_to_sx(p.conclusion), proof_to_sx(p.left),
-                proof_to_sx(p.right)] + via(("via", p.via))
-    if isinstance(p, nd.AndE):
-        return ["and-e", prop_to_sx(p.conclusion), p.side, prop_to_sx(p.other),
-                proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.OrI):
-        return ["or-i", prop_to_sx(p.conclusion), p.side, prop_to_sx(p.other),
-                proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.OrE):
-        return ["or-e", prop_to_sx(p.conclusion), prop_to_sx(p.left), prop_to_sx(p.right),
-                p.label_left, p.label_right, proof_to_sx(p.major), proof_to_sx(p.sub_left),
-                proof_to_sx(p.sub_right)] + via(("via", p.via))
-    if isinstance(p, nd.ForallI):
-        return ["forall-i", prop_to_sx(p.conclusion), show_var(p.var), prop_to_sx(p.body),
-                show_var(p.eigen), proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.ForallE):
-        return ["forall-e", prop_to_sx(p.conclusion), show_var(p.var), prop_to_sx(p.body),
-                term_to_sx(p.term), proof_to_sx(p.sub)] + via(("via", p.via), ("via2", p.via2))
-    if isinstance(p, nd.ExistsI):
-        return ["exists-i", prop_to_sx(p.conclusion), show_var(p.var), prop_to_sx(p.body),
-                term_to_sx(p.term), proof_to_sx(p.sub)] + via(("via", p.via), ("via2", p.via2))
-    if isinstance(p, nd.ExistsE):
-        return ["exists-e", prop_to_sx(p.conclusion), show_var(p.var), prop_to_sx(p.body),
-                show_var(p.eigen), p.label, proof_to_sx(p.major),
-                proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.TopI):
-        return ["top-i", prop_to_sx(p.conclusion)] + via(("via", p.via))
-    if isinstance(p, nd.BotE):
-        return ["bot-e", prop_to_sx(p.conclusion), proof_to_sx(p.sub)] + via(("via", p.via))
-    if isinstance(p, nd.Tnd):
-        return ["tnd", prop_to_sx(p.conclusion), prop_to_sx(p.disjunct)] + via(("via", p.via))
-    if isinstance(p, nd.IndI):
-        return ["ind-i", prop_to_sx(p.conclusion), term_to_sx(p.cls), term_to_sx(p.term),
-                show_var(p.eigen), p.label, proof_to_sx(p.base), proof_to_sx(p.step)]
-    raise FormatError(f"cannot serialize {p!r}")
+    kind = nd.KINDS.get(type(p))
+    if kind is None:
+        raise FormatError(f"cannot serialize {p!r}")
+    out: list[Sx] = [kind.tag]
+    for name, field_kind in kind.layout:  # a plain loop: one stack frame per proof level
+        out.append(_FIELD_TO_SX[field_kind](getattr(p, name)))
+    for slot in kind.vias:
+        trace = getattr(p, slot)
+        if trace is not None:
+            out.append([slot, *trace_to_sx(trace)[1:]])
+    return out
 
 
 def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
-    if not isinstance(sx, list) or not sx:
+    if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
         raise FormatError(f"bad proof node {show(sx)}")
-    head, *rest = sx
+    head = sx[0]
+    if head not in _KIND_OF_TAG:
+        raise FormatError(f"unknown proof node {head!r}")
+    cls, kind = _KIND_OF_TAG[head]
+    n = len(kind.layout)
+    if len(sx) <= n:
+        raise FormatError(f"{head} needs {n} fields, found {len(sx) - 1}")
+    fields = {}
+    for (name, field_kind), x in zip(kind.layout, sx[1:]):
+        fields[name] = _FIELD_FROM_SX[field_kind](x, sig)
+    for form in sx[n + 1:]:
+        if not (isinstance(form, list) and form and form[0] in kind.vias):
+            raise FormatError(f"unexpected trailing form {show(form)}")
+        fields[form[0]] = trace_from_sx(["trace"] + form[1:], sig)
+    return cls(**fields)
 
-    def vias(tail: Sequence[Sx]) -> dict[str, Trace]:
-        out = {}
-        for form in tail:
-            if isinstance(form, list) and form and form[0] in ("via", "via2"):
-                out[form[0]] = trace_from_sx(["trace"] + form[1:], sig)
-            else:
-                raise FormatError(f"unexpected trailing form {show(form)}")
-        return out
 
-    P = lambda k: prop_from_sx(rest[k], sig)
-    T = lambda k: term_from_sx(rest[k], sig)
-    V = lambda k: parse_var(rest[k])
-    sub = lambda k: proof_from_sx(rest[k], sig)
+def _label_from_sx(sx: Sx, sig: Signature) -> str:
+    if not isinstance(sx, str):
+        raise FormatError(f"expected a label, found {show(sx)}")
+    return sx
 
-    if head == "hyp":
-        return nd.Hyp(rest[0], P(1))
-    if head == "assume":
-        return nd.Assume(rest[0], P(1))
-    if head == "imp-i":
-        w = vias(rest[4:])
-        return nd.ImpI(P(0), P(1), rest[2], sub(3), via=w.get("via"))
-    if head == "imp-e":
-        w = vias(rest[3:])
-        return nd.ImpE(P(0), sub(1), sub(2), via=w.get("via"))
-    if head == "and-i":
-        w = vias(rest[3:])
-        return nd.AndI(P(0), sub(1), sub(2), via=w.get("via"))
-    if head == "and-e":
-        w = vias(rest[4:])
-        return nd.AndE(P(0), other=P(2), side=rest[1], sub=sub(3), via=w.get("via"))
-    if head == "or-i":
-        w = vias(rest[4:])
-        return nd.OrI(P(0), other=P(2), side=rest[1], sub=sub(3), via=w.get("via"))
-    if head == "or-e":
-        w = vias(rest[8:])
-        return nd.OrE(P(0), P(1), P(2), rest[3], rest[4], sub(5), sub(6), sub(7), via=w.get("via"))
-    if head == "forall-i":
-        w = vias(rest[5:])
-        return nd.ForallI(P(0), V(1), P(2), V(3), sub(4), via=w.get("via"))
-    if head == "forall-e":
-        w = vias(rest[5:])
-        return nd.ForallE(P(0), V(1), P(2), T(3), sub(4), via=w.get("via"), via2=w.get("via2"))
-    if head == "exists-i":
-        w = vias(rest[5:])
-        return nd.ExistsI(P(0), V(1), P(2), T(3), sub(4), via=w.get("via"), via2=w.get("via2"))
-    if head == "exists-e":
-        w = vias(rest[7:])
-        return nd.ExistsE(P(0), V(1), P(2), V(3), rest[4], sub(5), sub(6), via=w.get("via"))
-    if head == "top-i":
-        w = vias(rest[1:])
-        return nd.TopI(P(0), via=w.get("via"))
-    if head == "bot-e":
-        w = vias(rest[2:])
-        return nd.BotE(P(0), sub(1), via=w.get("via"))
-    if head == "tnd":
-        w = vias(rest[2:])
-        return nd.Tnd(P(0), P(1), via=w.get("via"))
-    if head == "ind-i":
-        return nd.IndI(P(0), T(1), T(2), V(3), rest[4], sub(5), sub(6))
-    raise FormatError(f"unknown proof node {head!r}")
+
+_FIELD_TO_SX = {
+    "prop": prop_to_sx,
+    "term": term_to_sx,
+    "var": show_var,
+    "label": lambda label: label,
+    "proof": proof_to_sx,
+}
+_FIELD_FROM_SX = {
+    "prop": prop_from_sx,
+    "term": term_from_sx,
+    "var": lambda sx, sig: parse_var(sx),
+    "label": _label_from_sx,
+    "proof": proof_from_sx,
+}
+_KIND_OF_TAG = {kind.tag: (cls, kind) for cls, kind in nd.KINDS.items()}
 
 
 def nd_proof_document(p: nd.Proof) -> Sx:
@@ -406,9 +353,12 @@ def nd_proof_document(p: nd.Proof) -> Sx:
 
 
 def nd_proof_from_document(sx: Sx, sig: Signature) -> nd.Proof:
-    if not (isinstance(sx, list) and sx and sx[0] == "nd-proof"):
-        raise FormatError("expected (nd-proof ...)")
-    return proof_from_sx(sx[1], sig)
+    if not (isinstance(sx, list) and len(sx) == 2 and sx[0] == "nd-proof"):
+        raise FormatError("expected (nd-proof PROOF)")
+    try:
+        return proof_from_sx(sx[1], sig)
+    except RecursionError:
+        raise FormatError("proof nested too deep to read") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ Proof length is the line count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .syntax import (
     Exists,
@@ -33,6 +33,7 @@ from .syntax import (
     iff,
     sort_of,
 )
+from .nd import Verdict
 from .theories import (
     OrderConfig,
     ZERO,
@@ -312,16 +313,6 @@ class HilbertProof:
 
 def hilbert_length(proof: HilbertProof) -> int:
     return len(proof.lines)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    length: int
-    error: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_hilbert(

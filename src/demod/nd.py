@@ -9,20 +9,24 @@ alpha-equal sides.
 
 Proof length is the number of inference nodes; hypothesis and assumption
 leaves do not count.
+
+Each node kind is described once, in ``KINDS``: the checker, the tree
+walkers, the translators and the file format all read that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .rewriting import (
     CongruenceError,
     FuelExhausted,
     RewriteSystem,
     Trace,
+    _normal_forms,
     connecting_trace,
-    normalize,
     verify_trace,
 )
 from .syntax import (
@@ -40,6 +44,7 @@ from .syntax import (
     apply_substitution,
     free_variables,
 )
+from .theories import ZERO, member, s_
 
 
 @dataclass(frozen=True)
@@ -209,28 +214,278 @@ Proof = Union[
 LEAVES = (Hyp, Assume)
 
 
+class CheckFailure(Exception):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# The node kinds, described once
+
+
+@dataclass(frozen=True)
+class Obligation:
+    """A congruence ``left <->* right`` that the node's trace ``slot`` may witness.
+
+    ``left`` is ``"conclusion"`` for the node's own conclusion, otherwise the
+    premise field whose conclusion is the left side.
+    """
+
+    left: str
+    right: Callable[[Proof], Proposition]
+    slot: str = "via"
+
+    def left_side(self, p: Proof) -> Proposition:
+        return p.conclusion if self.left == "conclusion" else conclusion_of(getattr(p, self.left))
+
+
+@dataclass(frozen=True)
+class Binding:
+    """The hypotheses labelled by field ``label`` are discharged in premise
+    ``scope``, and each must state ``prop(node)``."""
+
+    label: str
+    scope: str
+    prop: Callable[[Proof], Proposition]
+
+
+Opened = dict[str, tuple[list[tuple[str, Proposition]], list[Proposition]]]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One proof-node kind: its file tag, its fields in file order, each marked
+    ``prop``, ``term``, ``var``, ``label`` or ``proof`` (a premise), its
+    obligations and hypothesis bindings, and the side conditions it adds.
+
+    ``before`` runs ahead of the obligations and ``after`` once the bindings
+    are discharged; both get the node and the open hypotheses and assumption
+    propositions of each premise, keyed by premise field.
+    """
+
+    tag: str
+    layout: tuple[tuple[str, str], ...]
+    obligations: tuple[Obligation, ...] = ()
+    binds: tuple[Binding, ...] = ()
+    before: Optional[Callable[[Proof, Opened], None]] = None
+    after: Optional[Callable[[Proof, Opened], None]] = None
+
+    @cached_property
+    def premises(self) -> tuple[str, ...]:
+        return tuple(name for name, field_kind in self.layout if field_kind == "proof")
+
+    @cached_property
+    def vias(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(ob.slot for ob in self.obligations))
+
+
+def _freshness(eigen: Var, props: Iterable[Proposition], where: str) -> None:
+    for prop in props:
+        if eigen in free_variables(prop):
+            raise CheckFailure(f"eigenvariable {eigen} is free in {where}: {prop}")
+
+
+def _side(p: Union[AndE, OrI], opened: Opened) -> None:
+    if p.side not in ("left", "right"):
+        raise CheckFailure(f"bad side {p.side!r}")
+
+
+def _forall_i(p: ForallI, opened: Opened) -> None:
+    hyps, assums = opened["sub"]
+    want = apply_substitution(p.body, {p.var: p.eigen})
+    if not alpha_equal(conclusion_of(p.sub), want):
+        raise CheckFailure(f"universal introduction premise {conclusion_of(p.sub)} is not {want}")
+    if p.eigen != p.var and p.eigen in free_variables(p.body):
+        raise CheckFailure(f"eigenvariable {p.eigen} occurs in the generalized body")
+    _freshness(p.eigen, (prop for _, prop in hyps), "an open hypothesis")
+    _freshness(p.eigen, assums, "an assumption")
+
+
+def _or_e(p: OrE, opened: Opened) -> None:
+    if not alpha_equal(conclusion_of(p.sub_left), p.conclusion):
+        raise CheckFailure("left branch of case split does not prove the conclusion")
+    if not alpha_equal(conclusion_of(p.sub_right), p.conclusion):
+        raise CheckFailure("right branch of case split does not prove the conclusion")
+
+
+def _exists_e(p: ExistsE, opened: Opened) -> None:
+    if not alpha_equal(conclusion_of(p.sub), p.conclusion):
+        raise CheckFailure("existential elimination branch does not prove the conclusion")
+    if p.eigen != p.var and p.eigen in free_variables(p.body):
+        raise CheckFailure(f"eigenvariable {p.eigen} occurs in the witness body")
+    hyps, assums = opened["sub"]
+    _freshness(p.eigen, [p.conclusion], "the conclusion")
+    _freshness(p.eigen, (prop for _, prop in hyps), "an open hypothesis")
+    _freshness(p.eigen, assums, "an assumption")
+
+
+def _ind_i(p: IndI, opened: Opened) -> None:
+    if not alpha_equal(conclusion_of(p.base), member([ZERO], p.cls)):
+        raise CheckFailure("induction base premise must conclude <0> eps class")
+    if not alpha_equal(conclusion_of(p.step), member([s_(p.eigen)], p.cls)):
+        raise CheckFailure("induction step premise must conclude <s(eigen)> eps class")
+    if not alpha_equal(p.conclusion, member([p.term], p.cls)):
+        raise CheckFailure("induction conclusion must be <term> eps class")
+    _freshness(p.eigen, [p.conclusion], "the conclusion")
+    _freshness(p.eigen, (prop for hyps, _ in opened.values() for _, prop in hyps),
+               "an open hypothesis")
+    _freshness(p.eigen, (prop for _, assums in opened.values() for prop in assums),
+               "an assumption")
+
+
+def _and_shape(p: AndE) -> Proposition:
+    return And(p.conclusion, p.other) if p.side == "left" else And(p.other, p.conclusion)
+
+
+def _or_shape(p: OrI) -> Proposition:
+    c = conclusion_of(p.sub)
+    return Or(c, p.other) if p.side == "left" else Or(p.other, c)
+
+
+def _instance(p: Union[ForallE, ExistsI]) -> Proposition:
+    return apply_substitution(p.body, {p.var: p.term})
+
+
+KINDS: dict[type, Kind] = {
+    Hyp: Kind("hyp", (("label", "label"), ("prop", "prop"))),
+    Assume: Kind("assume", (("name", "label"), ("prop", "prop"))),
+    ImpI: Kind(
+        "imp-i",
+        (("conclusion", "prop"), ("hyp", "prop"), ("label", "label"), ("sub", "proof")),
+        (Obligation("conclusion", lambda p: Imp(p.hyp, conclusion_of(p.sub))),),
+        (Binding("label", "sub", lambda p: p.hyp),),
+    ),
+    ImpE: Kind(
+        "imp-e",
+        (("conclusion", "prop"), ("minor", "proof"), ("major", "proof")),
+        (Obligation("major", lambda p: Imp(conclusion_of(p.minor), p.conclusion)),),
+    ),
+    AndI: Kind(
+        "and-i",
+        (("conclusion", "prop"), ("left", "proof"), ("right", "proof")),
+        (Obligation("conclusion", lambda p: And(conclusion_of(p.left), conclusion_of(p.right))),),
+    ),
+    AndE: Kind(
+        "and-e",
+        (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
+        (Obligation("sub", _and_shape),),
+        before=_side,
+    ),
+    OrI: Kind(
+        "or-i",
+        (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
+        (Obligation("conclusion", _or_shape),),
+        before=_side,
+    ),
+    OrE: Kind(
+        "or-e",
+        (("conclusion", "prop"), ("left", "prop"), ("right", "prop"), ("label_left", "label"),
+         ("label_right", "label"), ("major", "proof"), ("sub_left", "proof"),
+         ("sub_right", "proof")),
+        (Obligation("major", lambda p: Or(p.left, p.right)),),
+        (Binding("label_left", "sub_left", lambda p: p.left),
+         Binding("label_right", "sub_right", lambda p: p.right)),
+        after=_or_e,
+    ),
+    ForallI: Kind(
+        "forall-i",
+        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
+         ("sub", "proof")),
+        (Obligation("conclusion", lambda p: Forall(p.var, p.body)),),
+        before=_forall_i,
+    ),
+    ForallE: Kind(
+        "forall-e",
+        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
+         ("sub", "proof")),
+        (Obligation("sub", lambda p: Forall(p.var, p.body)),
+         Obligation("conclusion", _instance, "via2")),
+    ),
+    ExistsI: Kind(
+        "exists-i",
+        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
+         ("sub", "proof")),
+        (Obligation("conclusion", lambda p: Exists(p.var, p.body)),
+         Obligation("sub", _instance, "via2")),
+    ),
+    ExistsE: Kind(
+        "exists-e",
+        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
+         ("label", "label"), ("major", "proof"), ("sub", "proof")),
+        (Obligation("major", lambda p: Exists(p.var, p.body)),),
+        (Binding("label", "sub", lambda p: apply_substitution(p.body, {p.var: p.eigen})),),
+        after=_exists_e,
+    ),
+    TopI: Kind("top-i", (("conclusion", "prop"),), (Obligation("conclusion", lambda p: TRUE),)),
+    BotE: Kind(
+        "bot-e",
+        (("conclusion", "prop"), ("sub", "proof")),
+        (Obligation("sub", lambda p: FALSE),),
+    ),
+    Tnd: Kind(
+        "tnd",
+        (("conclusion", "prop"), ("disjunct", "prop")),
+        (Obligation("conclusion", lambda p: Or(p.disjunct, Imp(p.disjunct, FALSE))),),
+    ),
+    IndI: Kind(
+        "ind-i",
+        (("conclusion", "prop"), ("cls", "term"), ("term", "term"), ("eigen", "var"),
+         ("label", "label"), ("base", "proof"), ("step", "proof")),
+        binds=(Binding("label", "step", lambda p: member([p.eigen], p.cls)),),
+        after=_ind_i,
+    ),
+}
+
+
 def premises(p: Proof) -> tuple[Proof, ...]:
-    if isinstance(p, LEAVES):
-        return ()
-    if isinstance(p, (ImpI, AndE, OrI, ForallI, ForallE, ExistsI, BotE)):
-        return (p.sub,)
-    if isinstance(p, ImpE):
-        return (p.minor, p.major)
-    if isinstance(p, AndI):
-        return (p.left, p.right)
-    if isinstance(p, OrE):
-        return (p.major, p.sub_left, p.sub_right)
-    if isinstance(p, ExistsE):
-        return (p.major, p.sub)
-    if isinstance(p, IndI):
-        return (p.base, p.step)
-    return ()
+    kind = KINDS.get(type(p))
+    return () if kind is None else tuple(getattr(p, name) for name in kind.premises)
 
 
 def conclusion_of(p: Proof) -> Proposition:
     if isinstance(p, LEAVES):
         return p.prop
     return p.conclusion
+
+
+def obligations(p: Proof) -> tuple[tuple[Proposition, Proposition, str], ...]:
+    """The congruence obligations of one node as (left, right, via-field) triples."""
+    return tuple((ob.left_side(p), ob.right(p), ob.slot) for ob in KINDS[type(p)].obligations)
+
+
+def uses_hyp(p: Proof, label: str) -> bool:
+    """Whether a hypothesis leaf labelled ``label`` occurs free in ``p``."""
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Hyp):
+            if node.label == label:
+                return True
+            continue
+        kind = KINDS[type(node)]
+        bound = [b.scope for b in kind.binds if getattr(node, b.label) == label]
+        stack.extend(getattr(node, name) for name in kind.premises if name not in bound)
+    return False
+
+
+def map_proof(p: Proof, fn: Callable[[Proof], Proof]) -> Proof:
+    """Rebuild ``p`` bottom-up: each node, with its premises already rebuilt,
+    is replaced by ``fn(node)``.  Premises are visited in field order, and the
+    walk keeps its own stack, so it reaches any depth."""
+    done: list[Proof] = []
+    stack: list[tuple[Proof, bool]] = [(p, False)]
+    while stack:
+        node, ready = stack.pop()
+        names = KINDS[type(node)].premises
+        if not ready:
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(names))
+            continue
+        if names:
+            rebuilt = done[len(done) - len(names):]
+            del done[len(done) - len(names):]
+            node = replace(node, **dict(zip(names, rebuilt)))
+        done.append(fn(node))
+    return done[0]
 
 
 def nd_length(p: Proof) -> int:
@@ -241,7 +496,10 @@ def nd_length(p: Proof) -> int:
         node = stack.pop()
         if not isinstance(node, LEAVES):
             count += 1
-        stack.extend(premises(node))
+        kind = KINDS.get(type(node))  # read the table directly: this runs on every check
+        if kind is not None:
+            for name in kind.premises:
+                stack.append(getattr(node, name))
     return count
 
 
@@ -263,10 +521,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class CheckFailure(Exception):
-    pass
 
 
 MODES = ("auto", "witnessed", "mixed")
@@ -292,14 +546,14 @@ class _Ctx:
         if self.mode == "witnessed":
             raise CheckFailure(f"missing trace for {p} <->* {q} in witnessed mode")
         try:
-            sub = self.system.congruence_system()
-            np_, tp = normalize(p, sub, self.fuel)
-            nq_, tq = normalize(q, sub, self.fuel)
+            joined, tp, tq = _normal_forms(p, q, self.system, self.fuel)
         except (CongruenceError, FuelExhausted) as exc:
             raise CheckFailure(f"cannot decide {p} <->* {q}: {exc}") from exc
         self.steps += len(tp) + len(tq)
-        if not alpha_equal(np_, nq_):
-            raise CheckFailure(f"congruence fails: {p} and {q} have normal forms {np_} vs {nq_}")
+        if not joined:
+            raise CheckFailure(
+                f"congruence fails: {p} and {q} have normal forms {tp.end} vs {tq.end}"
+            )
 
 
 def check_nd(
@@ -345,12 +599,6 @@ def _discharge(
     return remaining
 
 
-def _freshness(eigen: Var, props: Iterable[Proposition], where: str) -> None:
-    for prop in props:
-        if eigen in free_variables(prop):
-            raise CheckFailure(f"eigenvariable {eigen} is free in {where}: {prop}")
-
-
 def _check(p: Proof, ctx: _Ctx) -> tuple[list[tuple[str, Proposition]], list[Proposition]]:
     """Returns (open hypotheses, assumption propositions) of the subtree."""
     if isinstance(p, Hyp):
@@ -363,177 +611,30 @@ def _check(p: Proof, ctx: _Ctx) -> tuple[list[tuple[str, Proposition]], list[Pro
             raise CheckFailure(f"assumption {p.name!r} states {stated}, leaf says {p.prop}")
         return [], [p.prop]
 
-    if isinstance(p, ImpI):
-        hyps, assums = _check(p.sub, ctx)
-        ctx.congruent(p.conclusion, Imp(p.hyp, conclusion_of(p.sub)), p.via)
-        return _discharge(hyps, p.label, p.hyp), assums
-
-    if isinstance(p, ImpE):
-        h1, a1 = _check(p.minor, ctx)
-        h2, a2 = _check(p.major, ctx)
-        ctx.congruent(conclusion_of(p.major), Imp(conclusion_of(p.minor), p.conclusion), p.via)
-        return h1 + h2, a1 + a2
-
-    if isinstance(p, AndI):
-        h1, a1 = _check(p.left, ctx)
-        h2, a2 = _check(p.right, ctx)
-        ctx.congruent(p.conclusion, And(conclusion_of(p.left), conclusion_of(p.right)), p.via)
-        return h1 + h2, a1 + a2
-
-    if isinstance(p, AndE):
-        hyps, assums = _check(p.sub, ctx)
-        if p.side == "left":
-            shape = And(p.conclusion, p.other)
-        elif p.side == "right":
-            shape = And(p.other, p.conclusion)
-        else:
-            raise CheckFailure(f"bad side {p.side!r}")
-        ctx.congruent(conclusion_of(p.sub), shape, p.via)
-        return hyps, assums
-
-    if isinstance(p, OrI):
-        hyps, assums = _check(p.sub, ctx)
-        if p.side == "left":
-            shape = Or(conclusion_of(p.sub), p.other)
-        elif p.side == "right":
-            shape = Or(p.other, conclusion_of(p.sub))
-        else:
-            raise CheckFailure(f"bad side {p.side!r}")
-        ctx.congruent(p.conclusion, shape, p.via)
-        return hyps, assums
-
-    if isinstance(p, OrE):
-        h0, a0 = _check(p.major, ctx)
-        hl, al = _check(p.sub_left, ctx)
-        hr, ar = _check(p.sub_right, ctx)
-        ctx.congruent(conclusion_of(p.major), Or(p.left, p.right), p.via)
-        if not alpha_equal(conclusion_of(p.sub_left), p.conclusion):
-            raise CheckFailure("left branch of case split does not prove the conclusion")
-        if not alpha_equal(conclusion_of(p.sub_right), p.conclusion):
-            raise CheckFailure("right branch of case split does not prove the conclusion")
-        hl = _discharge(hl, p.label_left, p.left)
-        hr = _discharge(hr, p.label_right, p.right)
-        return h0 + hl + hr, a0 + al + ar
-
-    if isinstance(p, ForallI):
-        hyps, assums = _check(p.sub, ctx)
-        want = apply_substitution(p.body, {p.var: p.eigen})
-        if not alpha_equal(conclusion_of(p.sub), want):
-            raise CheckFailure(
-                f"universal introduction premise {conclusion_of(p.sub)} is not {want}"
-            )
-        if p.eigen != p.var and p.eigen in free_variables(p.body):
-            raise CheckFailure(f"eigenvariable {p.eigen} occurs in the generalized body")
-        _freshness(p.eigen, (prop for _, prop in hyps), "an open hypothesis")
-        _freshness(p.eigen, assums, "an assumption")
-        ctx.congruent(p.conclusion, Forall(p.var, p.body), p.via)
-        return hyps, assums
-
-    if isinstance(p, ForallE):
-        hyps, assums = _check(p.sub, ctx)
-        ctx.congruent(conclusion_of(p.sub), Forall(p.var, p.body), p.via)
-        ctx.congruent(p.conclusion, apply_substitution(p.body, {p.var: p.term}), p.via2)
-        return hyps, assums
-
-    if isinstance(p, ExistsI):
-        hyps, assums = _check(p.sub, ctx)
-        ctx.congruent(p.conclusion, Exists(p.var, p.body), p.via)
-        ctx.congruent(conclusion_of(p.sub), apply_substitution(p.body, {p.var: p.term}), p.via2)
-        return hyps, assums
-
-    if isinstance(p, ExistsE):
-        h0, a0 = _check(p.major, ctx)
-        h1, a1 = _check(p.sub, ctx)
-        ctx.congruent(conclusion_of(p.major), Exists(p.var, p.body), p.via)
-        if not alpha_equal(conclusion_of(p.sub), p.conclusion):
-            raise CheckFailure("existential elimination branch does not prove the conclusion")
-        hyp_prop = apply_substitution(p.body, {p.var: p.eigen})
-        h1 = _discharge(h1, p.label, hyp_prop)
-        if p.eigen != p.var and p.eigen in free_variables(p.body):
-            raise CheckFailure(f"eigenvariable {p.eigen} occurs in the witness body")
-        _freshness(p.eigen, [p.conclusion], "the conclusion")
-        _freshness(p.eigen, (prop for _, prop in h1), "an open hypothesis")
-        _freshness(p.eigen, a1, "an assumption")
-        return h0 + h1, a0 + a1
-
-    if isinstance(p, TopI):
-        ctx.congruent(p.conclusion, TRUE, p.via)
-        return [], []
-
-    if isinstance(p, BotE):
-        hyps, assums = _check(p.sub, ctx)
-        ctx.congruent(conclusion_of(p.sub), FALSE, p.via)
-        return hyps, assums
-
-    if isinstance(p, Tnd):
-        ctx.congruent(p.conclusion, Or(p.disjunct, Imp(p.disjunct, FALSE)), p.via)
-        return [], []
-
-    if isinstance(p, IndI):
-        from .theories import ZERO, member, s_  # layering: theory shapes for this rule only
-
-        hb, ab = _check(p.base, ctx)
-        hs, as_ = _check(p.step, ctx)
-        if not alpha_equal(conclusion_of(p.base), member([ZERO], p.cls)):
-            raise CheckFailure("induction base premise must conclude <0> eps class")
-        if not alpha_equal(conclusion_of(p.step), member([s_(p.eigen)], p.cls)):
-            raise CheckFailure("induction step premise must conclude <s(eigen)> eps class")
-        hs = _discharge(hs, p.label, member([p.eigen], p.cls))
-        if not alpha_equal(p.conclusion, member([p.term], p.cls)):
-            raise CheckFailure("induction conclusion must be <term> eps class")
-        _freshness(p.eigen, [p.conclusion], "the conclusion")
-        _freshness(p.eigen, (prop for _, prop in hb + hs), "an open hypothesis")
-        _freshness(p.eigen, ab + as_, "an assumption")
-        return hb + hs, ab + as_
-
-    raise CheckFailure(f"unknown proof node {p!r}")
+    kind = KINDS.get(type(p))
+    if kind is None:
+        raise CheckFailure(f"unknown proof node {p!r}")
+    opened: Opened = {}
+    for name in kind.premises:  # a plain loop: one stack frame per proof level
+        opened[name] = _check(getattr(p, name), ctx)
+    if kind.before is not None:
+        kind.before(p, opened)
+    for ob in kind.obligations:
+        ctx.congruent(ob.left_side(p), ob.right(p), getattr(p, ob.slot))
+    for b in kind.binds:
+        hyps, assums = opened[b.scope]
+        opened[b.scope] = _discharge(hyps, getattr(p, b.label), b.prop(p)), assums
+    if kind.after is not None:
+        kind.after(p, opened)
+    hyps, assums = [], []
+    for h, a in opened.values():
+        hyps += h
+        assums += a
+    return hyps, assums
 
 
 # ---------------------------------------------------------------------------
-# Congruence obligations as data, and trace witnessing
-
-
-def obligations(p: Proof) -> tuple[tuple[Proposition, Proposition, str], ...]:
-    """The congruence obligations of one node as (left, right, via-field) triples."""
-    if isinstance(p, ImpI):
-        return ((p.conclusion, Imp(p.hyp, conclusion_of(p.sub)), "via"),)
-    if isinstance(p, ImpE):
-        return ((conclusion_of(p.major), Imp(conclusion_of(p.minor), p.conclusion), "via"),)
-    if isinstance(p, AndI):
-        return ((p.conclusion, And(conclusion_of(p.left), conclusion_of(p.right)), "via"),)
-    if isinstance(p, AndE):
-        shape = And(p.conclusion, p.other) if p.side == "left" else And(p.other, p.conclusion)
-        return ((conclusion_of(p.sub), shape, "via"),)
-    if isinstance(p, OrI):
-        shape = (
-            Or(conclusion_of(p.sub), p.other)
-            if p.side == "left"
-            else Or(p.other, conclusion_of(p.sub))
-        )
-        return ((p.conclusion, shape, "via"),)
-    if isinstance(p, OrE):
-        return ((conclusion_of(p.major), Or(p.left, p.right), "via"),)
-    if isinstance(p, ForallI):
-        return ((p.conclusion, Forall(p.var, p.body), "via"),)
-    if isinstance(p, ForallE):
-        return (
-            (conclusion_of(p.sub), Forall(p.var, p.body), "via"),
-            (p.conclusion, apply_substitution(p.body, {p.var: p.term}), "via2"),
-        )
-    if isinstance(p, ExistsI):
-        return (
-            (p.conclusion, Exists(p.var, p.body), "via"),
-            (conclusion_of(p.sub), apply_substitution(p.body, {p.var: p.term}), "via2"),
-        )
-    if isinstance(p, ExistsE):
-        return ((conclusion_of(p.major), Exists(p.var, p.body), "via"),)
-    if isinstance(p, TopI):
-        return ((p.conclusion, TRUE, "via"),)
-    if isinstance(p, BotE):
-        return ((conclusion_of(p.sub), FALSE, "via"),)
-    if isinstance(p, Tnd):
-        return ((p.conclusion, Or(p.disjunct, Imp(p.disjunct, FALSE)), "via"),)
-    return ()
+# Trace witnessing
 
 
 def witness_all(p: Proof, system: RewriteSystem, fuel: Optional[int] = None) -> Proof:
@@ -542,16 +643,11 @@ def witness_all(p: Proof, system: RewriteSystem, fuel: Optional[int] = None) -> 
     Obligations with traces keep them; the rest are connected through the
     congruence system, so the result checks in witnessed mode.
     """
-    from dataclasses import replace as _replace
 
-    if isinstance(p, LEAVES):
-        return p
-    updates: dict[str, object] = {}
-    for name in ("sub", "minor", "major", "left", "right", "sub_left", "sub_right", "base", "step"):
-        if hasattr(p, name):
-            updates[name] = witness_all(getattr(p, name), system, fuel)
-    node = _replace(p, **updates)
-    for left, right, slot in obligations(node):
-        if getattr(node, slot) is None and not alpha_equal(left, right):
-            node = _replace(node, **{slot: connecting_trace(left, right, system, fuel)})
-    return node
+    def attach(node: Proof) -> Proof:
+        for left, right, slot in obligations(node):
+            if getattr(node, slot) is None and not alpha_equal(left, right):
+                node = replace(node, **{slot: connecting_trace(left, right, system, fuel)})
+        return node
+
+    return map_proof(p, attach)

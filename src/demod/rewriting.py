@@ -307,17 +307,25 @@ def normalize(
         steps.append(RewriteStep(pos, rule.name, tuple(bound)))
 
 
+def _normal_forms(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int]) -> tuple[bool, Trace, Trace]:
+    """Normalize both sides under the congruence system and compare the results.
+
+    Returns whether the normal forms are alpha-equal, and the two traces to
+    them (each trace's end is its normal form).
+    """
+    sub = system.congruence_system()
+    _, tp = normalize(p, sub, fuel)
+    _, tq = normalize(q, sub, fuel)
+    return alpha_equal(tp.end, tq.end), tp, tq
+
+
 def congruent_auto(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
     """Decide p <->* q by joint normalization; needs both capability flags."""
     if not (system.terminating and system.confluent):
         raise CongruenceError(
             f"congruent_auto needs a terminating and confluent system, got {system.name}"
         )
-    if alpha_equal(p, q):
-        return True
-    np, _ = normalize(p, system, fuel)
-    nq, _ = normalize(q, system, fuel)
-    return alpha_equal(np, nq)
+    return alpha_equal(p, q) or _normal_forms(p, q, system, fuel)[0]
 
 
 def congruent(
@@ -335,22 +343,18 @@ def congruent(
     """
     if alpha_equal(p, q):
         return True
-    sub = system.congruence_system()
-    np, tp = normalize(p, sub, fuel)
-    nq, tq = normalize(q, sub, fuel)
+    joined, tp, tq = _normal_forms(p, q, system, fuel)
     if counter is not None:
         counter[0] += len(tp) + len(tq)
-    return alpha_equal(np, nq)
+    return joined
 
 
 def connecting_trace(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> Trace:
     """Build a trace certifying p <->* q via their common normal form."""
     if alpha_equal(p, q):
         return Trace(p, q)
-    sub = system.congruence_system()
-    np, tp = normalize(p, sub, fuel)
-    nq, tq = normalize(q, sub, fuel)
-    if not alpha_equal(np, nq):
+    joined, tp, tq = _normal_forms(p, q, system, fuel)
+    if not joined:
         raise CongruenceError(f"{p} and {q} have distinct normal forms")
     return Trace(p, q, tp.steps + tq.reversed().steps)
 

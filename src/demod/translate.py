@@ -47,6 +47,7 @@ from .nd import (
     ImpE,
     ImpI,
     IndI,
+    KINDS,
     OrE,
     OrI,
     Proof,
@@ -54,8 +55,10 @@ from .nd import (
     TopI,
     check_nd,
     conclusion_of,
+    map_proof,
     obligations,
     premises,
+    uses_hyp,
 )
 from .rewriting import RewriteSystem, Trace, connecting_trace
 from .syntax import (
@@ -520,27 +523,6 @@ def _mp_abs_block(buf: _Buf, m_minor: int, m_major: int, a: Proposition, p: Prop
     return buf.add(MpLine(c5, c6), Imp(a, q))
 
 
-def _uses_hyp(p: Proof, label: str) -> bool:
-    if isinstance(p, Hyp):
-        return p.label == label
-    if isinstance(p, Assume):
-        return False
-    if isinstance(p, ImpI) and p.label == label:
-        return False
-    if isinstance(p, ExistsE) and p.label == label:
-        return _uses_hyp(p.major, label)
-    if isinstance(p, OrE):
-        branches = [_uses_hyp(p.major, label)]
-        if p.label_left != label:
-            branches.append(_uses_hyp(p.sub_left, label))
-        if p.label_right != label:
-            branches.append(_uses_hyp(p.sub_right, label))
-        return any(branches)
-    if isinstance(p, IndI) and p.label == label:
-        return _uses_hyp(p.base, label)
-    return any(_uses_hyp(q, label) for q in premises(p))
-
-
 def _avoid_capture(body: Proposition, terms: list[Term]) -> Proposition:
     """Rename binders in body so the given terms substitute freely."""
     clash = set()
@@ -675,7 +657,7 @@ class _NdToHilbert:
 
     def abstract_tree(self, p: Proof, a: Proposition, label: str, buf: _Buf) -> int:
         target = Imp(a, conclusion_of(p))
-        if not _uses_hyp(p, label):
+        if not uses_hyp(p, label):
             m = self.tree(p, buf)
             prop = conclusion_of(p)
             k = buf.schema("K", [("A", prop), ("B", a)])
@@ -857,27 +839,21 @@ def zi_nd_to_hha(proof: Proof, instances: Mapping[str, SchemaInstance]) -> Proof
     instances = dict(instances)
 
     def rebuild(p: Proof) -> Proof:
-        if isinstance(p, Assume):
-            inst = instances.get(p.name)
-            if inst is None:
-                raise TranslationError(f"assumption {p.name!r} is not in the fragment library")
-            name = inst.schema
-            if name in ("leibniz", "ind") or name.startswith("comp^"):
-                frag = hha_fragment(name, inst.template("A"))
-            else:
-                frag = hha_fragment(name)
-            if not alpha_equal(conclusion_of(frag.proof), p.prop):
-                raise TranslationError(f"fragment for {name} proves a different instance")
-            return frag.proof
-        if isinstance(p, Hyp):
+        if not isinstance(p, Assume):
             return p
-        updates = {}
-        for field in ("sub", "minor", "major", "left", "right", "sub_left", "sub_right", "base", "step"):
-            if hasattr(p, field):
-                updates[field] = rebuild(getattr(p, field))
-        return _dc_replace(p, **updates)
+        inst = instances.get(p.name)
+        if inst is None:
+            raise TranslationError(f"assumption {p.name!r} is not in the fragment library")
+        name = inst.schema
+        if name in ("leibniz", "ind") or name.startswith("comp^"):
+            frag = hha_fragment(name, inst.template("A"))
+        else:
+            frag = hha_fragment(name)
+        if not alpha_equal(conclusion_of(frag.proof), p.prop):
+            raise TranslationError(f"fragment for {name} proves a different instance")
+        return frag.proof
 
-    return rebuild(proof)
+    return map_proof(proof, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,28 +1070,6 @@ def _equivalence_proof(trace: Trace, start: Proposition, cert: CompatibilityCert
     return acc
 
 
-_CONCLUSION_SLOTS = {
-    ImpI: ("via",),
-    AndI: ("via",),
-    OrI: ("via",),
-    ForallI: ("via",),
-    TopI: ("via",),
-    Tnd: ("via",),
-    ForallE: ("via2",),
-    ExistsI: ("via",),
-}
-
-_PREMISE_SLOTS = {
-    ImpE: (("via", "major"),),
-    AndE: (("via", "sub"),),
-    OrE: (("via", "major"),),
-    ForallE: (("via", "sub"),),
-    ExistsI: (("via2", "sub"),),
-    ExistsE: (("via", "major"),),
-    BotE: (("via", "sub"),),
-}
-
-
 def expand_congruences(proof: Proof, cert: CompatibilityCertificate, lab: Optional[_Gensym] = None) -> Proof:
     """Rewrite a proof modulo the certificate's system into a pure proof.
 
@@ -1124,49 +1078,31 @@ def expand_congruences(proof: Proof, cert: CompatibilityCertificate, lab: Option
     """
     lab = lab or _Gensym("x")
 
-    def convert(p: Proof) -> Proof:
-        if isinstance(p, (Hyp, Assume)):
-            return p
-        if isinstance(p, IndI):
+    def convert(node: Proof) -> Proof:
+        if isinstance(node, IndI):
             raise TranslationError("the induction rule has no axiomatic counterpart here")
-        updates = {}
-        for field in ("sub", "minor", "major", "left", "right", "sub_left", "sub_right"):
-            if hasattr(p, field):
-                updates[field] = convert(getattr(p, field))
-        node = _dc_replace(p, **updates)
-
-        slot_pairs = list(obligations(node))
+        kind = KINDS[type(node)]
         # premise-side conversions first: they change subproofs, not shapes
-        for slots in _PREMISE_SLOTS.get(type(node), ()):
-            via_name, prem_name = slots
-            for left, right, slot in slot_pairs:
-                if slot != via_name:
+        for premise_side in (True, False):
+            for ob, (left, right, slot) in zip(kind.obligations, obligations(node)):
+                if (ob.left != "conclusion") != premise_side:
                     continue
                 if alpha_equal(left, right):
                     node = _dc_replace(node, **{slot: None})
                     continue
                 trace = getattr(node, slot) or connecting_trace(left, right, cert.system)
                 eq_pf = _equivalence_proof(trace, left, cert, lab)
-                bridge = AndE(Imp(left, right), other=Imp(right, left), side="left", sub=eq_pf)
-                prem = getattr(node, prem_name)
-                fixed = ImpE(right, minor=prem, major=bridge)
-                node = _dc_replace(node, **{prem_name: fixed, slot: None})
-        for via_name in _CONCLUSION_SLOTS.get(type(node), ()):
-            for left, right, slot in obligations(node):
-                if slot != via_name:
-                    continue
-                if alpha_equal(left, right):
-                    node = _dc_replace(node, **{slot: None})
-                    continue
-                trace = getattr(node, slot) or connecting_trace(left, right, cert.system)
-                eq_pf = _equivalence_proof(trace, left, cert, lab)
-                exact = _dc_replace(node, conclusion=right, **{slot: None})
-                bridge = AndE(Imp(right, left), other=Imp(left, right), side="right", sub=eq_pf)
-                node = ImpE(left, minor=exact, major=bridge)
-                break
+                if premise_side:
+                    bridge = AndE(Imp(left, right), other=Imp(right, left), side="left", sub=eq_pf)
+                    fixed = ImpE(right, minor=getattr(node, ob.left), major=bridge)
+                    node = _dc_replace(node, **{ob.left: fixed, slot: None})
+                else:
+                    exact = _dc_replace(node, conclusion=right, **{slot: None})
+                    bridge = AndE(Imp(right, left), other=Imp(left, right), side="right", sub=eq_pf)
+                    return ImpE(left, minor=exact, major=bridge)
         return node
 
-    return convert(proof)
+    return map_proof(proof, convert)
 
 
 def eliminate_axioms(proof: Proof, cert: CompatibilityCertificate) -> Proof:
@@ -1176,21 +1112,13 @@ def eliminate_axioms(proof: Proof, cert: CompatibilityCertificate) -> Proof:
     expanded: dict[str, Proof] = {}
 
     def rebuild(p: Proof) -> Proof:
-        if isinstance(p, Assume):
-            if p.name in source:
-                if p.name not in expanded:
-                    expanded[p.name] = expand_congruences(cert.axiom_proof(p.name), cert)
-                replacement = expanded[p.name]
-                if not alpha_equal(conclusion_of(replacement), p.prop):
-                    raise TranslationError(f"axiom {p.name!r} proof concludes something else")
-                return replacement
+        if not (isinstance(p, Assume) and p.name in source):
             return p
-        if isinstance(p, Hyp):
-            return p
-        updates = {}
-        for field in ("sub", "minor", "major", "left", "right", "sub_left", "sub_right"):
-            if hasattr(p, field):
-                updates[field] = rebuild(getattr(p, field))
-        return _dc_replace(p, **updates)
+        if p.name not in expanded:
+            expanded[p.name] = expand_congruences(cert.axiom_proof(p.name), cert)
+        replacement = expanded[p.name]
+        if not alpha_equal(conclusion_of(replacement), p.prop):
+            raise TranslationError(f"axiom {p.name!r} proof concludes something else")
+        return replacement
 
-    return rebuild(proof)
+    return map_proof(proof, rebuild)

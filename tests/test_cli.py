@@ -77,6 +77,22 @@ def test_parse_error_exits_2(tmp_path):
     assert main(["check-nd", str(path), "--system", "add"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(nd-proof (imp-e))",
+        "(nd-proof (top-i (Add 0 0 0) (via (step () r fwd))))",
+        "(nd-proof (top-i " + "(imp " * 3000 + "true" + " true)" * 3000 + "))",
+    ],
+    ids=["short-node", "short-step", "deep-prop"],
+)
+def test_malformed_proof_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "malformed.sexp"
+    path.write_text(text)
+    assert main(["check-nd", str(path), "--system", "add"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_add_cli(tmp_path):
     out = tmp_path / "report.json"
     assert main(["bench-add", "4", "--json", str(out)]) == 0

@@ -196,3 +196,112 @@ def test_bad_inputs_raise():
         prop_from_sx(["mystery"], sig)
     with pytest.raises(FormatError):
         signature_from_sx(["rules"])
+
+
+# One node of each proof-node kind and its exact s-expression: the file layout
+# (field order, atoms, trailing via forms) is pinned here, kind by kind.
+def _codec_cases():
+    from demod import nd
+    from demod.rewriting import RewriteStep, Trace
+    from demod.syntax import CLASS, FALSE, And
+    from demod.theories import member
+
+    x, y, k = var0("x"), var0("y"), var0("k")
+    c = Var("c", CLASS)
+    A, B = eq(x, ZERO), eq(ZERO, ZERO)
+    sA, sB = "(= x.0 0)", "(= 0 0)"
+    via = Trace(None, None, (RewriteStep((1, 2), "r", ((x, ZERO),), True),))
+    via2 = Trace(None, None, (RewriteStep((), "q", (), False), RewriteStep((2,), "r", (), True)))
+    sv = "(via (step (1 2) r fwd ((x.0 0))))"
+    sv2 = "(via2 (step () q bwd ()) (step (2) r fwd ()))"
+    hA, hB = nd.Hyp("a", A), nd.Hyp("b", B)
+    shA, shB = f"(hyp a {sA})", f"(hyp b {sB})"
+    return [
+        (hA, shA),
+        (nd.Assume("ax", B), f"(assume ax {sB})"),
+        (nd.ImpI(Imp(A, A), A, "a", hA, via=via), f"(imp-i (imp {sA} {sA}) {sA} a {shA} {sv})"),
+        (nd.ImpE(B, hA, nd.Hyp("f", Imp(A, B)), via=via),
+         f"(imp-e {sB} {shA} (hyp f (imp {sA} {sB})) {sv})"),
+        (nd.AndI(And(A, B), hA, hB, via=via), f"(and-i (and {sA} {sB}) {shA} {shB} {sv})"),
+        (nd.AndE(A, other=B, side="left", sub=nd.Hyp("p", And(A, B)), via=via),
+         f"(and-e {sA} left {sB} (hyp p (and {sA} {sB})) {sv})"),
+        (nd.OrI(Or(A, B), other=B, side="left", sub=hA, via=via),
+         f"(or-i (or {sA} {sB}) left {sB} {shA} {sv})"),
+        (nd.OrE(B, A, B, "l", "r", nd.Hyp("d", Or(A, B)), nd.Hyp("m", B), hB, via=via),
+         f"(or-e {sB} {sA} {sB} l r (hyp d (or {sA} {sB})) (hyp m {sB}) {shB} {sv})"),
+        (nd.ForallI(Forall(x, A), var=x, body=A, eigen=y, sub=nd.Hyp("g", eq(y, ZERO)), via=via),
+         f"(forall-i (forall x.0 {sA}) x.0 {sA} y.0 (hyp g (= y.0 0)) {sv})"),
+        (nd.ForallE(eq(s_(ZERO), ZERO), var=x, body=A, term=s_(ZERO), sub=nd.Hyp("u", Forall(x, A)),
+                    via=via, via2=via2),
+         f"(forall-e (= (s 0) 0) x.0 {sA} (s 0) (hyp u (forall x.0 {sA})) {sv} {sv2})"),
+        (nd.ExistsI(Exists(x, A), var=x, body=A, term=ZERO, sub=hB, via=via, via2=via2),
+         f"(exists-i (exists x.0 {sA}) x.0 {sA} 0 {shB} {sv} {sv2})"),
+        (nd.ExistsE(B, var=x, body=A, eigen=k, label="w", major=nd.Hyp("e", Exists(x, A)), sub=hB,
+                    via=via),
+         f"(exists-e {sB} x.0 {sA} k.0 w (hyp e (exists x.0 {sA})) {shB} {sv})"),
+        (nd.TopI(TRUE, via=via), f"(top-i true {sv})"),
+        (nd.BotE(A, nd.Hyp("n", FALSE), via=via), f"(bot-e {sA} (hyp n false) {sv})"),
+        (nd.Tnd(Or(A, Imp(A, FALSE)), A, via=via), f"(tnd (or {sA} (imp {sA} false)) {sA} {sv})"),
+        (nd.IndI(member([x], c), cls=c, term=x, eigen=k, label="h",
+                 base=nd.Hyp("z", member([ZERO], c)), step=nd.Hyp("t", member([s_(k)], c))),
+         "(ind-i (eps (cons^0 x.0 nil) c.class) c.class x.0 k.0 h"
+         " (hyp z (eps (cons^0 0 nil) c.class)) (hyp t (eps (cons^0 (s k.0) nil) c.class)))"),
+    ]
+
+
+def test_proof_codec_pins_every_node_kind():
+    from demod.fileformat import proof_from_sx, proof_to_sx
+
+    sig = classes_signature(1)
+    cases = _codec_cases()
+    assert len({type(node) for node, _ in cases}) == 16
+    for node, text in cases:
+        assert show(proof_to_sx(node)) == text
+        assert proof_from_sx(parse(text), sig) == node
+
+
+def _atom_paths(sx, path=()):
+    if isinstance(sx, str):
+        yield path
+        return
+    for i, x in enumerate(sx):
+        yield from _atom_paths(x, path + (i,))
+
+
+def _at(sx, path):
+    for i in path:
+        sx = sx[i]
+    return sx
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_proof_documents_decode_or_raise_format_errors(data):
+    # SortError is the reader's error for ill-sorted terms; like FormatError,
+    # the CLI reports it and exits 2
+    import copy
+
+    from demod.fileformat import proof_to_sx
+    from demod.syntax import SortError
+
+    node, _ = data.draw(st.sampled_from(_codec_cases()))
+    doc = copy.deepcopy(["nd-proof", proof_to_sx(node)])
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_atom_paths(doc))
+        path = data.draw(st.sampled_from(paths))
+        parent, i = _at(doc, path[:-1]), path[-1]
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap"]))
+        if op == "drop":
+            del parent[i]
+        elif op == "duplicate":
+            parent.insert(i, parent[i])
+        else:
+            other = data.draw(st.sampled_from(paths))
+            other_parent, j = _at(doc, other[:-1]), other[-1]
+            parent[i], other_parent[j] = other_parent[j], parent[i]
+        if not doc:
+            break
+    try:
+        nd_proof_from_document(doc, classes_signature(1))
+    except (FormatError, SortError):
+        pass

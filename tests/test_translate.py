@@ -533,3 +533,25 @@ def test_eliminate_axioms_no_axioms_unchanged():
     proof = ImpI(Imp(a, a), hyp=a, label="h", sub=Hyp("h", a))
     out = eliminate_axioms(proof, CERT_STD_TO_EQ)
     assert out == proof
+
+
+def test_eliminate_axioms_reaches_induction_premises():
+    from demod.nd import IndI, premises
+    from demod.syntax import CLASS
+    from demod.theories import member
+
+    n, k, c = var0("n"), var0("k"), Var("c", CLASS)
+    ax = GAMMA_STD.as_dict()["add-base-ax"]
+    proof = IndI(member([n], c), cls=c, term=n, eigen=k, label="h",
+                 base=Assume("add-base-ax", ax), step=Assume("add-base-ax", ax))
+    out = eliminate_axioms(proof, CERT_STD_TO_EQ)
+    source = GAMMA_STD.as_dict()
+    stack, left = [out], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assume) and node.name in source:
+            left.append(node.name)
+        stack.extend(premises(node))
+    assert left == []
+    with pytest.raises(TranslationError):
+        expand_congruences(proof, CERT_STD_TO_EQ)
