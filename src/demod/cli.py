@@ -66,10 +66,9 @@ def _resolve_system(name: Optional[str], order: int):
     return system, sig
 
 
-def _read_axioms(path: Optional[str], sig):
-    if path is None:
-        return {}
-    return dict(ff.presentation_from_sx(ff.loads(Path(path).read_text()), sig).axioms)
+def _read(path: Optional[str], decode, sig):
+    """The document in ``path`` read by ``decode``, or None without a path."""
+    return None if path is None else decode(ff.loads(Path(path).read_text()), sig)
 
 
 def _emit(args, payload: dict) -> None:
@@ -84,9 +83,10 @@ def cmd_check_nd(args) -> int:
     system, sig = _resolve_system(args.system, args.order)
     doc = ff.loads(Path(args.proof).read_text())
     proof = ff.nd_proof_from_document(doc, sig)
-    assumptions = _read_axioms(args.axioms, sig)
-    if args.axioms is None and args.system is None:
-        assumptions = dict(fz_axioms().axioms)
+    axioms = _read(args.axioms, ff.presentation_from_sx, sig)
+    if axioms is None and args.system is None:
+        axioms = fz_axioms()
+    assumptions = {} if axioms is None else axioms.as_dict()
     verdict = check_nd(proof, assumptions=assumptions, system=system, mode=args.mode, fuel=args.fuel)
     _emit(args, {
         "ok": verdict.ok,
@@ -112,11 +112,11 @@ def cmd_check_hilbert(args) -> int:
 
 def cmd_normalize(args) -> int:
     system, sig = _resolve_system(args.system, args.order)
-    sx = ff.loads(Path(args.input).read_text() if Path(args.input).exists() else args.input)
     try:
-        obj = ff.prop_from_sx(sx, sig)
-    except Exception:
-        obj = ff.term_from_sx(sx, sig)
+        text = Path(args.input).read_text()
+    except OSError:  # no such file, or a name too long for one: the argument is the input
+        text = args.input
+    obj = ff.term_or_prop_from_sx(ff.loads(text), sig)
     try:
         nf, trace = normalize(obj, system, fuel=args.fuel)
     except FuelExhausted as exc:
@@ -188,21 +188,17 @@ def cmd_translate(args) -> int:
             "output_length": nd_length(out.proof),
             "assumptions": [name for name, _ in out.assumptions],
         }
-    elif args.direction == "nd-hilbert":
-        cat = zi_axiom_schemata(OrderConfig(order))
-        proof = ff.nd_proof_from_document(ff.loads(Path(args.proof).read_text()), sig)
-        instances = _read_instances(args.instances, sig)
-        out_h = nd_to_hilbert(proof, cat, instances)
-        doc = ff.hilbert_to_sx(out_h)
-        report = {"input_length": nd_length(proof), "output_length": len(out_h.lines)}
-    elif args.direction == "nd-hha":
-        proof = ff.nd_proof_from_document(ff.loads(Path(args.proof).read_text()), sig)
-        instances = _read_instances(args.instances, sig)
-        out_p = zi_nd_to_hha(proof, instances)
-        doc = ff.nd_proof_document(out_p)
-        report = {"input_length": nd_length(proof), "output_length": nd_length(out_p)}
     else:
-        raise SystemExit(f"unknown direction {args.direction!r}")
+        proof = ff.nd_proof_from_document(ff.loads(Path(args.proof).read_text()), sig)
+        instances = _read(args.instances, ff.instances_from_sx, sig) or {}
+        if args.direction == "nd-hilbert":
+            out_h = nd_to_hilbert(proof, zi_axiom_schemata(OrderConfig(order)), instances)
+            doc = ff.hilbert_to_sx(out_h)
+            report = {"input_length": nd_length(proof), "output_length": len(out_h.lines)}
+        else:
+            out_p = zi_nd_to_hha(proof, instances)
+            doc = ff.nd_proof_document(out_p)
+            report = {"input_length": nd_length(proof), "output_length": nd_length(out_p)}
     text = ff.dumps(doc)
     if args.out:
         Path(args.out).write_text(text)
@@ -210,15 +206,6 @@ def cmd_translate(args) -> int:
         print(text, end="")
     print(json.dumps(report), file=sys.stderr)
     return 0
-
-
-def _read_instances(path: Optional[str], sig):
-    if path is None:
-        return {}
-    sx = ff.loads(Path(path).read_text())
-    if not (isinstance(sx, list) and sx and sx[0] == "instances"):
-        raise SexprError("expected (instances (name (schema ...)) ...)")
-    return {form[0]: ff.instance_from_sx(form[1], sig) for form in sx[1:]}
 
 
 def cmd_bench_add(args) -> int:

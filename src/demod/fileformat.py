@@ -9,19 +9,19 @@ Parsing is signature-directed, so terms carry their sorts after reading.
 
 from __future__ import annotations
 
+import functools
+from typing import Union
+
 from . import nd
 from .hilbert import (
-    GenLine,
+    JUSTIFICATIONS,
     HilbertProof,
-    HypLine,
     Line,
-    MpLine,
-    PartLine,
+    SchemaError,
     SchemaInstance,
-    SchemaLine,
     Template,
 )
-from .rewriting import RewriteStep, Rule, RewriteSystem, Trace
+from .rewriting import RewriteStep, Rule, RuleError, RewriteSystem, Trace
 from .sexpr import Sx, parse, show, show_pretty
 from .syntax import (
     And,
@@ -57,6 +57,49 @@ class FormatError(Exception):
     pass
 
 
+def _form(sx: Sx, tag: str, n: int, more: bool = False) -> list[Sx]:
+    """The fields of the form ``(tag F1 .. Fn)``, or, when ``more``, of
+    ``(tag F1 .. Fn ...)`` with any number of forms after them.  Any other
+    head or field count is a FormatError naming the form."""
+    if not (isinstance(sx, list) and sx and sx[0] == tag):
+        raise FormatError(f"expected ({tag} ...)")
+    if len(sx) <= n or (len(sx) > n + 1 and not more):
+        raise FormatError(f"{tag} needs {n} fields, found {len(sx) - 1}")
+    return sx[1:]
+
+
+def _tag(sx: Sx) -> str:
+    """The head atom of a form, else the form itself as text."""
+    return sx[0] if isinstance(sx, list) and sx and isinstance(sx[0], str) else show(sx)
+
+
+def _items(sx: Sx, what: str) -> list[Sx]:
+    if not isinstance(sx, list):
+        raise FormatError(f"expected a list of {what}, found {show(sx)}")
+    return sx
+
+
+def _label(sx: Sx) -> str:
+    if not isinstance(sx, str):
+        raise FormatError(f"expected a label, found {show(sx)}")
+    return sx
+
+
+def _document(what: str):
+    """Mark a decoder as a document entry point: input nested deeper than the
+    recursive decoders can follow is a FormatError, not a RecursionError."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def read(*args):
+            try:
+                return decode(*args)
+            except RecursionError:
+                raise FormatError(f"{what} nested too deep to read") from None
+        return read
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # Sorts, variables, terms, propositions
 
@@ -70,7 +113,7 @@ def parse_sort(atom: str) -> Sort:
         return LIST
     if atom == "class":
         return CLASS
-    if atom.isdecimal():
+    if isinstance(atom, str) and atom.isdecimal():
         return arith(int(atom))
     raise FormatError(f"not a sort: {atom!r}")
 
@@ -107,25 +150,22 @@ def term_from_sx(sx: Sx, sig: Signature) -> Term:
     return sig.app(sx[0], *[term_from_sx(a, sig) for a in sx[1:]])
 
 
+# connectives with a class of their own; iff and not are read as abbreviations
+_CONNECTIVES = {"and": And, "or": Or, "imp": Imp, "forall": Forall, "exists": Exists}
+_TAG_OF = {cls: tag for tag, cls in _CONNECTIVES.items()}
+
+
 def prop_to_sx(p: Proposition) -> Sx:
     if isinstance(p, Verum):
         return "true"
     if isinstance(p, Falsum):
         return "false"
     if isinstance(p, Atom):
-        if not p.args:
-            return [p.pred]
         return [p.pred] + [term_to_sx(a) for a in p.args]
-    if isinstance(p, And):
-        return ["and", prop_to_sx(p.left), prop_to_sx(p.right)]
-    if isinstance(p, Or):
-        return ["or", prop_to_sx(p.left), prop_to_sx(p.right)]
-    if isinstance(p, Imp):
-        return ["imp", prop_to_sx(p.left), prop_to_sx(p.right)]
-    if isinstance(p, Forall):
-        return ["forall", show_var(p.var), prop_to_sx(p.body)]
-    if isinstance(p, Exists):
-        return ["exists", show_var(p.var), prop_to_sx(p.body)]
+    if isinstance(p, (And, Or, Imp)):
+        return [_TAG_OF[type(p)], prop_to_sx(p.left), prop_to_sx(p.right)]
+    if isinstance(p, (Forall, Exists)):
+        return [_TAG_OF[type(p)], show_var(p.var), prop_to_sx(p.body)]
     raise FormatError(f"not a proposition: {p!r}")
 
 
@@ -143,23 +183,26 @@ def prop_from_sx(sx: Sx, sig: Signature) -> Proposition:
     arity = _CONNECTIVE_ARITY.get(head)
     if arity is not None and len(rest) != arity:
         raise FormatError(f"{head} takes {arity} arguments, found {len(rest)}")
-    if head == "and":
-        return And(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
-    if head == "or":
-        return Or(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
-    if head == "imp":
-        return Imp(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
+    if head in ("forall", "exists"):
+        return _CONNECTIVES[head](parse_var(rest[0]), prop_from_sx(rest[1], sig))
+    if head in _CONNECTIVES:
+        return _CONNECTIVES[head](prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
     if head == "iff":
         return iff(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
     if head == "not":
         return neg(prop_from_sx(rest[0], sig))
-    if head == "forall":
-        return Forall(parse_var(rest[0]), prop_from_sx(rest[1], sig))
-    if head == "exists":
-        return Exists(parse_var(rest[0]), prop_from_sx(rest[1], sig))
     if head in sig.preds:
         return sig.atom(head, *[term_from_sx(a, sig) for a in rest])
     raise FormatError(f"unknown proposition head {head!r}")
+
+
+@_document("expression")
+def term_or_prop_from_sx(sx: Sx, sig: Signature) -> Union[Term, Proposition]:
+    """A proposition when the head is a connective or a predicate, else a term."""
+    head = _tag(sx)
+    if head in RESERVED or head in sig.preds:
+        return prop_from_sx(sx, sig)
+    return term_from_sx(sx, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -175,34 +218,35 @@ def signature_to_sx(sig: Signature) -> Sx:
     return out
 
 
+@_document("signature")
 def signature_from_sx(sx: Sx) -> Signature:
-    if not (isinstance(sx, list) and sx and sx[0] == "signature"):
-        raise FormatError("expected (signature ...)")
     sorts: list[Sort] = []
     funs: list[FunDecl] = []
     preds: list[PredDecl] = []
-    for form in sx[1:]:
-        head = form[0]
+    for form in _form(sx, "signature", 0, more=True):
+        head = _tag(form)
         if head == "sorts":
-            sorts = [parse_sort(a) for a in form[1:]]
+            sorts = [parse_sort(a) for a in _form(form, "sorts", 0, more=True)]
         elif head == "fun":
-            _, name, args, result = form
-            funs.append(FunDecl(name, tuple(parse_sort(a) for a in args), parse_sort(result)))
+            name, args, result = _form(form, "fun", 3)
+            funs.append(FunDecl(_label(name), _sorts(args), parse_sort(result)))
         elif head == "pred":
-            _, name, args = form
-            preds.append(PredDecl(name, tuple(parse_sort(a) for a in args)))
+            name, args = _form(form, "pred", 2)
+            preds.append(PredDecl(_label(name), _sorts(args)))
         else:
             raise FormatError(f"unknown signature entry {head!r}")
     return Signature(tuple(sorts), tuple(funs), tuple(preds))
 
 
+def _sorts(sx: Sx) -> tuple[Sort, ...]:
+    return tuple(parse_sort(a) for a in _items(sx, "sorts"))
+
+
+FLAGS = ("terminating", "confluent")
+
+
 def system_to_sx(system: RewriteSystem) -> Sx:
-    flags = ["flags"]
-    if system.terminating:
-        flags.append("terminating")
-    if system.confluent:
-        flags.append("confluent")
-    out: list[Sx] = ["rules", system.name, flags]
+    out: list[Sx] = ["rules", system.name, ["flags", *(f for f in FLAGS if getattr(system, f))]]
     for r in system.rules:
         lhs = prop_to_sx(r.lhs) if isinstance(r.lhs, Atom) else term_to_sx(r.lhs)
         rhs = prop_to_sx(r.rhs) if not isinstance(r.rhs, (Var, App)) else term_to_sx(r.rhs)
@@ -210,29 +254,23 @@ def system_to_sx(system: RewriteSystem) -> Sx:
     return out
 
 
+@_document("rules")
 def system_from_sx(sx: Sx, sig: Signature) -> RewriteSystem:
-    if not (isinstance(sx, list) and sx and sx[0] == "rules"):
-        raise FormatError("expected (rules ...)")
-    name = sx[1]
-    flags = sx[2]
-    terminating = "terminating" in flags
-    confluent = "confluent" in flags
+    name, flags_sx, *forms = _form(sx, "rules", 2, more=True)
+    flags = _form(flags_sx, "flags", 0, more=True)
+    for flag in flags:
+        if flag not in FLAGS:
+            raise FormatError(f"unknown flag {show(flag)} (flags are {', '.join(FLAGS)})")
     rules = []
-    for form in sx[3:]:
-        _, rname, lhs_sx, rhs_sx = form
-        lhs = _term_or_atom(lhs_sx, sig)
-        if isinstance(lhs, Atom):
-            rhs = prop_from_sx(rhs_sx, sig)
-        else:
-            rhs = term_from_sx(rhs_sx, sig)
-        rules.append(Rule(rname, lhs, rhs))
-    return RewriteSystem(name, tuple(rules), terminating=terminating, confluent=confluent)
-
-
-def _term_or_atom(sx: Sx, sig: Signature):
-    if isinstance(sx, list) and sx and isinstance(sx[0], str) and sx[0] in sig.preds:
-        return prop_from_sx(sx, sig)
-    return term_from_sx(sx, sig)
+    try:
+        for form in forms:
+            rname, lhs_sx, rhs_sx = _form(form, "rule", 3)
+            lhs = term_or_prop_from_sx(lhs_sx, sig)
+            rhs = prop_from_sx(rhs_sx, sig) if isinstance(lhs, Atom) else term_from_sx(rhs_sx, sig)
+            rules.append(Rule(_label(rname), lhs, rhs))
+        return RewriteSystem(_label(name), tuple(rules), **{f: f in flags for f in FLAGS})
+    except RuleError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def presentation_to_sx(pres: Presentation) -> Sx:
@@ -242,11 +280,14 @@ def presentation_to_sx(pres: Presentation) -> Sx:
     return out
 
 
+@_document("axioms")
 def presentation_from_sx(sx: Sx, sig: Signature) -> Presentation:
-    if not (isinstance(sx, list) and sx and sx[0] == "axioms"):
-        raise FormatError("expected (axioms ...)")
-    axioms = tuple((form[1], prop_from_sx(form[2], sig)) for form in sx[2:])
-    return Presentation(sx[1], axioms)
+    name, *forms = _form(sx, "axioms", 1, more=True)
+    axioms = []
+    for form in forms:
+        axiom, prop = _form(form, "axiom", 2)
+        axioms.append((_label(axiom), prop_from_sx(prop, sig)))
+    return Presentation(_label(name), tuple(axioms))
 
 
 # ---------------------------------------------------------------------------
@@ -313,38 +354,17 @@ def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
         raise FormatError(f"unknown proof node {head!r}")
     cls, kind = _KIND_OF_TAG[head]
     n = len(kind.layout)
-    if len(sx) <= n:
-        raise FormatError(f"{head} needs {n} fields, found {len(sx) - 1}")
+    forms = _form(sx, head, n, more=True)
     fields = {}
-    for (name, field_kind), x in zip(kind.layout, sx[1:]):
+    for (name, field_kind), x in zip(kind.layout, forms):
         fields[name] = _FIELD_FROM_SX[field_kind](x, sig)
-    for form in sx[n + 1:]:
+    for form in forms[n:]:
         if not (isinstance(form, list) and form and form[0] in kind.vias):
             raise FormatError(f"unexpected trailing form {show(form)}")
         fields[form[0]] = trace_from_sx(["trace"] + form[1:], sig)
     return cls(**fields)
 
 
-def _label_from_sx(sx: Sx, sig: Signature) -> str:
-    if not isinstance(sx, str):
-        raise FormatError(f"expected a label, found {show(sx)}")
-    return sx
-
-
-_FIELD_TO_SX = {
-    "prop": prop_to_sx,
-    "term": term_to_sx,
-    "var": show_var,
-    "label": lambda label: label,
-    "proof": proof_to_sx,
-}
-_FIELD_FROM_SX = {
-    "prop": prop_from_sx,
-    "term": term_from_sx,
-    "var": lambda sx, sig: parse_var(sx),
-    "label": _label_from_sx,
-    "proof": proof_from_sx,
-}
 _KIND_OF_TAG = {kind.tag: (cls, kind) for cls, kind in nd.KINDS.items()}
 
 
@@ -352,13 +372,11 @@ def nd_proof_document(p: nd.Proof) -> Sx:
     return ["nd-proof", proof_to_sx(p)]
 
 
+@_document("proof")
 def nd_proof_from_document(sx: Sx, sig: Signature) -> nd.Proof:
     if not (isinstance(sx, list) and len(sx) == 2 and sx[0] == "nd-proof"):
         raise FormatError("expected (nd-proof PROOF)")
-    try:
-        return proof_from_sx(sx[1], sig)
-    except RecursionError:
-        raise FormatError("proof nested too deep to read") from None
+    return proof_from_sx(sx[1], sig)
 
 
 # ---------------------------------------------------------------------------
@@ -370,82 +388,119 @@ def template_to_sx(t: Template) -> Sx:
 
 
 def template_from_sx(sx: Sx, sig: Signature) -> Template:
-    if not (isinstance(sx, list) and sx and sx[0] == "template"):
-        raise FormatError("expected (template ...)")
-    return Template(tuple(parse_var(v) for v in sx[1]), prop_from_sx(sx[2], sig))
+    params, body = _form(sx, "template", 2)
+    variables = tuple(parse_var(v) for v in _items(params, "variables"))
+    try:
+        return Template(variables, prop_from_sx(body, sig))
+    except SchemaError as exc:
+        raise FormatError(str(exc)) from None
+
+
+# each entry of a schema instance: its tag, the instance field holding it, its codec
+_INSTANCE_ENTRIES = {
+    "prop": ("templates", template_to_sx, template_from_sx),
+    "term": ("terms", term_to_sx, term_from_sx),
+    "var": ("metavars", show_var, lambda sx, sig: parse_var(sx)),
+}
 
 
 def instance_to_sx(inst: SchemaInstance) -> Sx:
     out: list[Sx] = ["schema", inst.schema]
-    for name, t in inst.templates:
-        out.append(["prop", name, template_to_sx(t)])
-    for name, t in inst.terms:
-        out.append(["term", name, term_to_sx(t)])
-    for name, v in inst.metavars:
-        out.append(["var", name, show_var(v)])
+    for tag, (field, to_sx, _) in _INSTANCE_ENTRIES.items():
+        out += [[tag, name, to_sx(x)] for name, x in getattr(inst, field)]
     return out
 
 
+@_document("schema instance")
 def instance_from_sx(sx: Sx, sig: Signature) -> SchemaInstance:
-    if not (isinstance(sx, list) and sx and sx[0] == "schema"):
-        raise FormatError("expected (schema ...)")
-    templates, terms, metavars = [], [], []
-    for form in sx[2:]:
-        kind, name, payload = form
-        if kind == "prop":
-            templates.append((name, template_from_sx(payload, sig)))
-        elif kind == "term":
-            terms.append((name, term_from_sx(payload, sig)))
-        elif kind == "var":
-            metavars.append((name, parse_var(payload)))
-        else:
-            raise FormatError(f"unknown instance entry {kind!r}")
-    return SchemaInstance(sx[1], tuple(templates), tuple(terms), tuple(metavars))
+    schema, *forms = _form(sx, "schema", 1, more=True)
+    entries: dict[str, list] = {tag: [] for tag in _INSTANCE_ENTRIES}
+    for form in forms:
+        tag = _tag(form)
+        if tag not in _INSTANCE_ENTRIES:
+            raise FormatError(f"unknown instance entry {tag!r}")
+        name, payload = _form(form, tag, 2)
+        entries[tag].append((_label(name), _INSTANCE_ENTRIES[tag][2](payload, sig)))
+    fields = {field: tuple(entries[tag]) for tag, (field, _, _) in _INSTANCE_ENTRIES.items()}
+    return SchemaInstance(_label(schema), **fields)
+
+
+@_document("instances")
+def instances_from_sx(sx: Sx, sig: Signature) -> dict[str, SchemaInstance]:
+    """The named schema instances of ``(instances (NAME (schema ...)) ...)``."""
+    out = {}
+    for form in _form(sx, "instances", 0, more=True):
+        if not (isinstance(form, list) and len(form) == 2):
+            raise FormatError(f"expected (NAME (schema ...)), found {show(form)}")
+        out[_label(form[0])] = instance_from_sx(form[1], sig)
+    return out
+
+
+def _line_from_sx(sx: Sx, sig: Signature) -> int:
+    if not (isinstance(sx, str) and sx.isdecimal()):
+        raise FormatError(f"expected a line number, found {show(sx)}")
+    return int(sx)
+
+
+def _just_to_sx(j) -> Sx:
+    kind = JUSTIFICATIONS.get(type(j))
+    if kind is None:
+        raise FormatError(f"cannot serialize justification {j!r}")
+    fields = [_FIELD_TO_SX[field_kind](getattr(j, name)) for name, field_kind in kind.layout]
+    return fields[0] if kind.tag == "schema" else [kind.tag, *fields]
+
+
+def _just_from_sx(sx: Sx, sig: Signature):
+    head = _tag(sx)
+    if head not in _JUST_OF_TAG:
+        raise FormatError(f"unknown justification {head!r}")
+    cls, kind = _JUST_OF_TAG[head]
+    fields = [sx] if head == "schema" else _form(sx, head, len(kind.layout))
+    return cls(**{
+        name: _FIELD_FROM_SX[field_kind](x, sig) for (name, field_kind), x in zip(kind.layout, fields)
+    })
+
+
+_JUST_OF_TAG = {kind.tag: (cls, kind) for cls, kind in JUSTIFICATIONS.items()}
 
 
 def hilbert_to_sx(proof: HilbertProof) -> Sx:
     out: list[Sx] = ["hilbert-proof"]
     for num, line in enumerate(proof.lines, start=1):
-        j = line.just
-        if isinstance(j, SchemaLine):
-            just: Sx = instance_to_sx(j.instance)
-        elif isinstance(j, MpLine):
-            just = ["mp", str(j.minor), str(j.major)]
-        elif isinstance(j, GenLine):
-            just = ["gen", str(j.ref), show_var(j.eigen)]
-        elif isinstance(j, PartLine):
-            just = ["part", str(j.ref), show_var(j.eigen)]
-        elif isinstance(j, HypLine):
-            just = ["hyp", j.label]
-        else:
-            raise FormatError(f"cannot serialize justification {j!r}")
-        out.append(["line", str(num), just, prop_to_sx(line.prop)])
+        out.append(["line", str(num), _just_to_sx(line.just), prop_to_sx(line.prop)])
     return out
 
 
+@_document("hilbert proof")
 def hilbert_from_sx(sx: Sx, sig: Signature) -> HilbertProof:
-    if not (isinstance(sx, list) and sx and sx[0] == "hilbert-proof"):
-        raise FormatError("expected (hilbert-proof ...)")
     lines = []
-    for expected, form in enumerate(sx[1:], start=1):
-        _, num, just_sx, prop_sx = form
-        if int(num) != expected:
+    for expected, form in enumerate(_form(sx, "hilbert-proof", 0, more=True), start=1):
+        num, just_sx, prop_sx = _form(form, "line", 3)
+        if _line_from_sx(num, sig) != expected:
             raise FormatError(f"line numbered {num}, expected {expected}")
-        head = just_sx[0]
-        if head == "schema":
-            just: object = SchemaLine(instance_from_sx(just_sx, sig))
-        elif head == "mp":
-            just = MpLine(int(just_sx[1]), int(just_sx[2]))
-        elif head == "gen":
-            just = GenLine(int(just_sx[1]), parse_var(just_sx[2]))
-        elif head == "part":
-            just = PartLine(int(just_sx[1]), parse_var(just_sx[2]))
-        elif head == "hyp":
-            just = HypLine(just_sx[1])
-        else:
-            raise FormatError(f"unknown justification {head!r}")
-        lines.append(Line(just, prop_from_sx(prop_sx, sig)))
+        lines.append(Line(_just_from_sx(just_sx, sig), prop_from_sx(prop_sx, sig)))
     return HilbertProof(tuple(lines))
+
+
+# the field codec of proof nodes and justifications, by field kind
+_FIELD_TO_SX = {
+    "prop": prop_to_sx,
+    "term": term_to_sx,
+    "var": show_var,
+    "label": lambda label: label,
+    "proof": proof_to_sx,
+    "line": str,
+    "instance": instance_to_sx,
+}
+_FIELD_FROM_SX = {
+    "prop": prop_from_sx,
+    "term": term_from_sx,
+    "var": lambda sx, sig: parse_var(sx),
+    "label": lambda sx, sig: _label(sx),
+    "proof": proof_from_sx,
+    "line": _line_from_sx,
+    "instance": instance_from_sx,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,26 @@ Justification = Union[SchemaLine, MpLine, GenLine, PartLine, HypLine]
 
 
 @dataclass(frozen=True)
+class JustKind:
+    """One justification kind: its file tag and its fields in file order, each
+    marked ``line`` (the number of an earlier line), ``var``, ``label`` or
+    ``instance``.  A schema justification is written as its instance's own
+    ``(schema ...)`` form."""
+
+    tag: str
+    layout: tuple[tuple[str, str], ...]
+
+
+JUSTIFICATIONS: dict[type, JustKind] = {
+    SchemaLine: JustKind("schema", (("instance", "instance"),)),
+    MpLine: JustKind("mp", (("minor", "line"), ("major", "line"))),
+    GenLine: JustKind("gen", (("ref", "line"), ("eigen", "var"))),
+    PartLine: JustKind("part", (("ref", "line"), ("eigen", "var"))),
+    HypLine: JustKind("hyp", (("label", "label"),)),
+}
+
+
+@dataclass(frozen=True)
 class Line:
     just: Justification
     prop: Proposition

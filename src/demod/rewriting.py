@@ -111,7 +111,8 @@ class RewriteSystem:
     def __post_init__(self) -> None:
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
-            raise RuleError(f"{self.name}: duplicate rule names")
+            duplicate = next(n for i, n in enumerate(names) if n in names[:i])
+            raise RuleError(f"{self.name}: duplicate rule name {duplicate}")
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:

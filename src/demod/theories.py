@@ -40,6 +40,7 @@ from .syntax import (
     forall,
     iff,
     neg,
+    positions,
     sort_of,
 )
 
@@ -282,13 +283,8 @@ def add_system() -> RewriteSystem:
 
 
 def add_compatible_axioms() -> Presentation:
-    x, y, z = var0("x"), var0("y"), var0("z")
-    return Presentation(
-        "Add-axioms",
-        (
-            ("add-base-ax", Forall(y, add_atom(ZERO, y, y))),
-            ("add-step-ax", forall((x, y, z), iff(add_atom(s_(x), y, s_(z)), add_atom(x, y, z)))),
-        ),
+    return oriented_presentation(
+        "Add-axioms", add_system(), {"add-base": "add-base-ax", "add-step": "add-step-ax"}
     )
 
 
@@ -543,87 +539,20 @@ def fz_axioms() -> Presentation:
     )
 
 
+# WS axiom names: the first matching prefix of the rule name is replaced
+_WS_AXIOM_PREFIXES = (("sub-", "ws-"), ("eps-union", "ws-or"), ("eps-inter", "ws-and"),
+                      ("eps-empty", "ws-bot"), ("eps-pow", "ws-ex"), ("eps-", "ws-"))
+
+
+def _ws_axiom_name(rule: str) -> str:
+    old, new = next((old, new) for old, new in _WS_AXIOM_PREFIXES if rule.startswith(old))
+    return new + rule[len(old):]
+
+
 def ws_axioms(cfg: OrderConfig) -> Presentation:
-    """The weak-substitution axioms: one equational axiom per WS rule."""
-    top = cfg.i
-    l = Var("l", LIST)
-    a_c, b_c = Var("a", CLASS), Var("b", CLASS)
-    out: list[tuple[str, Proposition]] = []
-    for j in range(top + 1):
-        t = Var("t", arith(j))
-        out.append((f"ws-nil^{j}", Forall(t, eq_at(sub(t, NIL), t))))
-    for j in range(top + 1):
-        t = Var("t", arith(j))
-        out.append((f"ws-one^{j}", forall((t, l), eq_at(sub(one(j), cons(t, l)), t))))
-    for j in range(top + 1):
-        n = Var("n", arith(j))
-        for k in range(top + 1):
-            t = Var("t", arith(k))
-            out.append(
-                (
-                    f"ws-shift^{j}.{k}",
-                    forall((n, t, l), eq_at(sub(shift(n), cons(t, l)), sub(n, l))),
-                )
-            )
-    n0, m0 = var0("n"), var0("m")
-    out.append(("ws-s", forall((n0, l), eq_at(sub(s_(n0), l), s_(sub(n0, l))))))
-    out.append(
-        ("ws-plus", forall((n0, m0, l), eq_at(sub(plus(n0, m0), l), plus(sub(n0, l), sub(m0, l)))))
-    )
-    out.append(
-        (
-            "ws-times",
-            forall((n0, m0, l), eq_at(sub(times(n0, m0), l), times(sub(n0, l), sub(m0, l)))),
-        )
-    )
-    out.append(
-        (
-            "ws-eq",
-            forall((n0, m0, l), iff(eps(l, eqdot(n0, m0)), eq(sub(n0, l), sub(m0, l)))),
-        )
-    )
-    for j in range(top):
-        tj, tj1 = Var("t", arith(j)), Var("u", arith(j + 1))
-        out.append(
-            (
-                f"ws-mem^{j}",
-                forall(
-                    (tj, tj1, l),
-                    iff(eps(l, memdot(j, tj, tj1)), mem(j, sub(tj, l), sub(tj1, l))),
-                ),
-            )
-        )
-    out.append(
-        ("ws-or", forall((a_c, b_c, l), iff(eps(l, union(a_c, b_c)), Or(eps(l, a_c), eps(l, b_c)))))
-    )
-    out.append(
-        (
-            "ws-and",
-            forall((a_c, b_c, l), iff(eps(l, inter(a_c, b_c)), And(eps(l, a_c), eps(l, b_c)))),
-        )
-    )
-    out.append(
-        (
-            "ws-imp",
-            forall((a_c, b_c, l), iff(eps(l, impdot(a_c, b_c)), Imp(eps(l, a_c), eps(l, b_c)))),
-        )
-    )
-    out.append(("ws-bot", Forall(l, iff(eps(l, EMPTY), FALSE))))
-    for j in range(top + 1):
-        x = Var("x", arith(j))
-        out.append(
-            (
-                f"ws-ex^{j}",
-                forall((a_c, l), iff(eps(l, pow_(j, a_c)), Exists(x, eps(cons(x, l), a_c)))),
-            )
-        )
-        out.append(
-            (
-                f"ws-all^{j}",
-                forall((a_c, l), iff(eps(l, cls_(j, a_c)), Forall(x, eps(cons(x, l), a_c)))),
-            )
-        )
-    return Presentation("WS-axioms", tuple(out))
+    """The weak-substitution axioms: one oriented axiom per WS rule."""
+    ws = build_WS(cfg)
+    return oriented_presentation("WS-axioms", ws, {r.name: _ws_axiom_name(r.name) for r in ws.rules})
 
 
 def eq_at(a: Term, b: Term) -> Proposition:
@@ -634,14 +563,39 @@ def eq_at(a: Term, b: Term) -> Proposition:
     return Atom(f"=^{sort_of(a).level}", (a, b))
 
 
+# variables close an oriented axiom in this order of sort kinds
+_SORT_KIND_ORDER = {"arith": 0, "class": 1, "list": 2}
+
+
+def oriented_presentation(name: str, system: RewriteSystem, names: Mapping[str, str]) -> Presentation:
+    """The axioms compatible with ``system``'s rules, one per entry of ``names``
+    (rule name to axiom name), in the order of ``names``.
+
+    A term rule ``l -> r`` gives ``l = r``; a proposition rule gives ``l`` when
+    ``r`` is true, ``not l`` when ``r`` is false and ``l <=> r`` otherwise.  Each
+    axiom is closed under the variables of ``l`` in order of first occurrence,
+    stably sorted by sort kind: arithmetic, then class, then list.
+    """
+    axioms = []
+    for rule_name, axiom_name in names.items():
+        rule = system.rule(rule_name)
+        if rule.is_term_rule:
+            body = eq_at(rule.lhs, rule.rhs)
+        elif isinstance(rule.rhs, Verum):
+            body = rule.lhs
+        elif isinstance(rule.rhs, Falsum):
+            body = neg(rule.lhs)
+        else:
+            body = iff(rule.lhs, rule.rhs)
+        variables = dict.fromkeys(x for _, x in positions(rule.lhs) if isinstance(x, Var))
+        closing = sorted(variables, key=lambda v: _SORT_KIND_ORDER[v.sort.kind])
+        axioms.append((axiom_name, forall(closing, body)))
+    return Presentation(name, tuple(axioms))
+
+
 def comp_sk(cfg: OrderConfig) -> Presentation:
-    g = Var("g", CLASS)
-    out = []
-    for j in range(cfg.i):
-        b = Var("b", arith(j))
-        prop = Forall(g, Forall(b, iff(mem(j, b, comp(j + 1, g)), member([b], g))))
-        out.append((f"comp-sk^{j}", prop))
-    return Presentation("Comp-sk", tuple(out))
+    names = {f"comp-unfold^{j}": f"comp-sk^{j}" for j in range(cfg.i)}
+    return oriented_presentation("Comp-sk", build_HO(cfg), names)
 
 
 def ho_compatible_axioms(cfg: OrderConfig) -> Presentation:
@@ -651,21 +605,6 @@ def ho_compatible_axioms(cfg: OrderConfig) -> Presentation:
 
 def hha_extra_axioms() -> Presentation:
     """The oriented axioms behind the HHA rules: =, pred, Null, induction."""
-    a, b = var0("a"), var0("b")
-    g = Var("g", CLASS)
-    eq_def = forall(
-        (a, b),
-        iff(eq(a, b), Forall(g, Imp(member([a], g), member([b], g)))),
-    )
-    ind_mod = forall((a, g), iff(member([a], g), induction_unfolding(a, g)))
-    return Presentation(
-        "HHA-extra",
-        (
-            ("eq-def", eq_def),
-            ("pred-zero", eq(pred_(ZERO), ZERO)),
-            ("pred-s", Forall(a, eq(pred_(s_(a)), a))),
-            ("null-zero", null(ZERO)),
-            ("null-s", Forall(a, neg(null(s_(a))))),
-            ("ind-mod", ind_mod),
-        ),
-    )
+    kept = ("pred-zero", "pred-s", "null-zero", "null-s")
+    names = {"eq-unfold": "eq-def", **{n: n for n in kept}, "nat-induction": "ind-mod"}
+    return oriented_presentation("HHA-extra", build_HHA(OrderConfig(1)), names)

@@ -24,6 +24,7 @@ from .hilbert import (
     GenLine,
     HilbertProof,
     HypLine,
+    JUSTIFICATIONS,
     Line,
     MpLine,
     PROPOSITIONAL,
@@ -449,13 +450,9 @@ class _Buf:
         remap = {}
         for idx, line in enumerate(other.lines, start=1):
             j = line.just
-            if isinstance(j, MpLine):
-                j = MpLine(j.minor + offset, j.major + offset)
-            elif isinstance(j, GenLine):
-                j = GenLine(j.ref + offset, j.eigen)
-            elif isinstance(j, PartLine):
-                j = PartLine(j.ref + offset, j.eigen)
-            self.lines.append(Line(j, line.prop))
+            layout = JUSTIFICATIONS[type(j)].layout
+            refs = {name: getattr(j, name) + offset for name, kind in layout if kind == "line"}
+            self.lines.append(Line(_dc_replace(j, **refs) if refs else j, line.prop))
             remap[idx] = idx + offset
         return remap
 

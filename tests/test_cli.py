@@ -93,6 +93,52 @@ def test_malformed_proof_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+ADD_SIG = "(signature (sorts 0) (fun 0 () 0) (fun s (0) 0) (pred Add (0 0 0)))"
+TOP_PROOF = "(nd-proof (top-i true))"
+CHECK_AXIOMS = ["check-nd", "p.sexp", "--system", "add", "--axioms", "a.sexp"]
+NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"h.sexp": "(hilbert-proof (line 1))"}, ["check-hilbert", "h.sexp"], "line needs 3 fields, found 1"),
+        ({"h.sexp": "(hilbert-proof (line x (mp 1 2) true))"}, ["check-hilbert", "h.sexp"],
+         "expected a line number, found x"),
+        ({"h.sexp": "(hilbert-proof (line 1 (mp a 2) true))"}, ["check-hilbert", "h.sexp"],
+         "expected a line number, found a"),
+        ({"h.sexp": "(hilbert-proof (line 1 () true))"}, ["check-hilbert", "h.sexp"], "unknown justification"),
+        ({"p.sexp": TOP_PROOF, "a.sexp": "(axioms add (axiom a))"}, CHECK_AXIOMS, "axiom needs 2 fields"),
+        ({"p.sexp": TOP_PROOF, "a.sexp": "(axioms)"}, CHECK_AXIOMS, "axioms needs 1 fields, found 0"),
+        ({"p.sexp": TOP_PROOF, "a.sexp": "(axioms add (axiom a " + "(imp " * 3000 + "true" + " true)" * 3000 + "))"},
+         CHECK_AXIOMS, "axioms nested too deep to read"),
+        ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (sorts 0) (fun s))"}, NORMALIZE_RULES,
+         "fun needs 3 fields, found 1"),
+        ({"r.rules": "(rules Add)", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES, "rules needs 2 fields, found 1"),
+        ({"r.rules": "(rules R (flags) (rule r (s x.0) y.0))", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES,
+         "r: right side has extra variables"),
+        ({"r.rules": "(rules R (flags) (rule r (s x.0) x.0) (rule r (s 0) 0))", "r.rules.sig": ADD_SIG},
+         NORMALIZE_RULES, "R: duplicate rule name r"),
+        ({"r.rules": "(rules R (flags confluant terminating))", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES,
+         "unknown flag confluant"),
+        ({"n.sexp": "(and true " * 3000 + "true" + ")" * 3000}, ["normalize", "n.sexp", "--system", "add"],
+         "expression nested too deep to read"),
+        ({"p.sexp": TOP_PROOF, "i.sexp": "(instances (r))"},
+         ["translate", "nd-hilbert", "p.sexp", "--instances", "i.sexp"], "expected (NAME (schema ...))"),
+    ],
+    ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
+         "deep-axiom", "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
+         "deep-normalize", "short-instance"],
+)
+def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_bench_add_cli(tmp_path):
     out = tmp_path / "report.json"
     assert main(["bench-add", "4", "--json", str(out)]) == 0

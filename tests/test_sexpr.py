@@ -274,18 +274,42 @@ def _at(sx, path):
     return sx
 
 
-@settings(max_examples=400, deadline=None)
+def _documents_by_kind():
+    """Well-formed documents of every kind, each with the decoder that reads it."""
+    from demod.fileformat import instances_from_sx, proof_to_sx
+    from demod.hilbert import GenLine, HypLine, Line, MpLine, PartLine
+
+    sig, add_sig = classes_signature(1), add_signature()
+    h, w = var0("h"), var0("w")
+    inst = instance("UI^0", templates=[("A", Template((h,), eq(h, ZERO)))], terms=[("tau", s_(ZERO))],
+                    metavars=[("alpha", w)])
+    lines = (schema_line(inst, TRUE), Line(MpLine(1, 1), TRUE), Line(GenLine(2, w), TRUE),
+             Line(PartLine(3, w), TRUE), Line(HypLine("k"), eq(w, ZERO)))
+    return {
+        "nd-proof": [(["nd-proof", proof_to_sx(node)], lambda sx: nd_proof_from_document(sx, sig))
+                     for node, _ in _codec_cases()],
+        "signature": [(signature_to_sx(add_sig), signature_from_sx)],
+        "rules": [(system_to_sx(add_system()), lambda sx: system_from_sx(sx, add_sig))],
+        "axioms": [(presentation_to_sx(add_compatible_axioms()), lambda sx: presentation_from_sx(sx, add_sig))],
+        "schema": [(instance_to_sx(inst), lambda sx: instance_from_sx(sx, sig))],
+        "instances": [(["instances", ["r", instance_to_sx(inst)]], lambda sx: instances_from_sx(sx, sig))],
+        "hilbert-proof": [(hilbert_to_sx(HilbertProof(lines)), lambda sx: hilbert_from_sx(sx, sig))],
+    }
+
+
+@settings(max_examples=700, deadline=None)
 @given(st.data())
 def test_mutated_proof_documents_decode_or_raise_format_errors(data):
-    # SortError is the reader's error for ill-sorted terms; like FormatError,
-    # the CLI reports it and exits 2
+    # every document kind, not only proofs; SortError is the reader's error for
+    # ill-sorted terms and, like FormatError, the CLI reports it and exits 2
     import copy
 
-    from demod.fileformat import proof_to_sx
     from demod.syntax import SortError
 
-    node, _ = data.draw(st.sampled_from(_codec_cases()))
-    doc = copy.deepcopy(["nd-proof", proof_to_sx(node)])
+    cases = _documents_by_kind()
+    kind = data.draw(st.sampled_from(sorted(cases)))
+    document, decode = data.draw(st.sampled_from(cases[kind]))
+    doc = copy.deepcopy(document)
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(_atom_paths(doc))
         path = data.draw(st.sampled_from(paths))
@@ -302,6 +326,6 @@ def test_mutated_proof_documents_decode_or_raise_format_errors(data):
         if not doc:
             break
     try:
-        nd_proof_from_document(doc, classes_signature(1))
+        decode(doc)
     except (FormatError, SortError):
         pass

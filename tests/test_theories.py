@@ -13,10 +13,12 @@ from demod.rewriting import (
 from demod.syntax import (
     And,
     Atom,
+    CLASS,
     Exists,
     FALSE,
     Forall,
     Imp,
+    LIST,
     Or,
     TRUE,
     Var,
@@ -24,6 +26,7 @@ from demod.syntax import (
     apply_substitution,
     arith,
     free_variables,
+    iff,
 )
 from demod.theories import (
     EMPTY,
@@ -43,6 +46,7 @@ from demod.theories import (
     build_zi_signature,
     classes_signature,
     comp,
+    comp_sk,
     cons,
     encode_prop,
     encode_term,
@@ -350,3 +354,97 @@ def test_hha_without_induction_terminates_on_probed_inputs():
     # every sampled normalization finished within the polynomial default fuel
     assert len(report.rows) == 60
     assert all(row["steps"] >= 0 for row in report.rows)
+
+
+# The Add and WS presentations as files print them, pinned before they were
+# derived from their rule sets.  The WS presentation of order i is the axioms
+# below whose variables all have sorts of level at most i; ws-bot is checked
+# on its own, since the derivation states it as a negation.
+ADD_AXIOMS = (
+    "(axioms Add-axioms (axiom add-base-ax (forall y.0 (Add 0 y.0 y.0))) (axiom add-step-ax "
+    "(forall x.0 (forall y.0 (forall z.0 (and (imp (Add (s x.0) y.0 (s z.0)) (Add x.0 y.0 z.0)) "
+    "(imp (Add x.0 y.0 z.0) (Add (s x.0) y.0 (s z.0)))))))))"
+)
+WS_AXIOMS_ORDER_3 = """\
+(axiom ws-nil^0 (forall t.0 (= (sub^0 t.0 nil) t.0)))
+(axiom ws-nil^1 (forall t.1 (=^1 (sub^1 t.1 nil) t.1)))
+(axiom ws-nil^2 (forall t.2 (=^2 (sub^2 t.2 nil) t.2)))
+(axiom ws-nil^3 (forall t.3 (=^3 (sub^3 t.3 nil) t.3)))
+(axiom ws-one^0 (forall t.0 (forall l.list (= (sub^0 1^0 (cons^0 t.0 l.list)) t.0))))
+(axiom ws-one^1 (forall t.1 (forall l.list (=^1 (sub^1 1^1 (cons^1 t.1 l.list)) t.1))))
+(axiom ws-one^2 (forall t.2 (forall l.list (=^2 (sub^2 1^2 (cons^2 t.2 l.list)) t.2))))
+(axiom ws-one^3 (forall t.3 (forall l.list (=^3 (sub^3 1^3 (cons^3 t.3 l.list)) t.3))))
+(axiom ws-shift^0.0 (forall n.0 (forall t.0 (forall l.list (= (sub^0 (S^0 n.0) (cons^0 t.0 l.list)) (sub^0 n.0 l.list))))))
+(axiom ws-shift^0.1 (forall n.0 (forall t.1 (forall l.list (= (sub^0 (S^0 n.0) (cons^1 t.1 l.list)) (sub^0 n.0 l.list))))))
+(axiom ws-shift^0.2 (forall n.0 (forall t.2 (forall l.list (= (sub^0 (S^0 n.0) (cons^2 t.2 l.list)) (sub^0 n.0 l.list))))))
+(axiom ws-shift^0.3 (forall n.0 (forall t.3 (forall l.list (= (sub^0 (S^0 n.0) (cons^3 t.3 l.list)) (sub^0 n.0 l.list))))))
+(axiom ws-shift^1.0 (forall n.1 (forall t.0 (forall l.list (=^1 (sub^1 (S^1 n.1) (cons^0 t.0 l.list)) (sub^1 n.1 l.list))))))
+(axiom ws-shift^1.1 (forall n.1 (forall t.1 (forall l.list (=^1 (sub^1 (S^1 n.1) (cons^1 t.1 l.list)) (sub^1 n.1 l.list))))))
+(axiom ws-shift^1.2 (forall n.1 (forall t.2 (forall l.list (=^1 (sub^1 (S^1 n.1) (cons^2 t.2 l.list)) (sub^1 n.1 l.list))))))
+(axiom ws-shift^1.3 (forall n.1 (forall t.3 (forall l.list (=^1 (sub^1 (S^1 n.1) (cons^3 t.3 l.list)) (sub^1 n.1 l.list))))))
+(axiom ws-shift^2.0 (forall n.2 (forall t.0 (forall l.list (=^2 (sub^2 (S^2 n.2) (cons^0 t.0 l.list)) (sub^2 n.2 l.list))))))
+(axiom ws-shift^2.1 (forall n.2 (forall t.1 (forall l.list (=^2 (sub^2 (S^2 n.2) (cons^1 t.1 l.list)) (sub^2 n.2 l.list))))))
+(axiom ws-shift^2.2 (forall n.2 (forall t.2 (forall l.list (=^2 (sub^2 (S^2 n.2) (cons^2 t.2 l.list)) (sub^2 n.2 l.list))))))
+(axiom ws-shift^2.3 (forall n.2 (forall t.3 (forall l.list (=^2 (sub^2 (S^2 n.2) (cons^3 t.3 l.list)) (sub^2 n.2 l.list))))))
+(axiom ws-shift^3.0 (forall n.3 (forall t.0 (forall l.list (=^3 (sub^3 (S^3 n.3) (cons^0 t.0 l.list)) (sub^3 n.3 l.list))))))
+(axiom ws-shift^3.1 (forall n.3 (forall t.1 (forall l.list (=^3 (sub^3 (S^3 n.3) (cons^1 t.1 l.list)) (sub^3 n.3 l.list))))))
+(axiom ws-shift^3.2 (forall n.3 (forall t.2 (forall l.list (=^3 (sub^3 (S^3 n.3) (cons^2 t.2 l.list)) (sub^3 n.3 l.list))))))
+(axiom ws-shift^3.3 (forall n.3 (forall t.3 (forall l.list (=^3 (sub^3 (S^3 n.3) (cons^3 t.3 l.list)) (sub^3 n.3 l.list))))))
+(axiom ws-s (forall n.0 (forall l.list (= (sub^0 (s n.0) l.list) (s (sub^0 n.0 l.list))))))
+(axiom ws-plus (forall n.0 (forall m.0 (forall l.list (= (sub^0 (+ n.0 m.0) l.list) (+ (sub^0 n.0 l.list) (sub^0 m.0 l.list)))))))
+(axiom ws-times (forall n.0 (forall m.0 (forall l.list (= (sub^0 (* n.0 m.0) l.list) (* (sub^0 n.0 l.list) (sub^0 m.0 l.list)))))))
+(axiom ws-eq (forall n.0 (forall m.0 (forall l.list (and (imp (eps l.list (eqdot n.0 m.0)) (= (sub^0 n.0 l.list) (sub^0 m.0 l.list))) (imp (= (sub^0 n.0 l.list) (sub^0 m.0 l.list)) (eps l.list (eqdot n.0 m.0))))))))
+(axiom ws-mem^0 (forall t.0 (forall u.1 (forall l.list (and (imp (eps l.list (memdot^0 t.0 u.1)) (in^0 (sub^0 t.0 l.list) (sub^1 u.1 l.list))) (imp (in^0 (sub^0 t.0 l.list) (sub^1 u.1 l.list)) (eps l.list (memdot^0 t.0 u.1))))))))
+(axiom ws-mem^1 (forall t.1 (forall u.2 (forall l.list (and (imp (eps l.list (memdot^1 t.1 u.2)) (in^1 (sub^1 t.1 l.list) (sub^2 u.2 l.list))) (imp (in^1 (sub^1 t.1 l.list) (sub^2 u.2 l.list)) (eps l.list (memdot^1 t.1 u.2))))))))
+(axiom ws-mem^2 (forall t.2 (forall u.3 (forall l.list (and (imp (eps l.list (memdot^2 t.2 u.3)) (in^2 (sub^2 t.2 l.list) (sub^3 u.3 l.list))) (imp (in^2 (sub^2 t.2 l.list) (sub^3 u.3 l.list)) (eps l.list (memdot^2 t.2 u.3))))))))
+(axiom ws-or (forall a.class (forall b.class (forall l.list (and (imp (eps l.list (union a.class b.class)) (or (eps l.list a.class) (eps l.list b.class))) (imp (or (eps l.list a.class) (eps l.list b.class)) (eps l.list (union a.class b.class))))))))
+(axiom ws-and (forall a.class (forall b.class (forall l.list (and (imp (eps l.list (inter a.class b.class)) (and (eps l.list a.class) (eps l.list b.class))) (imp (and (eps l.list a.class) (eps l.list b.class)) (eps l.list (inter a.class b.class))))))))
+(axiom ws-imp (forall a.class (forall b.class (forall l.list (and (imp (eps l.list (impdot a.class b.class)) (imp (eps l.list a.class) (eps l.list b.class))) (imp (imp (eps l.list a.class) (eps l.list b.class)) (eps l.list (impdot a.class b.class))))))))
+(axiom ws-ex^0 (forall a.class (forall l.list (and (imp (eps l.list (pow^0 a.class)) (exists x.0 (eps (cons^0 x.0 l.list) a.class))) (imp (exists x.0 (eps (cons^0 x.0 l.list) a.class)) (eps l.list (pow^0 a.class)))))))
+(axiom ws-all^0 (forall a.class (forall l.list (and (imp (eps l.list (cls^0 a.class)) (forall x.0 (eps (cons^0 x.0 l.list) a.class))) (imp (forall x.0 (eps (cons^0 x.0 l.list) a.class)) (eps l.list (cls^0 a.class)))))))
+(axiom ws-ex^1 (forall a.class (forall l.list (and (imp (eps l.list (pow^1 a.class)) (exists x.1 (eps (cons^1 x.1 l.list) a.class))) (imp (exists x.1 (eps (cons^1 x.1 l.list) a.class)) (eps l.list (pow^1 a.class)))))))
+(axiom ws-all^1 (forall a.class (forall l.list (and (imp (eps l.list (cls^1 a.class)) (forall x.1 (eps (cons^1 x.1 l.list) a.class))) (imp (forall x.1 (eps (cons^1 x.1 l.list) a.class)) (eps l.list (cls^1 a.class)))))))
+(axiom ws-ex^2 (forall a.class (forall l.list (and (imp (eps l.list (pow^2 a.class)) (exists x.2 (eps (cons^2 x.2 l.list) a.class))) (imp (exists x.2 (eps (cons^2 x.2 l.list) a.class)) (eps l.list (pow^2 a.class)))))))
+(axiom ws-all^2 (forall a.class (forall l.list (and (imp (eps l.list (cls^2 a.class)) (forall x.2 (eps (cons^2 x.2 l.list) a.class))) (imp (forall x.2 (eps (cons^2 x.2 l.list) a.class)) (eps l.list (cls^2 a.class)))))))
+(axiom ws-ex^3 (forall a.class (forall l.list (and (imp (eps l.list (pow^3 a.class)) (exists x.3 (eps (cons^3 x.3 l.list) a.class))) (imp (exists x.3 (eps (cons^3 x.3 l.list) a.class)) (eps l.list (pow^3 a.class)))))))
+(axiom ws-all^3 (forall a.class (forall l.list (and (imp (eps l.list (cls^3 a.class)) (forall x.3 (eps (cons^3 x.3 l.list) a.class))) (imp (forall x.3 (eps (cons^3 x.3 l.list) a.class)) (eps l.list (cls^3 a.class)))))))
+"""
+# The HHA extras as they were written by hand; the derived ones use the
+# rules' variable names, so they are compared up to renaming.
+HHA_EXTRAS = {
+    "eq-def": "(forall a.0 (forall b.0 (iff (= a.0 b.0) (forall g.class (imp (eps (cons^0 a.0 nil) g.class)"
+    " (eps (cons^0 b.0 nil) g.class))))))",
+    "pred-zero": "(= (pred 0) 0)",
+    "pred-s": "(forall a.0 (= (pred (s a.0)) a.0))",
+    "null-zero": "(Null 0)",
+    "null-s": "(forall a.0 (not (Null (s a.0))))",
+    "ind-mod": "(forall a.0 (forall g.class (iff (eps (cons^0 a.0 nil) g.class) (or (eps (cons^0 a.0 nil) g.class)"
+    " (and (eps (cons^0 0 nil) g.class) (forall y.0 (imp (eps (cons^0 y.0 nil) g.class)"
+    " (eps (cons^0 (s y.0) nil) g.class))))))))",
+}
+
+
+def test_derived_presentations_pinned():
+    import re
+
+    from demod.fileformat import presentation_to_sx, prop_from_sx, prop_to_sx
+    from demod.sexpr import parse, show
+    from demod.syntax import neg
+
+    assert show(presentation_to_sx(add_compatible_axioms())) == ADD_AXIOMS
+    lines = WS_AXIOMS_ORDER_3.splitlines()
+    l = Var("l", LIST)
+    for i in (1, 2, 3):
+        pres = ws_axioms(OrderConfig(i))
+        got = [show(["axiom", n, prop_to_sx(p)]) for n, p in pres.axioms if n != "ws-bot"]
+        assert got == [line for line in lines if max(map(int, re.findall(r"\w\.(\d+)", line)), default=0) <= i]
+        assert pres.as_dict()["ws-bot"] == Forall(l, neg(eps(l, EMPTY)))
+    sig = hha_signature(CFG1)
+    extras = hha_extra_axioms()
+    assert list(extras.names()) == list(HHA_EXTRAS)
+    for name, prop in extras.axioms:
+        assert alpha_equal(prop, prop_from_sx(parse(HHA_EXTRAS[name]), sig)), name
+    x, a = Var("x", arith(0)), Var("a", CLASS)
+    assert comp_sk(CFG1).axioms == (
+        ("comp-sk^0", Forall(x, Forall(a, iff(mem(0, x, comp(1, a)), member([x], a))))),
+    )
