@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import bench, fileformat as ff
-from .hilbert import check_hilbert, zi_axiom_schemata
+from .hilbert import SchemaError, check_hilbert, zi_axiom_schemata
 from .nd import check_nd, nd_length
 from .rewriting import FuelExhausted, RewriteSystem, check_left_linear, critical_pairs, joinable, normalize
 from .sexpr import SexprError
@@ -294,9 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.set_defaults(func=cmd_bench_growth)
 
     args = parser.parse_args(argv)
+    if args.order < 1:
+        parser.error("argument --order: order parameter must be at least 1")
     try:
         return args.func(args)
-    except (SexprError, ff.FormatError, SortError, TranslationError) as exc:
+    except (SexprError, ff.FormatError, SortError, SchemaError, TranslationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -91,7 +91,8 @@ class Rule:
             raise RuleError(f"{self.name}: left side must be a term or an atom")
         extra = free_variables(self.rhs) - free_variables(self.lhs)
         if extra:
-            raise RuleError(f"{self.name}: right side has extra variables {extra}")
+            names = ", ".join(sorted(map(str, extra)))
+            raise RuleError(f"{self.name}: right side has extra variables {names}")
 
     @property
     def is_term_rule(self) -> bool:
@@ -210,21 +211,14 @@ def match(pattern: Obj, subject: Obj) -> Optional[dict[Var, Term]]:
                 bind[p] = s
                 return True
             return seen == s
-        if isinstance(p, App):
-            return (
-                isinstance(s, App)
-                and p.fn == s.fn
-                and len(p.args) == len(s.args)
-                and all(go(a, b) for a, b in zip(p.args, s.args))
-            )
-        if isinstance(p, Atom):
-            return (
-                isinstance(s, Atom)
-                and p.pred == s.pred
-                and len(p.args) == len(s.args)
-                and all(go(a, b) for a, b in zip(p.args, s.args))
-            )
-        return False
+        head = _head(p)
+        return (
+            head is not None
+            and type(p) is type(s)
+            and head == _head(s)
+            and len(p.args) == len(s.args)
+            and all(go(a, b) for a, b in zip(p.args, s.args))
+        )
 
     return bind if go(pattern, subject) else None
 
@@ -416,15 +410,10 @@ def unify(a: Obj, b: Obj) -> Optional[dict[Var, Term]]:
             return True
         if isinstance(t, Var):
             return go(t, s)
-        if isinstance(s, App) and isinstance(t, App):
-            if s.fn != t.fn or len(s.args) != len(t.args):
-                return False
-            return all(go(a, b) for a, b in zip(s.args, t.args))
-        if isinstance(s, Atom) and isinstance(t, Atom):
-            if s.pred != t.pred or len(s.args) != len(t.args):
-                return False
-            return all(go(a, b) for a, b in zip(s.args, t.args))
-        return False
+        head = _head(s)
+        if head is None or type(s) is not type(t) or head != _head(t) or len(s.args) != len(t.args):
+            return False
+        return all(go(a, b) for a, b in zip(s.args, t.args))
 
     if not go(a, b):
         return None

@@ -7,13 +7,24 @@ and negation are desugared eagerly (``P iff Q`` is ``(P > Q) & (Q > P)``,
 ``~P`` is ``P > false``).  Bound variables keep their display names; alpha
 equivalence is a separate relation, substitution is capture avoiding, while
 positional replacement is grafting and may capture.
+
+Each kind of node is described once, in ``SHAPES``: its fields in order, each
+marked as data (a name, a sort or the bound variable) or as children (one
+subproposition, or a tuple of argument terms), and its printed text.  The
+node classes are declared from that table, each carrying its entry as the
+class attribute ``shape``, the one place every walk reads it.  Equality,
+hashing (computed once, when a node is built), printing, ``children``, size,
+positions, free variables, substitution, alpha equivalence and the structural
+walk of the sort check are derived from it.  Every traversal keeps its own stack, so
+none is limited by the interpreter's recursion depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping, Union
+from dataclasses import dataclass, make_dataclass
+from functools import cache, cached_property
+from operator import attrgetter, is_not
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 
 class SortError(Exception):
@@ -37,6 +48,7 @@ class Sort:
         return str(self.level) if self.kind == "arith" else self.kind
 
 
+@cache  # one object per level, so comparing sorts mostly stops at identity
 def arith(level: int) -> Sort:
     if level < 0:
         raise SortError(f"negative arithmetic sort level {level}")
@@ -48,145 +60,152 @@ CLASS = Sort("class")
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms and propositions, each kind described once by its shape
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: Sort
+class Node:
+    """A term or proposition.  Equality, hashing and printing read the node's
+    shape; the hash is computed once, when the node is built."""
 
-    def __str__(self) -> str:
-        return f"{self.name}:{self.sort}"
-
-
-@dataclass(frozen=True, eq=False)
-class App:
-    fn: str
-    args: tuple["Term", ...]
-    sort: Sort
+    __slots__ = ("_hash",)
+    shape: Shape  # the kind's entry in SHAPES
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.fn, self.args, self.sort)))
+        object.__setattr__(self, "_hash", hash(self.shape.values(self)))
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
-        return (
-            self is other
-            or isinstance(other, App)
-            and self._hash == other._hash  # type: ignore[attr-defined]
-            and self.fn == other.fn
-            and self.sort == other.sort
-            and self.args == other.args
+        return self is other or (
+            type(other) is type(self) and self._hash == other._hash and _equal(self, other)
         )
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.fn
-        return f"{self.fn}({', '.join(map(str, self.args))})"
+        return _show(self)
+
+    def __reduce__(self):
+        return type(self), self.shape.values(self)  # rebuilt through __post_init__, which sets the hash
 
 
-Term = Union[Var, App]
-
-
-# ---------------------------------------------------------------------------
-# Propositions
-
-
-class Proposition:
+class Proposition(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Falsum(Proposition):
-    def __str__(self) -> str:
-        return "false"
+def _fields(names: Sequence[str]) -> Callable[[Obj], tuple]:
+    """A function giving the named fields of a node as a tuple."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda x: (get(x),)
+    return attrgetter(*names) if names else lambda x: ()
 
 
-@dataclass(frozen=True)
-class Verum(Proposition):
-    def __str__(self) -> str:
-        return "true"
+class Shape:
+    """One node kind: its fields in declaration order, each marked ``name``,
+    ``sort`` or ``binder`` (data, compared by value) or ``prop`` (one child)
+    or ``args`` (a tuple of argument terms, the children), and its printed
+    text, a function from the node to the texts before, between and after
+    its children."""
+
+    def __init__(self, layout: tuple[tuple[str, str], ...], text: Callable[[Obj], tuple[str, str, str]]):
+        self.text = text
+        self.names = [name for name, _ in layout]
+        data = [name for name, role in layout if role in ("name", "sort", "binder")]
+        self.slots = tuple(i for i, (_, role) in enumerate(layout) if role in ("prop", "args"))
+        self.variadic = any(role == "args" for _, role in layout)
+        self.connective = any(role == "prop" for _, role in layout)
+        self.binder = next((name for name, role in layout if role == "binder"), None)
+        self.values = _fields(self.names)  # the hash is taken of all fields
+        self.data = attrgetter(*data) if data else None
+        kids = [self.names[i] for i in self.slots]
+        self.children = attrgetter(*kids) if self.variadic else _fields(kids)
+
+    def rebuild(self, x: Obj, parts: Sequence[Obj], binder: Optional[Var] = None) -> Obj:
+        """``x`` with children ``parts`` and, if given, bound variable ``binder``."""
+        values = list(self.values(x))
+        for slot, part in zip(self.slots, (tuple(parts),) if self.variadic else parts):
+            values[slot] = part
+        if binder is not None:
+            values[self.names.index(self.binder)] = binder
+        return type(x)(*values)
 
 
+SHAPES: dict[type, Shape] = {}
+
+
+def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Callable) -> type:
+    """A frozen node class with the fields of ``layout``; its shape is recorded in SHAPES
+    and carried by the class as ``shape``."""
+    cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
+                         slots=True, namespace={"__module__": __name__})
+    cls.shape = SHAPES[cls] = Shape(layout, text)
+    return cls
+
+
+_BINARY = (("left", "prop"), ("right", "prop"))
+_QUANTIFIED = (("var", "binder"), ("body", "prop"))
+
+Var = _kind("Var", Node, (("name", "name"), ("sort", "sort")), lambda x: (f"{x.name}:{x.sort}", "", ""))
+App = _kind("App", Node, (("fn", "name"), ("args", "args"), ("sort", "sort")),
+            lambda x: (f"{x.fn}(", ", ", ")") if x.args else (x.fn, "", ""))
+Falsum = _kind("Falsum", Proposition, (), lambda x: ("false", "", ""))
+Verum = _kind("Verum", Proposition, (), lambda x: ("true", "", ""))
+Atom = _kind("Atom", Proposition, (("pred", "name"), ("args", "args")),
+             lambda x: (f"{x.pred}(", ", ", ")") if x.args else (x.pred, "", ""))
+And = _kind("And", Proposition, _BINARY, lambda x: ("(", " & ", ")"))
+Or = _kind("Or", Proposition, _BINARY, lambda x: ("(", " | ", ")"))
+Imp = _kind("Imp", Proposition, _BINARY, lambda x: ("(", " > ", ")"))
+Forall = _kind("Forall", Proposition, _QUANTIFIED, lambda x: (f"(all {x.var}. ", "", ")"))
+Exists = _kind("Exists", Proposition, _QUANTIFIED, lambda x: (f"(ex {x.var}. ", "", ")"))
+
+Term = Union[Var, App]
+Obj = Union[Term, Proposition]
 FALSE = Falsum()
 TRUE = Verum()
 
 
-@dataclass(frozen=True, eq=False)
-class Atom(Proposition):
-    pred: str
-    args: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            self is other
-            or isinstance(other, Atom)
-            and self._hash == other._hash  # type: ignore[attr-defined]
-            and self.pred == other.pred
-            and self.args == other.args
-        )
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(map(str, self.args))})"
-
-
-@dataclass(frozen=True)
-class And(Proposition):
-    left: Proposition
-    right: Proposition
-
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
+def _equal(a: Obj, b: Obj) -> bool:
+    """Whether two nodes of one type and hash are equal.  Leaves are compared
+    where they are met; pairs of inner nodes wait on a stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        shape = a.shape
+        if shape.data is not None and shape.data(a) != shape.data(b):
+            return False
+        left, right = shape.children(a), shape.children(b)
+        if len(left) != len(right):
+            return False
+        for x, y in zip(left, right):
+            if x is y:
+                continue
+            kind = x.shape
+            if kind is not y.shape or x._hash != y._hash:
+                return False
+            if kind.slots:
+                stack.append((x, y))
+            elif kind.data is not None and kind.data(x) != kind.data(y):
+                return False
+    return True
 
 
-@dataclass(frozen=True)
-class Or(Proposition):
-    left: Proposition
-    right: Proposition
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
-
-
-@dataclass(frozen=True)
-class Imp(Proposition):
-    left: Proposition
-    right: Proposition
-
-    def __str__(self) -> str:
-        return f"({self.left} > {self.right})"
-
-
-@dataclass(frozen=True)
-class Forall(Proposition):
-    var: Var
-    body: Proposition
-
-    def __str__(self) -> str:
-        return f"(all {self.var}. {self.body})"
-
-
-@dataclass(frozen=True)
-class Exists(Proposition):
-    var: Var
-    body: Proposition
-
-    def __str__(self) -> str:
-        return f"(ex {self.var}. {self.body})"
-
-
-Obj = Union[Term, Proposition]
+def _show(x: Obj) -> str:
+    out: list[str] = []
+    stack: list[Union[Obj, str]] = [x]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        before, between, after = item.shape.text(item)
+        out.append(before)
+        subs = item.shape.children(item)
+        if subs:
+            stack.append(after)
+            for i in range(len(subs) - 1, 0, -1):
+                stack += (subs[i], between)
+            stack.append(subs[0])
+    return "".join(out)
 
 
 def neg(p: Proposition) -> Proposition:
@@ -278,35 +297,30 @@ class Signature:
 
     def check(self, x: Obj) -> None:
         """Raise SortError unless ``x`` is well-sorted under this signature."""
-        if isinstance(x, Var):
-            if x.sort not in self.sorts:
-                raise SortError(f"variable {x} has undeclared sort")
-        elif isinstance(x, App):
-            decl = self.funs.get(x.fn)
-            if decl is None:
-                raise SortError(f"unknown function symbol {x.fn!r}")
-            if decl.result != x.sort:
-                raise SortError(f"{x.fn} declared {decl.result}, annotated {x.sort}")
-            _check_args(x.fn, decl.arg_sorts, x.args)
-            for a in x.args:
-                self.check(a)
-        elif isinstance(x, Atom):
-            decl = self.preds.get(x.pred)
-            if decl is None:
-                raise SortError(f"unknown predicate symbol {x.pred!r}")
-            _check_args(x.pred, decl.arg_sorts, x.args)
-            for a in x.args:
-                self.check(a)
-        elif isinstance(x, (Falsum, Verum)):
-            pass
-        elif isinstance(x, (And, Or, Imp)):
-            self.check(x.left)
-            self.check(x.right)
-        elif isinstance(x, (Forall, Exists)):
-            self.check(x.var)
-            self.check(x.body)
-        else:
-            raise SortError(f"not a term or proposition: {x!r}")
+        stack = [x]
+        while stack:
+            node = stack.pop()
+            shape = getattr(type(node), "shape", None)
+            if shape is None:
+                raise SortError(f"not a term or proposition: {node!r}")
+            if isinstance(node, Var):
+                if node.sort not in self.sorts:
+                    raise SortError(f"variable {node} has undeclared sort")
+            elif isinstance(node, App):
+                decl = self.funs.get(node.fn)
+                if decl is None:
+                    raise SortError(f"unknown function symbol {node.fn!r}")
+                if decl.result != node.sort:
+                    raise SortError(f"{node.fn} declared {decl.result}, annotated {node.sort}")
+                _check_args(node.fn, decl.arg_sorts, node.args)
+            elif isinstance(node, Atom):
+                decl = self.preds.get(node.pred)
+                if decl is None:
+                    raise SortError(f"unknown predicate symbol {node.pred!r}")
+                _check_args(node.pred, decl.arg_sorts, node.args)
+            stack.extend(reversed(shape.children(node)))
+            if shape.binder:
+                stack.append(getattr(node, shape.binder))
 
 
 def _check_args(name: str, expected: tuple[Sort, ...], args: tuple[Term, ...]) -> None:
@@ -331,33 +345,16 @@ ROOT: Position = ()
 
 def children(x: Obj) -> tuple[Obj, ...]:
     """Immediate subobjects, addressed by 1-based child indices."""
-    if isinstance(x, Var):
-        return ()
-    if isinstance(x, App):
-        return x.args
-    if isinstance(x, Atom):
-        return x.args
-    if isinstance(x, (And, Or, Imp)):
-        return (x.left, x.right)
-    if isinstance(x, (Forall, Exists)):
-        return (x.body,)
-    return ()
-
-
-def _rebuild(x: Obj, parts: tuple[Obj, ...]) -> Obj:
-    if isinstance(x, App):
-        return App(x.fn, parts, x.sort)  # type: ignore[arg-type]
-    if isinstance(x, Atom):
-        return Atom(x.pred, parts)  # type: ignore[arg-type]
-    if isinstance(x, (And, Or, Imp)):
-        return type(x)(*parts)  # type: ignore[arg-type]
-    if isinstance(x, (Forall, Exists)):
-        return type(x)(x.var, parts[0])  # type: ignore[arg-type]
-    raise PositionError(f"{x} has no children")
+    return x.shape.children(x)
 
 
 def size(x: Obj) -> int:
-    return 1 + sum(size(c) for c in children(x))
+    count = 0
+    stack = [x]
+    while stack:
+        count += 1
+        stack.extend(children(stack.pop()))
+    return count
 
 
 def positions(x: Obj) -> Iterator[tuple[Position, Obj]]:
@@ -393,7 +390,7 @@ def replace_at(x: Obj, s: Obj, pos: Position) -> Obj:
         cur = subs[idx - 1]
     new = s
     for node, subs, idx in reversed(spine):
-        new = _rebuild(node, subs[: idx - 1] + (new,) + subs[idx:])
+        new = node.shape.rebuild(node, subs[: idx - 1] + (new,) + subs[idx:])
     return new
 
 
@@ -402,14 +399,24 @@ def replace_at(x: Obj, s: Obj, pos: Position) -> Obj:
 
 
 def free_variables(x: Obj) -> frozenset[Var]:
-    if isinstance(x, Var):
-        return frozenset((x,))
-    if isinstance(x, (Forall, Exists)):
-        return free_variables(x.body) - {x.var}
-    out: frozenset[Var] = frozenset()
-    for c in children(x):
-        out |= free_variables(c)
-    return out
+    free: set[Var] = set()
+    bound: dict[Var, int] = {}  # how many enclosing binders bind each variable
+    stack: list = [x]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # leaving the scope of the binder node[0]
+            bound[node[0]] -= 1
+        elif isinstance(node, Var):
+            if not bound.get(node):
+                free.add(node)
+        else:
+            shape = node.shape
+            if shape.binder:
+                var = getattr(node, shape.binder)
+                bound[var] = bound.get(var, 0) + 1
+                stack.append((var,))
+            stack.extend(shape.children(node))
+    return frozenset(free)
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -421,54 +428,68 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 Substitution = Mapping[Var, Term]
 
-
-def _subst_term(t: Term, sub: Substitution) -> Term:
-    if isinstance(t, Var):
-        img = sub.get(t, t)
-        if sort_of(img) != t.sort:
-            raise SortError(f"substitution maps {t} to {img} of sort {sort_of(img)}")
-        return img
-    args = tuple(_subst_term(a, sub) for a in t.args)
-    if all(a is b for a, b in zip(args, t.args)):
-        return t
-    return App(t.fn, args, t.sort)
+# The substitution walk's steps besides visiting a node.
+_BUILD, _THEN = object(), object()
 
 
 def apply_substitution(x: Obj, sub: Substitution) -> Obj:
-    """Apply ``sub`` to free occurrences only, renaming binders to avoid capture."""
+    """Apply ``sub`` to free occurrences only, renaming binders to avoid capture.
+
+    A binder is renamed when a substituted term has a free variable of its
+    name: the body is first renamed, then substituted."""
     if not sub:
         return x
-    if isinstance(x, (Var, App)):
-        return _subst_term(x, sub)
-    if isinstance(x, Atom):
-        args = tuple(_subst_term(a, sub) for a in x.args)
-        if all(a is b for a, b in zip(args, x.args)):
-            return x
-        return Atom(x.pred, args)
-    if isinstance(x, (Falsum, Verum)):
-        return x
-    if isinstance(x, (And, Or, Imp)):
-        left = apply_substitution(x.left, sub)
-        right = apply_substitution(x.right, sub)
-        if left is x.left and right is x.right:
-            return x
-        return type(x)(left, right)
-    if isinstance(x, (Forall, Exists)):
-        live = {v: t for v, t in sub.items() if v != x.var}
-        live = {v: t for v, t in live.items() if v in free_variables(x.body)}
-        if not live:
-            return x
-        clash = set()
-        for t in live.values():
-            clash |= {w.name for w in free_variables(t)}
-        binder = x.var
-        body = x.body
-        if binder.name in clash:
-            taken = clash | {w.name for w in free_variables(body)} | {v.name for v in live}
-            binder = Var(fresh_name(x.var.name, taken), x.var.sort)
-            body = apply_substitution(body, {x.var: binder})
-        return type(x)(binder, apply_substitution(body, live))
-    raise SortError(f"not a term or proposition: {x!r}")
+    done: list[Obj] = []
+    # (node, sub) visits a node; (_BUILD, (node, binder)) rebuilds a node from
+    # its children's results, with a new bound variable if one is given, and
+    # (_THEN, sub) substitutes into the last result.
+    todo: list[tuple] = [(x, sub)]
+    while todo:
+        node, arg = todo.pop()
+        if node is _BUILD:
+            node, binder = arg
+            subs = node.shape.children(node)
+            cut = len(done) - len(subs)
+            parts = done[cut:]
+            del done[cut:]
+            if binder is not None or any(map(is_not, parts, subs)):
+                node = node.shape.rebuild(node, parts, binder)
+            done.append(node)
+            continue
+        if node is _THEN:
+            todo.append((done.pop(), arg))
+            continue
+        if type(node) is Var:
+            img = arg.get(node, node)
+            if sort_of(img) != node.sort:
+                raise SortError(f"substitution maps {node} to {img} of sort {sort_of(img)}")
+            done.append(img)
+            continue
+        shape = getattr(type(node), "shape", None)
+        if shape is None:
+            raise SortError(f"not a term or proposition: {node!r}")
+        subs = shape.children(node)
+        if shape.binder:
+            var, body = getattr(node, shape.binder), subs[0]
+            body_free = free_variables(body)
+            live = {v: t for v, t in arg.items() if v != var and v in body_free}
+            if not live:
+                done.append(node)
+                continue
+            clash = {w.name for t in live.values() for w in free_variables(t)}
+            if var.name in clash:
+                taken = clash | {w.name for w in body_free} | {v.name for v in live}
+                fresh = Var(fresh_name(var.name, taken), var.sort)
+                todo += [(_BUILD, (node, fresh)), (_THEN, live), (body, {var: fresh})]
+            else:
+                todo += [(_BUILD, (node, var)), (body, live)]
+        elif subs:
+            todo.append((_BUILD, (node, None)))
+            for child in reversed(subs):
+                todo.append((child, arg))
+        else:
+            done.append(node)
+    return done[0]
 
 
 def subst1(x: Obj, v: Var, t: Term) -> Obj:
@@ -477,57 +498,51 @@ def subst1(x: Obj, v: Var, t: Term) -> Obj:
 
 def alpha_equal(p: Obj, q: Obj) -> bool:
     """Equality modulo renaming of bound variables."""
-    return _alpha(p, q, {}, {}, 0)
-
-
-def _alpha(p: Obj, q: Obj, lenv: dict[Var, int], renv: dict[Var, int], depth: int) -> bool:
-    if not lenv and not renv and p == q:
-        return True  # syntactic equality implies alpha equality
-    if type(p) is not type(q):
-        return False
-    if isinstance(p, Var):
-        li, ri = lenv.get(p), renv.get(q)
-        if li is None and ri is None:
-            return p == q
-        return li == ri and p.sort == q.sort
-    if isinstance(p, App):
-        return (
-            p.fn == q.fn
-            and len(p.args) == len(q.args)
-            and all(_alpha(a, b, lenv, renv, depth) for a, b in zip(p.args, q.args))
-        )
-    if isinstance(p, Atom):
-        return (
-            p.pred == q.pred
-            and len(p.args) == len(q.args)
-            and all(_alpha(a, b, lenv, renv, depth) for a, b in zip(p.args, q.args))
-        )
-    if isinstance(p, (Falsum, Verum)):
+    if p == q:
         return True
-    if isinstance(p, (And, Or, Imp)):
-        return _alpha(p.left, q.left, lenv, renv, depth) and _alpha(p.right, q.right, lenv, renv, depth)
-    if isinstance(p, (Forall, Exists)):
-        if p.var.sort != q.var.sort:
+    # each pair carries the depth of the innermost binder of each bound variable
+    stack: list[tuple] = [(p, q, {}, {}, 0)]
+    while stack:
+        a, b, lenv, renv, depth = stack.pop()
+        if not depth and a == b:
+            continue  # syntactic equality implies alpha equality
+        if type(a) is not type(b):
             return False
-        lenv2 = dict(lenv)
-        renv2 = dict(renv)
-        lenv2[p.var] = depth
-        renv2[q.var] = depth
-        return _alpha(p.body, q.body, lenv2, renv2, depth + 1)
-    return False
+        if isinstance(a, Var):
+            li, ri = lenv.get(a), renv.get(b)
+            if li is None and ri is None:
+                if a != b:
+                    return False
+            elif li != ri or a.sort != b.sort:
+                return False
+            continue
+        shape = a.shape
+        left, right = shape.children(a), shape.children(b)
+        if shape.binder:
+            lvar, rvar = getattr(a, shape.binder), getattr(b, shape.binder)
+            if lvar.sort != rvar.sort:
+                return False
+            lenv, renv, depth = {**lenv, lvar: depth}, {**renv, rvar: depth}, depth + 1
+        elif shape.data is not None and shape.data(a) != shape.data(b) or len(left) != len(right):
+            return False
+        for x, y in zip(reversed(left), reversed(right)):
+            stack.append((x, y, lenv, renv, depth))
+    return True
 
 
 def freely_substitutable(t: Term, x: Var, p: Proposition) -> bool:
     """True iff no free occurrence of ``x`` in ``p`` is under a binder catching a variable of ``t``."""
     tvars = free_variables(t)
-
-    def walk(q: Obj) -> bool:
-        if isinstance(q, (Forall, Exists)):
-            if q.var == x:
-                return True  # x no longer free below
-            if q.var in tvars and x in free_variables(q.body):
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        shape = q.shape
+        subs = shape.children(q)
+        if shape.binder:
+            var = getattr(q, shape.binder)
+            if var == x:
+                continue  # x no longer free below
+            if var in tvars and x in free_variables(subs[0]):
                 return False
-            return walk(q.body)
-        return all(walk(c) for c in children(q))
-
-    return walk(p)
+        stack.extend(subs)
+    return True

@@ -77,6 +77,9 @@ from .syntax import (
     apply_substitution,
     free_variables,
     fresh_name,
+    positions,
+    replace_at,
+    subterm_at,
 )
 from .theories import Presentation, fz_axioms
 
@@ -525,19 +528,17 @@ def _avoid_capture(body: Proposition, terms: list[Term]) -> Proposition:
     clash = set()
     for t in terms:
         clash |= {v.name for v in free_variables(t)}
-
-    def go(q):
-        if isinstance(q, (Forall, Exists)):
-            if q.var.name in clash:
-                taken = clash | {v.name for v in free_variables(q.body)}
-                fresh = Var(fresh_name(q.var.name, taken), q.var.sort)
-                return type(q)(fresh, go(apply_substitution(q.body, {q.var: fresh})))
-            return type(q)(q.var, go(q.body))
-        if isinstance(q, (And, Or, Imp)):
-            return type(q)(go(q.left), go(q.right))
-        return q
-
-    return go(body)
+    out = body
+    # renaming keeps every position and kind, so binders are visited outermost first
+    for pos, node in positions(body):
+        if node.shape.binder is None:
+            continue
+        q = subterm_at(out, pos)
+        if q.var.name in clash:
+            taken = clash | {v.name for v in free_variables(q.body)}
+            fresh = Var(fresh_name(q.var.name, taken), q.var.sort)
+            out = replace_at(out, type(q)(fresh, apply_substitution(q.body, {q.var: fresh})), pos)
+    return out
 
 
 def _quantifier_instance(kind: str, var: Var, body: Proposition, term: Term) -> SchemaInstance:
@@ -992,7 +993,7 @@ def _lift_one(
             )
         return ImpI(Imp(src, dst), hyp=src, label=l, sub=body)
 
-    new_parent = _replace_child(parent, idx, y)
+    new_parent = replace_at(parent, y, (idx,))
     if isinstance(parent, Imp) and idx == 1:
         fwd = half(parent, new_parent, e_bwd, y, x)
         bwd = half(new_parent, parent, e_fwd, x, y)
@@ -1002,38 +1003,25 @@ def _lift_one(
     return AndI(And(Imp(parent, new_parent), Imp(new_parent, parent)), fwd, bwd), new_parent
 
 
-def _replace_child(parent: Proposition, idx: int, new: Proposition) -> Proposition:
-    if isinstance(parent, (And, Or, Imp)):
-        return type(parent)(new, parent.right) if idx == 1 else type(parent)(parent.left, new)
-    if isinstance(parent, (Forall, Exists)):
-        return type(parent)(parent.var, new)
-    raise TranslationError(f"no proposition child {idx} in {parent}")
-
-
 def _lift_path(
     e: Proof, y: Proposition, whole: Proposition, pos: tuple, lab: _Gensym
 ) -> tuple[Proof, Proposition]:
     """Lift e : whole|pos <=> y through the context above pos."""
-    from .syntax import children as _children
-
     if pos == ():
         return e, y
     idx = pos[0]
-    subs = _children(whole)
-    if not isinstance(whole, (And, Or, Imp, Forall, Exists)):
+    if not whole.shape.connective:
         raise TranslationError(
             "cannot lift an equivalence through a term position; "
             "term-level rewriting needs equality axioms in the target"
         )
-    child = subs[idx - 1]
+    child = subterm_at(whole, (idx,))
     sub_pf, new_child = _lift_path(e, y, child, pos[1:], lab)
     return _lift_one(sub_pf, child, new_child, whole, idx, lab)
 
 
 def _equivalence_proof(trace: Trace, start: Proposition, cert: CompatibilityCertificate, lab: _Gensym) -> Proof:
     """A target-presentation proof of start <=> end built from a trace."""
-    from .syntax import subterm_at
-
     cur = start
     acc: Optional[Proof] = None
     for step in trace.steps:

@@ -39,8 +39,10 @@ def test_gen_add_proofs():
 
 
 def test_modulo_add_checks_past_the_recursion_limit():
-    # numerals of 200 nested nodes once broke the trace step ordering
-    assert check_nd(gen_add_modulo_proof(200), system=add_system()).ok
+    # numerals of 200 nested nodes once broke the trace step ordering, and
+    # from 248 the recursive size and equality ran out of stack
+    for n in (200, 10_000):
+        assert check_nd(gen_add_modulo_proof(n), system=add_system()).ok
 
 
 def _axiomatic_reference(n):

@@ -116,7 +116,7 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "fun needs 3 fields, found 1"),
         ({"r.rules": "(rules Add)", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES, "rules needs 2 fields, found 1"),
         ({"r.rules": "(rules R (flags) (rule r (s x.0) y.0))", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES,
-         "r: right side has extra variables"),
+         "r: right side has extra variables y:0\n"),
         ({"r.rules": "(rules R (flags) (rule r (s x.0) x.0) (rule r (s 0) 0))", "r.rules.sig": ADD_SIG},
          NORMALIZE_RULES, "R: duplicate rule name r"),
         ({"r.rules": "(rules R (flags confluant terminating))", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES,
@@ -125,10 +125,12 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "expression nested too deep to read"),
         ({"p.sexp": TOP_PROOF, "i.sexp": "(instances (r))"},
          ["translate", "nd-hilbert", "p.sexp", "--instances", "i.sexp"], "expected (NAME (schema ...))"),
+        ({"p.sexp": TOP_PROOF, "i.sexp": "(instances (r (schema K)))"},
+         ["translate", "nd-hilbert", "p.sexp", "--instances", "i.sexp"], "K: missing proposition variable A"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "deep-axiom", "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
-         "deep-normalize", "short-instance"],
+         "deep-normalize", "short-instance", "incomplete-instance"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -137,6 +139,15 @@ def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_order_below_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "h.sexp"
+    path.write_text("(hilbert-proof)")
+    with pytest.raises(SystemExit) as err:
+        main(["check-hilbert", str(path), "--order", "0"])
+    assert err.value.code == 2
+    assert "argument --order: order parameter must be at least 1" in capsys.readouterr().err
 
 
 def test_bench_add_cli(tmp_path):

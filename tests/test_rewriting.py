@@ -25,7 +25,7 @@ from demod.rewriting import (
     unify,
     verify_trace,
 )
-from demod.syntax import TRUE, Var, alpha_equal, arith, positions, size
+from demod.syntax import TRUE, App, Atom, Var, alpha_equal, arith, positions, size
 from demod.theories import (
     ZERO,
     add_atom,
@@ -123,6 +123,20 @@ def test_unify_occurs_check_and_sorts():
     assert unify(x, s_(x)) is None
     got = unify(add_atom(s_(x), y, s_(z)), add_atom(s_(ZERO), z, s_(y)))
     assert got is not None
+
+
+def test_term_rule_headed_like_an_atom_never_rewrites_the_atom():
+    # a function symbol "@P" shares its index key with the predicate P
+    P, Q = Atom("P", (ZERO,)), Atom("Q", (ZERO,))
+    at_p = Rule("at-p", App("@P", (x,), x.sort), ZERO)
+    at_q = Rule("at-q", App("@Q", (x,), x.sort), ZERO)
+    system = RewriteSystem("clash", (at_p, at_q), terminating=True, confluent=True)
+    assert match(at_p.lhs, P) is None
+    assert unify(at_p.lhs, P) is None and unify(P, at_p.lhs) is None
+    assert rewrite_redexes(P, system) == []
+    assert not congruent_auto(P, Q, system)
+    atom_rule = Rule("p-true", Atom("P", (x,)), TRUE)
+    assert critical_pairs(RewriteSystem("mixed", (at_p, atom_rule))) == []
 
 
 def test_critical_pairs_add_and_empty():

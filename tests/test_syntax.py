@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,19 +10,25 @@ from demod.syntax import (
     Atom,
     FALSE,
     Exists,
+    Falsum,
     Forall,
     FunDecl,
+    Imp,
     Or,
     PredDecl,
+    TRUE,
     Signature,
     SortError,
     PositionError,
+    SHAPES,
     Var,
+    Verum,
     alpha_equal,
     apply_substitution,
     arith,
     free_variables,
     freely_substitutable,
+    fresh_name,
     positions,
     replace_at,
     size,
@@ -242,6 +251,15 @@ def _is_free_occurrence(p, pos):
     return True
 
 
+def test_copy_and_pickle_keep_equality_and_hash():
+    samples = [x, plus(x, zero), FALSE, TRUE, P(x), And(P(x), FALSE), Or(P(x), TRUE),
+               Imp(P(zero), P(x)), Forall(x, P(x)), Exists(y, Imp(P(y), P(x)))]
+    assert {type(q) for q in samples} == set(SHAPES)
+    for q in samples:
+        for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert other == q and q == other and hash(other) == hash(q)
+
+
 def test_sort_of():
     assert sort_of(zero) == S0
     assert sort_of(Var("l", arith(2))) == arith(2)
@@ -255,3 +273,273 @@ def test_alpha_is_symmetric_and_transitive(p):
     r = _rename_binders(q, 50)
     assert alpha_equal(p, q) and alpha_equal(q, p)
     assert alpha_equal(q, r) and alpha_equal(p, r)
+
+
+# -- the table-driven walks against the recursive definitions they replaced --
+# (kept as references; each is bounded by the interpreter's recursion depth)
+
+
+def _ref_children(x):
+    if isinstance(x, (App, Atom)):
+        return x.args
+    if isinstance(x, (And, Or, Imp)):
+        return (x.left, x.right)
+    if isinstance(x, (Forall, Exists)):
+        return (x.body,)
+    return ()
+
+
+def _ref_size(x):
+    return 1 + sum(_ref_size(c) for c in _ref_children(x))
+
+
+def _ref_str(x):
+    if isinstance(x, Var):
+        return f"{x.name}:{x.sort}"
+    if isinstance(x, App):
+        return x.fn if not x.args else f"{x.fn}({', '.join(map(_ref_str, x.args))})"
+    if isinstance(x, Atom):
+        return x.pred if not x.args else f"{x.pred}({', '.join(map(_ref_str, x.args))})"
+    if isinstance(x, (Falsum, Verum)):
+        return "false" if isinstance(x, Falsum) else "true"
+    if isinstance(x, (And, Or, Imp)):
+        op = {And: "&", Or: "|", Imp: ">"}[type(x)]
+        return f"({_ref_str(x.left)} {op} {_ref_str(x.right)})"
+    word = "all" if isinstance(x, Forall) else "ex"
+    return f"({word} {_ref_str(x.var)}. {_ref_str(x.body)})"
+
+
+def _ref_free_variables(x):
+    if isinstance(x, Var):
+        return frozenset((x,))
+    if isinstance(x, (Forall, Exists)):
+        return _ref_free_variables(x.body) - {x.var}
+    out = frozenset()
+    for c in _ref_children(x):
+        out |= _ref_free_variables(c)
+    return out
+
+
+def _ref_subst_term(t, sub):
+    if isinstance(t, Var):
+        img = sub.get(t, t)
+        if sort_of(img) != t.sort:
+            raise SortError(f"substitution maps {t} to {img} of sort {sort_of(img)}")
+        return img
+    args = tuple(_ref_subst_term(a, sub) for a in t.args)
+    if all(a is b for a, b in zip(args, t.args)):
+        return t
+    return App(t.fn, args, t.sort)
+
+
+def _ref_apply_substitution(x, sub):
+    if not sub:
+        return x
+    if isinstance(x, (Var, App)):
+        return _ref_subst_term(x, sub)
+    if isinstance(x, Atom):
+        args = tuple(_ref_subst_term(a, sub) for a in x.args)
+        if all(a is b for a, b in zip(args, x.args)):
+            return x
+        return Atom(x.pred, args)
+    if isinstance(x, (Falsum, Verum)):
+        return x
+    if isinstance(x, (And, Or, Imp)):
+        left = _ref_apply_substitution(x.left, sub)
+        right = _ref_apply_substitution(x.right, sub)
+        if left is x.left and right is x.right:
+            return x
+        return type(x)(left, right)
+    live = {v: t for v, t in sub.items() if v != x.var}
+    live = {v: t for v, t in live.items() if v in _ref_free_variables(x.body)}
+    if not live:
+        return x
+    clash = set()
+    for t in live.values():
+        clash |= {w.name for w in _ref_free_variables(t)}
+    binder = x.var
+    body = x.body
+    if binder.name in clash:
+        taken = clash | {w.name for w in _ref_free_variables(body)} | {v.name for v in live}
+        binder = Var(fresh_name(x.var.name, taken), x.var.sort)
+        body = _ref_apply_substitution(body, {x.var: binder})
+    return type(x)(binder, _ref_apply_substitution(body, live))
+
+
+def _ref_alpha(p, q, lenv, renv, depth):
+    if not lenv and not renv and p == q:
+        return True
+    if type(p) is not type(q):
+        return False
+    if isinstance(p, Var):
+        li, ri = lenv.get(p), renv.get(q)
+        if li is None and ri is None:
+            return p == q
+        return li == ri and p.sort == q.sort
+    if isinstance(p, App):
+        return (
+            p.fn == q.fn
+            and len(p.args) == len(q.args)
+            and all(_ref_alpha(a, b, lenv, renv, depth) for a, b in zip(p.args, q.args))
+        )
+    if isinstance(p, Atom):
+        return (
+            p.pred == q.pred
+            and len(p.args) == len(q.args)
+            and all(_ref_alpha(a, b, lenv, renv, depth) for a, b in zip(p.args, q.args))
+        )
+    if isinstance(p, (Falsum, Verum)):
+        return True
+    if isinstance(p, (And, Or, Imp)):
+        return _ref_alpha(p.left, q.left, lenv, renv, depth) and _ref_alpha(p.right, q.right, lenv, renv, depth)
+    if p.var.sort != q.var.sort:
+        return False
+    return _ref_alpha(p.body, q.body, {**lenv, p.var: depth}, {**renv, q.var: depth}, depth + 1)
+
+
+# binder names that substituted terms mention, so that substitutions rename
+# binders, sometimes more than once (y, y', y'')
+CLASH_VARS = [x, y, z, Var("y'", S0)]
+L1 = Var("l", arith(1))
+
+
+def clash_terms():
+    return st.recursive(
+        st.sampled_from(CLASH_VARS + [zero]),
+        lambda sub: st.one_of(sub.map(s), st.tuples(sub, sub).map(lambda ab: plus(*ab))),
+        max_leaves=5,
+    )
+
+
+def clash_props(binders=CLASH_VARS):
+    leaves = st.one_of(clash_terms().map(P), st.tuples(clash_terms(), clash_terms()).map(lambda ab: Atom("=", ab)),
+                       st.just(FALSE))
+    binder = st.sampled_from(binders)
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda ab: And(*ab)),
+            st.tuples(sub, sub).map(lambda ab: Or(*ab)),
+            st.tuples(sub, sub).map(lambda ab: Imp(*ab)),
+            st.tuples(binder, sub).map(lambda vb: Forall(*vb)),
+            st.tuples(binder, sub).map(lambda vb: Exists(*vb)),
+        ),
+        max_leaves=8,
+    )
+
+
+def clash_cases():
+    """An object and a substitution: some substitutions map a variable to one
+    of another sort, so that errors are compared too; in the last kind x stays
+    free under binders whose names its image mentions, so binders are renamed."""
+    return st.one_of(
+        st.tuples(st.one_of(clash_props(), clash_terms()),
+                  st.dictionaries(st.sampled_from(CLASH_VARS), clash_terms(), max_size=3)),
+        st.tuples(clash_props(),
+                  st.dictionaries(st.sampled_from(CLASH_VARS), st.one_of(clash_terms(), st.just(L1)),
+                                  min_size=1, max_size=2)),
+        st.tuples(st.tuples(st.sampled_from(CLASH_VARS[1:]), clash_props(CLASH_VARS[1:])).map(lambda vb: Forall(*vb)),
+                  st.tuples(clash_terms(), st.sampled_from(CLASH_VARS[1:])).map(lambda tv: {x: plus(*tv)})),
+    )
+
+
+def _outcome(subst, obj, sub):
+    try:
+        got = subst(obj, sub)
+    except SortError as exc:
+        return ("error", str(exc))
+    return ("ok", _ref_str(got), got)
+
+
+@given(clash_cases(), clash_props())
+@settings(max_examples=400, deadline=None)
+def test_derived_walks_match_the_recursive_definitions(case, other):
+    obj, sub = case
+    assert str(obj) == _ref_str(obj)
+    assert size(obj) == _ref_size(obj)
+    assert free_variables(obj) == _ref_free_variables(obj)
+    got, want = _outcome(apply_substitution, obj, sub), _outcome(_ref_apply_substitution, obj, sub)
+    assert got == want
+    if got[0] == "ok":
+        assert str(got[2]) == want[1]
+        result = got[2]
+        renamed = _rename_binders(obj, 0) if isinstance(obj, (And, Or, Forall, Exists)) else obj
+        for q in (result, renamed, other):
+            assert alpha_equal(obj, q) == _ref_alpha(obj, q, {}, {}, 0)
+            assert alpha_equal(q, obj) == _ref_alpha(q, obj, {}, {}, 0)
+
+
+# -- input deeper than the interpreter's recursion limit ---------------------
+
+DEEP = 10_000
+
+
+def _deep_numeral(leaf):
+    t = leaf
+    for _ in range(DEEP):
+        t = s(t)
+    return t, ["s("] * DEEP, [")"] * DEEP
+
+
+def _deep_chain(leaf, binder_name="v"):
+    """P(leaf) under DEEP levels of And, every hundredth of them under a Forall;
+    also the printed text around the leaf, outermost level last."""
+    p, before, after = P(leaf), ["P("], [")"]
+    for level in range(DEEP):
+        if level % 100 == 99:
+            v = Var(f"{binder_name}{level}", S0)
+            p = Forall(v, And(P(v), p))
+            before.append(f"(all {v}. (P({v}) & ")
+            after.append("))")
+        else:
+            p = And(P(zero), p)
+            before.append("(P(0) & ")
+            after.append(")")
+    return p, before, after
+
+
+@pytest.mark.parametrize("build", [_deep_numeral, _deep_chain], ids=["numeral", "chain"])
+def test_deep_input_needs_no_recursion(build):
+    (obj, before, after), (copy, _, _), (other, _, _) = build(x), build(x), build(zero)
+    assert obj is not copy and obj == copy and hash(obj) == hash(copy) and obj != other
+    n = size(obj)
+    assert n == _flat_size(obj)
+    assert free_variables(obj) == {x}
+    assert apply_substitution(obj, {x: zero}) == other
+    assert alpha_equal(obj, copy) and not alpha_equal(obj, other)
+    SIG.check(obj)
+    assert str(obj) == "".join(reversed(before)) + "x:0" + "".join(after)
+    count, deepest = 0, ()
+    for pos, sub in positions(obj):
+        count += 1
+        if sub == x:
+            deepest = pos
+    assert count == n and subterm_at(obj, deepest) == x
+    assert replace_at(obj, zero, deepest) == other
+
+
+def test_deep_chain_alpha_and_renaming():
+    p, q = _deep_chain(x, "v")[0], _deep_chain(x, "w")[0]
+    assert p != q and alpha_equal(p, q)
+    # the substituted term mentions every binder's name, so every binder is renamed
+    names = [Var(f"v{level}", S0) for level in range(99, DEEP, 100)]
+    image = names[0]
+    for v in names[1:]:
+        image = plus(image, v)
+    got = apply_substitution(p, {x: image})
+    assert alpha_equal(got, apply_substitution(q, {x: image}))
+    assert str(got).count("'") == 2 * len(names)  # each renamed binder and its one occurrence
+
+
+def _flat_size(obj):
+    count, stack = 0, [obj]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, (App, Atom)):
+            stack.extend(node.args)
+        elif isinstance(node, (And, Or, Imp)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Forall, Exists)):
+            stack.append(node.body)
+    return count
