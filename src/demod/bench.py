@@ -60,7 +60,6 @@ from .syntax import (
     TRUE,
     Term,
     Var,
-    alpha_equal,
     arith,
     size,
 )

@@ -15,9 +15,9 @@ from typing import Optional
 from . import bench, fileformat as ff
 from .hilbert import SchemaError, check_hilbert, zi_axiom_schemata
 from .nd import check_nd, nd_length
-from .rewriting import FuelExhausted, RewriteSystem, check_left_linear, critical_pairs, joinable, normalize
+from .rewriting import FuelExhausted, RewriteSystem, check_left_linear, critical_pairs, normalize
 from .sexpr import SexprError
-from .syntax import SortError
+from .syntax import SortError, alpha_equal
 from .theories import (
     OrderConfig,
     add_signature,
@@ -134,10 +134,9 @@ def cmd_confluence(args) -> int:
     all_joined = True
     for pair in pairs:
         try:
-            _, tl = normalize(pair.left, system, fuel=args.fuel)
-            _, tr = normalize(pair.right, system, fuel=args.fuel)
-            joined = joinable(pair, system, fuel=args.fuel)
-            steps = len(tl) + len(tr)
+            nl, tl = normalize(pair.left, system, fuel=args.fuel)
+            nr, tr = normalize(pair.right, system, fuel=args.fuel)
+            joined, steps = alpha_equal(nl, nr), len(tl) + len(tr)  # what joinable decides
         except FuelExhausted:
             joined, steps = False, None
         all_joined &= joined

@@ -11,6 +11,7 @@ Proof length is the line count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 from .syntax import (
@@ -159,6 +160,9 @@ PROPOSITIONAL: dict[str, tuple[tuple[str, ...], Callable[..., Proposition]]] = {
 }
 
 
+_ROBINSON: dict[str, Proposition] = dict(robinson_axioms())  # built once: instances share them
+
+
 @dataclass(frozen=True)
 class Catalogue:
     """Schemata and rules of the schematic system over sorts 0..top."""
@@ -171,10 +175,14 @@ class Catalogue:
         for j in range(self.top + 1):
             ids += [f"UI^{j}", f"EI^{j}"]
         ids += ["refl", "leibniz"]
-        ids += [n for n, _ in robinson_axioms()]
+        ids += list(_ROBINSON)
         ids += ["ind"]
         ids += [f"comp^{j}" for j in range(self.top)]
         return tuple(ids)
+
+    @cached_property
+    def _schema_ids(self) -> frozenset[str]:
+        return frozenset(self.axiom_schema_ids())
 
     def rule_ids(self) -> tuple[str, ...]:
         out = ["mp"]
@@ -184,7 +192,7 @@ class Catalogue:
 
     def instantiate(self, inst: SchemaInstance) -> Proposition:
         name = inst.schema
-        if name not in self.axiom_schema_ids():
+        if name not in self._schema_ids:
             raise SchemaError(f"unknown or disabled schema {name!r}")
         if name in PROPOSITIONAL:
             wanted, build = PROPOSITIONAL[name]
@@ -221,8 +229,8 @@ class Catalogue:
                 alpha,
                 Forall(beta, Imp(eq(alpha, beta), Imp(a.apply([alpha]), a.apply([beta])))),
             )
-        if name in dict(robinson_axioms()):
-            return dict(robinson_axioms())[name]
+        if name in _ROBINSON:
+            return _ROBINSON[name]
         if name == "ind":
             a = inst.template("A")
             if a.arity != (arith(0),):
@@ -240,8 +248,6 @@ class Catalogue:
             )
         if name.startswith("comp^"):
             j = int(name[5:])
-            if j >= self.top:
-                raise SchemaError(f"comp^{j} is outside the configured order")
             a = inst.template("A")
             if a.arity != (arith(j),):
                 raise SchemaError(f"comp^{j}: A must have arity [{j}]")
@@ -316,6 +322,32 @@ JUSTIFICATIONS: dict[type, JustKind] = {
 
 
 @dataclass(frozen=True)
+class QuantifierRule:
+    """Generalization or particularization.  From ``A > B[e/x]``, gen concludes
+    ``A > all x. B``; from ``B[e/x] > A``, part concludes ``(ex x. B) > A``;
+    the eigenvariable ``e`` must not be free in the conclusion.  ``side`` is
+    the side of the implication that holds the quantifier ``binder``, and
+    ``shape`` the conclusion's form as error messages state it."""
+
+    name: str
+    binder: type
+    side: str
+    shape: str
+
+    def premise(self, conclusion: Imp, eigen: Var) -> Imp:
+        """The premise that concludes ``conclusion`` with eigenvariable ``eigen``."""
+        q = getattr(conclusion, self.side)
+        opened = apply_substitution(q.body, {q.var: eigen})
+        return Imp(conclusion.left, opened) if self.side == "right" else Imp(opened, conclusion.right)
+
+
+QUANTIFIER_RULES: dict[type, QuantifierRule] = {
+    GenLine: QuantifierRule("generalization", Forall, "right", "A > all x. B"),
+    PartLine: QuantifierRule("particularization", Exists, "left", "(ex x. B) > A"),
+}
+
+
+@dataclass(frozen=True)
 class Line:
     just: Justification
     prop: Proposition
@@ -363,38 +395,21 @@ def check_hilbert(
             major = proof.lines[just.major - 1].prop
             if not alpha_equal(major, Imp(minor, line.prop)):
                 return fail(k, f"modus ponens shape mismatch: {major} vs {minor} > {line.prop}")
-        elif isinstance(just, GenLine):
+        elif isinstance(just, (GenLine, PartLine)):
+            rule = QUANTIFIER_RULES[type(just)]
             if not 1 <= just.ref <= k:
-                return fail(k, "generalization must reference an earlier line")
+                return fail(k, f"{rule.name} must reference an earlier line")
             shape = line.prop
-            if not (isinstance(shape, Imp) and isinstance(shape.right, Forall)):
-                return fail(k, "generalization concludes A > all x. B")
-            if just.eigen.sort != shape.right.var.sort:
-                return fail(k, "generalization eigenvariable has the wrong sort")
+            q = getattr(shape, rule.side) if isinstance(shape, Imp) else None
+            if not isinstance(q, rule.binder):
+                return fail(k, f"{rule.name} concludes {rule.shape}")
+            if just.eigen.sort != q.var.sort:
+                return fail(k, f"{rule.name} eigenvariable has the wrong sort")
             if just.eigen in free_variables(shape):
                 return fail(k, f"eigenvariable {just.eigen} is free in the conclusion")
-            expected = Imp(
-                shape.left,
-                apply_substitution(shape.right.body, {shape.right.var: just.eigen}),
-            )
+            expected = rule.premise(shape, just.eigen)
             if not alpha_equal(proof.lines[just.ref - 1].prop, expected):
-                return fail(k, f"generalization premise should be {expected}")
-        elif isinstance(just, PartLine):
-            if not 1 <= just.ref <= k:
-                return fail(k, "particularization must reference an earlier line")
-            shape = line.prop
-            if not (isinstance(shape, Imp) and isinstance(shape.left, Exists)):
-                return fail(k, "particularization concludes (ex x. B) > A")
-            if just.eigen.sort != shape.left.var.sort:
-                return fail(k, "particularization eigenvariable has the wrong sort")
-            if just.eigen in free_variables(shape):
-                return fail(k, f"eigenvariable {just.eigen} is free in the conclusion")
-            expected = Imp(
-                apply_substitution(shape.left.body, {shape.left.var: just.eigen}),
-                shape.right,
-            )
-            if not alpha_equal(proof.lines[just.ref - 1].prop, expected):
-                return fail(k, f"particularization premise should be {expected}")
+                return fail(k, f"{rule.name} premise should be {expected}")
         elif isinstance(just, HypLine):
             if not open_hypotheses:
                 return fail(k, f"hypothesis line [{just.label}] in a closed proof")

@@ -17,7 +17,7 @@ walkers, the translators and the file format all read that table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .rewriting import (
@@ -467,25 +467,36 @@ def uses_hyp(p: Proof, label: str) -> bool:
     return False
 
 
-def map_proof(p: Proof, fn: Callable[[Proof], Proof]) -> Proof:
-    """Rebuild ``p`` bottom-up: each node, with its premises already rebuilt,
-    is replaced by ``fn(node)``.  Premises are visited in field order, and the
-    walk keeps its own stack, so it reaches any depth."""
-    done: list[Proof] = []
+def fold_proof(p: Proof, fn: Callable[[Proof, list], object]):
+    """Walk ``p`` bottom-up, giving each node's result as ``fn(node, results)``,
+    where ``results`` are its premises' results in field order.  The walk
+    keeps its own stack, so it reaches any depth."""
+    done: list = []
     stack: list[tuple[Proof, bool]] = [(p, False)]
     while stack:
         node, ready = stack.pop()
-        names = KINDS[type(node)].premises
+        kind = KINDS.get(type(node))
+        names = () if kind is None else kind.premises
         if not ready:
             stack.append((node, True))
             stack.extend((getattr(node, name), False) for name in reversed(names))
             continue
-        if names:
-            rebuilt = done[len(done) - len(names):]
-            del done[len(done) - len(names):]
-            node = replace(node, **dict(zip(names, rebuilt)))
-        done.append(fn(node))
+        cut = len(done) - len(names)
+        results = done[cut:]
+        del done[cut:]
+        done.append(fn(node, results))
     return done[0]
+
+
+def map_proof(p: Proof, fn: Callable[[Proof], Proof]) -> Proof:
+    """Rebuild ``p`` bottom-up: each node, with its premises already rebuilt,
+    is replaced by ``fn(node)``.  Premises are visited in field order."""
+
+    def rebuild(node: Proof, parts: list[Proof]) -> Proof:
+        names = KINDS[type(node)].premises
+        return fn(replace(node, **dict(zip(names, parts))) if names else node)
+
+    return fold_proof(p, rebuild)
 
 
 def nd_length(p: Proof) -> int:
@@ -573,7 +584,7 @@ def check_nd(
     ctx = _Ctx(assumptions, system, mode, fuel)
     length = nd_length(proof)
     try:
-        open_hyps, _ = _check(proof, ctx)
+        open_hyps, _ = fold_proof(proof, partial(_check, ctx))
     except CheckFailure as exc:
         return Verdict(False, length, str(exc), ctx.steps)
     except RecursionError:
@@ -599,8 +610,11 @@ def _discharge(
     return remaining
 
 
-def _check(p: Proof, ctx: _Ctx) -> tuple[list[tuple[str, Proposition]], list[Proposition]]:
-    """Returns (open hypotheses, assumption propositions) of the subtree."""
+def _check(
+    ctx: _Ctx, p: Proof, results: list[tuple[list, list]]
+) -> tuple[list[tuple[str, Proposition]], list[Proposition]]:
+    """Check one node, given the open hypotheses and assumption propositions of
+    each premise's subtree; returns those of the node's subtree."""
     if isinstance(p, Hyp):
         return [(p.label, p.prop)], []
     if isinstance(p, Assume):
@@ -614,9 +628,7 @@ def _check(p: Proof, ctx: _Ctx) -> tuple[list[tuple[str, Proposition]], list[Pro
     kind = KINDS.get(type(p))
     if kind is None:
         raise CheckFailure(f"unknown proof node {p!r}")
-    opened: Opened = {}
-    for name in kind.premises:  # a plain loop: one stack frame per proof level
-        opened[name] = _check(getattr(p, name), ctx)
+    opened: Opened = dict(zip(kind.premises, results))
     if kind.before is not None:
         kind.before(p, opened)
     for ob in kind.obligations:

@@ -323,13 +323,7 @@ def congruent_auto(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = 
     return alpha_equal(p, q) or _normal_forms(p, q, system, fuel)[0]
 
 
-def congruent(
-    p: Obj,
-    q: Obj,
-    system: RewriteSystem,
-    fuel: Optional[int] = None,
-    counter: Optional[list[int]] = None,
-) -> bool:
+def congruent(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
     """Sound congruence check: joint normalization under the congruence system.
 
     A positive answer always certifies p <->* q (the two normalization traces
@@ -338,10 +332,7 @@ def congruent(
     """
     if alpha_equal(p, q):
         return True
-    joined, tp, tq = _normal_forms(p, q, system, fuel)
-    if counter is not None:
-        counter[0] += len(tp) + len(tq)
-    return joined
+    return _normal_forms(p, q, system, fuel)[0]
 
 
 def connecting_trace(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> Trace:

@@ -13,9 +13,10 @@ marked as data (a name, a sort or the bound variable) or as children (one
 subproposition, or a tuple of argument terms), and its printed text.  The
 node classes are declared from that table, each carrying its entry as the
 class attribute ``shape``, the one place every walk reads it.  Equality,
-hashing (computed once, when a node is built), printing, ``children``, size,
-positions, free variables, substitution, alpha equivalence and the structural
-walk of the sort check are derived from it.  Every traversal keeps its own stack, so
+hashing (computed once, when a node is built), printing (``str`` and the
+dataclass-style ``repr``), ``children``, size, positions, free variables,
+substitution, alpha equivalence and the structural walk of the sort check are
+derived from it.  Every traversal keeps its own stack, so
 none is limited by the interpreter's recursion depth.
 """
 
@@ -82,7 +83,10 @@ class Node:
         )
 
     def __str__(self) -> str:
-        return _show(self)
+        return _show(self, lambda x: x.shape.text(x))
+
+    def __repr__(self) -> str:
+        return _show(self, _repr_text)
 
     def __reduce__(self):
         return type(self), self.shape.values(self)  # rebuilt through __post_init__, which sets the hash
@@ -137,7 +141,7 @@ def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Call
     """A frozen node class with the fields of ``layout``; its shape is recorded in SHAPES
     and carried by the class as ``shape``."""
     cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
-                         slots=True, namespace={"__module__": __name__})
+                         repr=False, slots=True, namespace={"__module__": __name__})
     cls.shape = SHAPES[cls] = Shape(layout, text)
     return cls
 
@@ -189,7 +193,9 @@ def _equal(a: Obj, b: Obj) -> bool:
     return True
 
 
-def _show(x: Obj) -> str:
+def _show(x: Obj, text: Callable[[Obj], tuple[str, str, str]]) -> str:
+    """``x`` written with ``text``, which gives each node's texts before,
+    between and after its children."""
     out: list[str] = []
     stack: list[Union[Obj, str]] = [x]
     while stack:
@@ -197,7 +203,7 @@ def _show(x: Obj) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        before, between, after = item.shape.text(item)
+        before, between, after = text(item)
         out.append(before)
         subs = item.shape.children(item)
         if subs:
@@ -206,6 +212,24 @@ def _show(x: Obj) -> str:
                 stack += (subs[i], between)
             stack.append(subs[0])
     return "".join(out)
+
+
+def _repr_text(x: Obj) -> tuple[str, str, str]:
+    """The dataclass form ``Kind(field=value, ...)`` around the children of ``x``."""
+    shape = x.shape
+    chunks = [f"{type(x).__qualname__}("]  # the texts between children
+    for i, (name, value) in enumerate(zip(shape.names, shape.values(x))):
+        chunks[-1] += f"{', ' if i else ''}{name}="
+        if i not in shape.slots:
+            chunks[-1] += repr(value)  # data; a bound variable has no children
+        elif not shape.variadic:
+            chunks.append("")
+        else:  # a tuple of arguments
+            chunks[-1] += "("
+            chunks += [", "] * (len(value) - 1) + [""] if value else []
+            chunks[-1] += ",)" if len(value) == 1 else ")"
+    chunks[-1] += ")"
+    return chunks[0], chunks[1] if len(chunks) > 2 else "", chunks[-1]
 
 
 def neg(p: Proposition) -> Proposition:
@@ -490,10 +514,6 @@ def apply_substitution(x: Obj, sub: Substitution) -> Obj:
         else:
             done.append(node)
     return done[0]
-
-
-def subst1(x: Obj, v: Var, t: Term) -> Obj:
-    return apply_substitution(x, {v: t})
 
 
 def alpha_equal(p: Obj, q: Obj) -> bool:

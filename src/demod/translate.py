@@ -10,13 +10,18 @@ bracket-abstraction construction: an abstraction pass over proof trees,
 falling back to a line-level deduction-theorem pass after an implication
 introduction, with two pinned propositional lemmas for abstracting over the
 quantifier rules.
+
+Both directions read one table, ``ONE_PREMISE``, for the one-premise rules
+that are modus ponens with an axiom schema (and-elimination, or-introduction,
+universal elimination, existential introduction), and the description of
+gen and part in ``hilbert.QUANTIFIER_RULES``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from .fragments import fz_fragment, hha_fragment
 from .hilbert import (
@@ -24,11 +29,11 @@ from .hilbert import (
     GenLine,
     HilbertProof,
     HypLine,
-    JUSTIFICATIONS,
     Line,
     MpLine,
     PROPOSITIONAL,
     PartLine,
+    QUANTIFIER_RULES,
     SchemaInstance,
     SchemaLine,
     Template,
@@ -97,9 +102,6 @@ class NDTranslation:
     def assumption_dict(self) -> dict[str, Proposition]:
         return dict(self.assumptions)
 
-    def instance_dict(self) -> dict[str, SchemaInstance]:
-        return dict(self.instances)
-
 
 class _Gensym:
     def __init__(self, prefix: str = "t"):
@@ -111,44 +113,114 @@ class _Gensym:
 
 
 # ---------------------------------------------------------------------------
-# Classical schema templates in natural deduction
+# One-premise rules and their axiom schemata
 
-CLASSICAL = set(PROPOSITIONAL)
+
+def _avoid_capture(body: Proposition, terms: list[Term]) -> Proposition:
+    """Rename binders in body so the given terms substitute freely."""
+    clash = set()
+    for t in terms:
+        clash |= {v.name for v in free_variables(t)}
+    out = body
+    # renaming keeps every position and kind, so binders are visited outermost first
+    for pos, node in positions(body):
+        if node.shape.binder is None:
+            continue
+        q = subterm_at(out, pos)
+        if q.var.name in clash:
+            taken = clash | {v.name for v in free_variables(q.body)}
+            fresh = Var(fresh_name(q.var.name, taken), q.var.sort)
+            out = replace_at(out, type(q)(fresh, apply_substitution(q.body, {q.var: fresh})), pos)
+    return out
+
+
+def _quantifier_instance(family: str, p: Union[ForallE, ExistsI]) -> SchemaInstance:
+    """The ``UI^j`` or ``EI^j`` instance that takes ``p.body`` at ``p.term``."""
+    safe = _avoid_capture(p.body, [p.term])
+    return instance(f"{family}^{p.var.sort.level}", templates=[("A", Template((p.var,), safe))],
+                    terms=[("tau", p.term)], metavars=[("alpha", p.var)])
+
+
+@dataclass(frozen=True)
+class _OnePremise:
+    """A one-premise rule paired with its axiom schema ``premise > conclusion``,
+    used by modus ponens: the ``schemas`` (the quantifier ones by family, with
+    no level), a node's schema ``instance``, the ``premise`` that abstraction
+    composes with, and the ``node`` that an instance, whose proposition is
+    ``built``, yields over a leaf proving ``built.left``."""
+
+    schemas: tuple[str, ...]
+    instance: Callable[[Proof], SchemaInstance]
+    premise: Callable[[Proof], Proposition]
+    node: Callable[[SchemaInstance, Imp, Proof], Proof]
+
+
+def _sided_instance(family: str, p: Union[AndE, OrI], x: Proposition) -> SchemaInstance:
+    """The ``family-l``/``-r`` instance with ``x`` on the node's side and ``p.other`` on the other."""
+    if p.side == "left":
+        return instance(f"{family}-l", templates=[("A", x), ("B", p.other)])
+    return instance(f"{family}-r", templates=[("A", p.other), ("B", x)])
+
+
+def _sided_node(kind: type) -> Callable[[SchemaInstance, Imp, Proof], Proof]:
+    """The ``kind`` node of an ``-l``/``-r`` instance: it states the operand on its side."""
+
+    def node(inst: SchemaInstance, built: Imp, leaf: Proof) -> Proof:
+        left = inst.schema.endswith("-l")
+        other = inst.prop("B" if left else "A")
+        return kind(built.right, other=other, side="left" if left else "right", sub=leaf)
+
+    return node
+
+
+ONE_PREMISE: dict[type, _OnePremise] = {
+    AndE: _OnePremise(
+        ("proj-l", "proj-r"),
+        lambda p: _sided_instance("proj", p, p.conclusion),
+        lambda p: conclusion_of(p.sub),
+        _sided_node(AndE),
+    ),
+    OrI: _OnePremise(
+        ("inj-l", "inj-r"),
+        lambda p: _sided_instance("inj", p, conclusion_of(p.sub)),
+        lambda p: conclusion_of(p.sub),
+        _sided_node(OrI),
+    ),
+    ForallE: _OnePremise(
+        ("UI",),
+        lambda p: _quantifier_instance("UI", p),
+        lambda p: Forall(p.var, p.body),
+        lambda inst, built, leaf: ForallE(
+            built.right, var=built.left.var, body=built.left.body, term=inst.term("tau"), sub=leaf
+        ),
+    ),
+    ExistsI: _OnePremise(
+        ("EI",),
+        lambda p: _quantifier_instance("EI", p),
+        lambda p: conclusion_of(p.sub),
+        lambda inst, built, leaf: ExistsI(
+            built.right, var=built.right.var, body=built.right.body, term=inst.term("tau"), sub=leaf
+        ),
+    ),
+}
+
+_ONE_PREMISE_SCHEMAS = {name: rule for rule in ONE_PREMISE.values() for name in rule.schemas}
+
+
+# ---------------------------------------------------------------------------
+# Classical schema templates in natural deduction
 
 
 def _classical_proof(inst: SchemaInstance, cat: Catalogue, lab: _Gensym) -> Optional[Proof]:
     name = inst.schema
-    if name in PROPOSITIONAL:
-        wanted, _ = PROPOSITIONAL[name]
-        props = [inst.prop(n) for n in wanted]
-        return _PROP_TEMPLATES[name](lab, *props)
-    if name.startswith("UI^"):
-        tmpl = inst.template("A")
-        alpha = inst.metavar("alpha", Var("a", tmpl.arity[0]))
-        tau = inst.term("tau")
-        l = lab()
-        closure = Forall(alpha, tmpl.apply([alpha]))
-        body = tmpl.apply([alpha])
-        return ImpI(
-            Imp(closure, tmpl.apply([tau])),
-            hyp=closure,
-            label=l,
-            sub=ForallE(tmpl.apply([tau]), var=alpha, body=body, term=tau, sub=Hyp(l, closure)),
-        )
-    if name.startswith("EI^"):
-        tmpl = inst.template("A")
-        alpha = inst.metavar("alpha", Var("a", tmpl.arity[0]))
-        tau = inst.term("tau")
-        l = lab()
-        at_tau = tmpl.apply([tau])
-        closure = Exists(alpha, tmpl.apply([alpha]))
-        return ImpI(
-            Imp(at_tau, closure),
-            hyp=at_tau,
-            label=l,
-            sub=ExistsI(closure, var=alpha, body=tmpl.apply([alpha]), term=tau, sub=Hyp(l, at_tau)),
-        )
-    return None
+    if name in _PROP_TEMPLATES:
+        return _PROP_TEMPLATES[name](lab, *(inst.prop(n) for n in PROPOSITIONAL[name][0]))
+    rule = _ONE_PREMISE_SCHEMAS.get(name.partition("^")[0])
+    if rule is None:
+        return None
+    built = cat.instantiate(inst)
+    l = lab()
+    return ImpI(built, hyp=built.left, label=l, sub=rule.node(inst, built, Hyp(l, built.left)))
 
 
 def _imp_chain(lab: _Gensym, hyps: list[Proposition], body_of: Callable[..., Proof]) -> Proof:
@@ -190,33 +262,11 @@ def _t_b(lab, a, b, c):
     return _imp_chain(lab, [Imp(a, b), Imp(b, c), a], body)
 
 
-def _t_proj(side):
-    def build(lab, a, b):
-        conc = a if side == "left" else b
-        other = b if side == "left" else a
-        return _imp_chain(
-            lab, [And(a, b)], lambda p: AndE(conc, other=other, side=side, sub=p)
-        )
-
-    return build
-
-
 def _t_pair(lab, a, b, c):
     def body(f, g, x):
         return AndI(And(b, c), ImpE(b, minor=x, major=f), ImpE(c, minor=x, major=g))
 
     return _imp_chain(lab, [Imp(a, b), Imp(a, c), a], body)
-
-
-def _t_inj(side):
-    def build(lab, a, b):
-        prem = a if side == "left" else b
-        other = b if side == "left" else a
-        return _imp_chain(
-            lab, [prem], lambda x: OrI(Or(a, b), other=other, side=side, sub=x)
-        )
-
-    return build
 
 
 def _t_case(lab, a, b, c):
@@ -256,11 +306,7 @@ _PROP_TEMPLATES: dict[str, Callable[..., Proof]] = {
     "W": _t_w,
     "C": _t_c,
     "B": _t_b,
-    "proj-l": _t_proj("left"),
-    "proj-r": _t_proj("right"),
     "pair": _t_pair,
-    "inj-l": _t_inj("left"),
-    "inj-r": _t_inj("right"),
     "case": _t_case,
     "contradiction": _t_contradiction,
     "efsq": _t_efsq,
@@ -318,6 +364,9 @@ def _hilbert_to_nd_engine(
     cat: Catalogue,
     leaf_handler: Callable[[SchemaInstance, Proposition], Proof],
 ) -> Proof:
+    verdict = check_hilbert(proof, cat)
+    if not verdict.ok:
+        raise TranslationError(f"input does not check: {verdict.error}")
     lab = _Gensym("g")
     fresh_count = itertools.count(1)
 
@@ -336,52 +385,33 @@ def _hilbert_to_nd_engine(
             return leaf_handler(j.instance, line.prop)
         if isinstance(j, MpLine):
             return ImpE(line.prop, minor=tree(lines, j.minor - 1), major=tree(lines, j.major - 1))
-        if isinstance(j, GenLine):
+        if isinstance(j, (GenLine, PartLine)):
+            rule = QUANTIFIER_RULES[type(j)]
             shape = line.prop
-            assert isinstance(shape, Imp) and isinstance(shape.right, Forall)
+            q = getattr(shape, rule.side)
             fresh = Var(f"e{next(fresh_count)}", j.eigen.sort)
             renamed = _rename_lines(lines[: j.ref], j.eigen, fresh)
             prem = tree(renamed, j.ref - 1)
             _check_eigen_clear(prem, fresh)
+            x_y = rule.premise(shape, fresh)  # the premise, applied to a hypothesis of its left side
             l = lab()
-            body_inst = apply_substitution(shape.right.body, {shape.right.var: fresh})
-            e1 = ImpE(body_inst, minor=Hyp(l, shape.left), major=prem)
-            e2 = ForallI(shape.right, var=shape.right.var, body=shape.right.body, eigen=fresh, sub=e1)
+            if rule.binder is Forall:
+                e1 = ImpE(x_y.right, minor=Hyp(l, x_y.left), major=prem)
+                e2 = ForallI(shape.right, var=q.var, body=q.body, eigen=fresh, sub=e1)
+            else:
+                lw = lab()
+                e1 = ImpE(x_y.right, minor=Hyp(lw, x_y.left), major=prem)
+                e2 = ExistsE(shape.right, var=q.var, body=q.body, eigen=fresh, label=lw,
+                             major=Hyp(l, shape.left), sub=e1)
             return ImpI(shape, hyp=shape.left, label=l, sub=e2)
-        if isinstance(j, PartLine):
-            shape = line.prop
-            assert isinstance(shape, Imp) and isinstance(shape.left, Exists)
-            fresh = Var(f"e{next(fresh_count)}", j.eigen.sort)
-            renamed = _rename_lines(lines[: j.ref], j.eigen, fresh)
-            prem = tree(renamed, j.ref - 1)
-            _check_eigen_clear(prem, fresh)
-            lm, lw = lab(), lab()
-            body_inst = apply_substitution(shape.left.body, {shape.left.var: fresh})
-            e1 = ImpE(shape.right, minor=Hyp(lw, body_inst), major=prem)
-            e2 = ExistsE(
-                shape.right,
-                var=shape.left.var,
-                body=shape.left.body,
-                eigen=fresh,
-                label=lw,
-                major=Hyp(lm, shape.left),
-                sub=e1,
-            )
-            return ImpI(shape, hyp=shape.left, label=lm, sub=e2)
         raise TranslationError(f"cannot translate line justification {j!r}")
 
     return tree(proof.lines, len(proof.lines) - 1)
 
 
-AXIOM_SCHEMATA = ("refl", "leibniz", "zero-ne-s", "inj-s", "onto-s", "plus-zero", "plus-s", "times-zero", "times-s", "ind")
-
-
 def hilbert_to_nd(proof: HilbertProof, cat: Catalogue) -> NDTranslation:
     """Pure natural deduction, keeping identity/arithmetic/induction/
     comprehension instances as named assumptions."""
-    verdict = check_hilbert(proof, cat)
-    if not verdict.ok:
-        raise TranslationError(f"input does not check: {verdict.error}")
     counter = itertools.count(1)
     assumptions: dict[str, Proposition] = {}
     instances: dict[str, SchemaInstance] = {}
@@ -398,9 +428,6 @@ def hilbert_to_nd(proof: HilbertProof, cat: Catalogue) -> NDTranslation:
 
 def zi_hilbert_to_fz_modulo(proof: HilbertProof, cat: Catalogue) -> NDTranslation:
     """Natural deduction modulo the class system, assumptions within FZ."""
-    verdict = check_hilbert(proof, cat)
-    if not verdict.ok:
-        raise TranslationError(f"input does not check: {verdict.error}")
     fz = fz_axioms().as_dict()
     used: dict[str, Proposition] = {}
 
@@ -438,26 +465,12 @@ class _Buf:
         return len(self.lines)
 
     def schema(self, name: str, props: list[tuple[str, Proposition]]) -> int:
-        inst = instance(name, templates=props)
-        _, build = PROPOSITIONAL[name]
-        wanted = PROPOSITIONAL[name][0]
+        wanted, build = PROPOSITIONAL[name]
         got = dict(props)
-        prop = build(*(got[n] for n in wanted))
-        return self.add(SchemaLine(inst), prop)
+        return self.add(SchemaLine(instance(name, templates=props)), build(*(got[n] for n in wanted)))
 
     def line(self, k: int) -> Line:
         return self.lines[k - 1]
-
-    def extend_from(self, other: "_Buf") -> dict[int, int]:
-        offset = len(self.lines)
-        remap = {}
-        for idx, line in enumerate(other.lines, start=1):
-            j = line.just
-            layout = JUSTIFICATIONS[type(j)].layout
-            refs = {name: getattr(j, name) + offset for name, kind in layout if kind == "line"}
-            self.lines.append(Line(_dc_replace(j, **refs) if refs else j, line.prop))
-            remap[idx] = idx + offset
-        return remap
 
 
 def _pi1(buf: _Buf, a: Proposition, b: Proposition, c: Proposition) -> int:
@@ -523,34 +536,6 @@ def _mp_abs_block(buf: _Buf, m_minor: int, m_major: int, a: Proposition, p: Prop
     return buf.add(MpLine(c5, c6), Imp(a, q))
 
 
-def _avoid_capture(body: Proposition, terms: list[Term]) -> Proposition:
-    """Rename binders in body so the given terms substitute freely."""
-    clash = set()
-    for t in terms:
-        clash |= {v.name for v in free_variables(t)}
-    out = body
-    # renaming keeps every position and kind, so binders are visited outermost first
-    for pos, node in positions(body):
-        if node.shape.binder is None:
-            continue
-        q = subterm_at(out, pos)
-        if q.var.name in clash:
-            taken = clash | {v.name for v in free_variables(q.body)}
-            fresh = Var(fresh_name(q.var.name, taken), q.var.sort)
-            out = replace_at(out, type(q)(fresh, apply_substitution(q.body, {q.var: fresh})), pos)
-    return out
-
-
-def _quantifier_instance(kind: str, var: Var, body: Proposition, term: Term) -> SchemaInstance:
-    safe = _avoid_capture(body, [term])
-    return instance(
-        f"{kind}^{var.sort.level}",
-        templates=[("A", Template((var,), safe))],
-        terms=[("tau", term)],
-        metavars=[("alpha", var)],
-    )
-
-
 class _NdToHilbert:
     def __init__(self, cat: Catalogue, instances: Mapping[str, SchemaInstance]):
         self.cat = cat
@@ -574,6 +559,12 @@ class _NdToHilbert:
             )
         if isinstance(p, ImpI):
             return self.abstract_tree(p.sub, p.hyp, p.label, buf)
+        rule = ONE_PREMISE.get(type(p))
+        if rule is not None:
+            m = self.tree(p.sub, buf)
+            inst = rule.instance(p)
+            k = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
+            return buf.add(MpLine(m, k), p.conclusion)
         if isinstance(p, ImpE):
             m1 = self.tree(p.minor, buf)
             m2 = self.tree(p.major, buf)
@@ -590,21 +581,6 @@ class _NdToHilbert:
             k5 = buf.add(MpLine(k3, k4), Imp(Imp(a, b), Imp(a, And(a, b))))
             k6 = buf.add(MpLine(k2, k5), Imp(a, And(a, b)))
             return buf.add(MpLine(m1, k6), p.conclusion)
-        if isinstance(p, AndE):
-            sub_c = conclusion_of(p.sub)
-            m = self.tree(p.sub, buf)
-            schema = "proj-l" if p.side == "left" else "proj-r"
-            left = p.conclusion if p.side == "left" else p.other
-            right = p.other if p.side == "left" else p.conclusion
-            k = buf.schema(schema, [("A", left), ("B", right)])
-            return buf.add(MpLine(m, k), p.conclusion)
-        if isinstance(p, OrI):
-            m = self.tree(p.sub, buf)
-            schema = "inj-l" if p.side == "left" else "inj-r"
-            left = conclusion_of(p.sub) if p.side == "left" else p.other
-            right = p.other if p.side == "left" else conclusion_of(p.sub)
-            k = buf.schema(schema, [("A", left), ("B", right)])
-            return buf.add(MpLine(m, k), p.conclusion)
         if isinstance(p, OrE):
             m1 = self.tree(p.major, buf)
             ml = self.abstract_tree(p.sub_left, p.left, p.label_left, buf)
@@ -622,18 +598,6 @@ class _NdToHilbert:
             k3 = buf.add(GenLine(k2, p.eigen), Imp(TRUE, p.conclusion))
             k4 = buf.add(SchemaLine(instance("T")), TRUE)
             return buf.add(MpLine(k4, k3), p.conclusion)
-        if isinstance(p, ForallE):
-            m = self.tree(p.sub, buf)
-            inst = _quantifier_instance("UI", p.var, p.body, p.term)
-            built = self.cat.instantiate(inst)
-            k = buf.add(SchemaLine(inst), built)
-            return buf.add(MpLine(m, k), p.conclusion)
-        if isinstance(p, ExistsI):
-            m = self.tree(p.sub, buf)
-            inst = _quantifier_instance("EI", p.var, p.body, p.term)
-            built = self.cat.instantiate(inst)
-            k = buf.add(SchemaLine(inst), built)
-            return buf.add(MpLine(m, k), p.conclusion)
         if isinstance(p, ExistsE):
             m1 = self.tree(p.major, buf)
             hyp_prop = apply_substitution(p.body, {p.var: p.eigen})
@@ -670,6 +634,15 @@ class _NdToHilbert:
             m1 = self.abstract_tree(p.minor, a, label, buf)
             m2 = self.abstract_tree(p.major, a, label, buf)
             return _mp_abs_block(buf, m1, m2, a, conclusion_of(p.minor), p.conclusion)
+        rule = ONE_PREMISE.get(type(p))
+        if rule is not None:
+            inst = rule.instance(p)
+            k1 = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
+            prem = rule.premise(p)
+            m = self.abstract_tree(p.sub, a, label, buf)
+            k2 = buf.schema("B", [("A", a), ("B", prem), ("C", p.conclusion)])
+            k3 = buf.add(MpLine(m, k2), Imp(Imp(prem, p.conclusion), target))
+            return buf.add(MpLine(k1, k3), target)
         if isinstance(p, AndI):
             b, c = conclusion_of(p.left), conclusion_of(p.right)
             m1 = self.abstract_tree(p.left, a, label, buf)
@@ -677,26 +650,6 @@ class _NdToHilbert:
             k = buf.schema("pair", [("A", a), ("B", b), ("C", c)])
             k2 = buf.add(MpLine(m1, k), Imp(Imp(a, c), Imp(a, And(b, c))))
             return buf.add(MpLine(m2, k2), Imp(a, And(b, c)))
-        if isinstance(p, AndE):
-            sub_c = conclusion_of(p.sub)
-            left = p.conclusion if p.side == "left" else p.other
-            right = p.other if p.side == "left" else p.conclusion
-            schema = "proj-l" if p.side == "left" else "proj-r"
-            k1 = buf.schema(schema, [("A", left), ("B", right)])
-            m = self.abstract_tree(p.sub, a, label, buf)
-            k2 = buf.schema("B", [("A", a), ("B", sub_c), ("C", p.conclusion)])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(sub_c, p.conclusion), target))
-            return buf.add(MpLine(k1, k3), target)
-        if isinstance(p, OrI):
-            sub_c = conclusion_of(p.sub)
-            left = sub_c if p.side == "left" else p.other
-            right = p.other if p.side == "left" else sub_c
-            schema = "inj-l" if p.side == "left" else "inj-r"
-            k1 = buf.schema(schema, [("A", left), ("B", right)])
-            m = self.abstract_tree(p.sub, a, label, buf)
-            k2 = buf.schema("B", [("A", a), ("B", sub_c), ("C", p.conclusion)])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(sub_c, p.conclusion), target))
-            return buf.add(MpLine(k1, k3), target)
         if isinstance(p, OrE):
             d = p.conclusion
             bufl = _Buf()
@@ -720,22 +673,6 @@ class _NdToHilbert:
         if isinstance(p, ForallI):
             m = self.abstract_tree(p.sub, a, label, buf)
             return buf.add(GenLine(m, p.eigen), target)
-        if isinstance(p, ForallE):
-            inst = _quantifier_instance("UI", p.var, p.body, p.term)
-            k1 = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
-            m = self.abstract_tree(p.sub, a, label, buf)
-            closure = Forall(p.var, p.body)
-            k2 = buf.schema("B", [("A", a), ("B", closure), ("C", p.conclusion)])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(closure, p.conclusion), target))
-            return buf.add(MpLine(k1, k3), target)
-        if isinstance(p, ExistsI):
-            inst = _quantifier_instance("EI", p.var, p.body, p.term)
-            k1 = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
-            sub_c = conclusion_of(p.sub)
-            m = self.abstract_tree(p.sub, a, label, buf)
-            k2 = buf.schema("B", [("A", a), ("B", sub_c), ("C", p.conclusion)])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(sub_c, p.conclusion), target))
-            return buf.add(MpLine(k1, k3), target)
         if isinstance(p, ExistsE):
             c = p.conclusion
             hyp_prop = apply_substitution(p.body, {p.var: p.eigen})
@@ -813,10 +750,7 @@ def nd_to_hilbert(
     assumptions that are schema instances named by ``instances``.
     """
     instances = dict(instances)
-    assumptions = {}
-    for name, inst in instances.items():
-        assumptions[name] = cat.instantiate(inst)
-    verdict = check_nd(proof, assumptions=assumptions)
+    verdict = check_nd(proof, assumptions={name: cat.instantiate(inst) for name, inst in instances.items()})
     if not verdict.ok:
         raise TranslationError(f"input is not a pure closed proof: {verdict.error}")
     translator = _NdToHilbert(cat, instances)

@@ -229,3 +229,57 @@ def test_hypothesis_lines_only_when_allowed():
     lines = (Line(HypLine("h"), TRUE),)
     assert not check_hilbert(HilbertProof(lines), CAT2).ok
     assert check_hilbert(HilbertProof(lines), CAT2, open_hypotheses=True).ok
+
+
+def test_robinson_instances_are_built_once():
+    inst = instance("zero-ne-s")
+    assert CAT2.instantiate(inst) is CAT2.instantiate(inst)
+
+
+def _quantifier_proof(rule, eigen, conclusion, ref=None):
+    """A proof whose last line is gen or part from K(true, b = b) : true > (b = b > true)."""
+    b = var0("b")
+    k = schema_line(instance("K", templates=[("A", TRUE), ("B", eq(b, b))]),
+                    Imp(TRUE, Imp(eq(b, b), TRUE)))
+    if rule is gen:
+        return HilbertProof((k, gen(ref or 1, eigen, conclusion)))
+    lines = (k, schema_line(instance("T"), TRUE), mp(2, 1, Imp(eq(b, b), TRUE)))
+    return HilbertProof(lines + (part(ref or 3, eigen, conclusion),))
+
+
+_a, _b = var0("a"), var0("b")
+_GEN_OK = Imp(TRUE, Forall(_a, Imp(eq(_a, _a), TRUE)))
+_PART_OK = Imp(Exists(_a, eq(_a, _a)), TRUE)
+
+
+@pytest.mark.parametrize(
+    "rule, eigen, conclusion, ref, error",
+    [
+        (gen, _b, _GEN_OK, None, None),
+        (gen, _b, _GEN_OK, 2, "line 2: generalization must reference an earlier line"),
+        (gen, _b, Imp(Forall(_a, eq(_a, _a)), TRUE), None,
+         "line 2: generalization concludes A > all x. B"),
+        (gen, Var("b", arith(1)), _GEN_OK, None,
+         "line 2: generalization eigenvariable has the wrong sort"),
+        (gen, _b, Imp(eq(_b, _b), Forall(_a, Imp(eq(_a, _a), TRUE))), None,
+         "line 2: eigenvariable b:0 is free in the conclusion"),
+        (gen, var0("c"), _GEN_OK, None,
+         "line 2: generalization premise should be (true > (=(c:0, c:0) > true))"),
+        (part, _b, _PART_OK, None, None),
+        (part, _b, _PART_OK, 4, "line 4: particularization must reference an earlier line"),
+        (part, _b, Imp(TRUE, Exists(_a, eq(_a, _a))), None,
+         "line 4: particularization concludes (ex x. B) > A"),
+        (part, Var("b", arith(1)), _PART_OK, None,
+         "line 4: particularization eigenvariable has the wrong sort"),
+        (part, _b, Imp(Exists(_a, eq(_a, _a)), eq(_b, _b)), None,
+         "line 4: eigenvariable b:0 is free in the conclusion"),
+        (part, var0("c"), _PART_OK, None,
+         "line 4: particularization premise should be (=(c:0, c:0) > true)"),
+    ],
+    ids=["gen-ok", "gen-ref", "gen-shape", "gen-sort", "gen-free", "gen-premise",
+         "part-ok", "part-ref", "part-shape", "part-sort", "part-free", "part-premise"],
+)
+def test_gen_and_part_errors(rule, eigen, conclusion, ref, error):
+    proof = _quantifier_proof(rule, eigen, conclusion, ref)
+    v = check_hilbert(proof, CAT2)
+    assert (v.ok, v.length, v.error) == (error is None, len(proof.lines), error)

@@ -277,3 +277,13 @@ def test_nd_length_counts_inferences_only():
     assert nd_length(Hyp("i", A)) == 0
     two = ImpI(Imp(B, A), hyp=B, label="i", sub=OrI(A, A, "right", Hyp("i", B)))
     assert nd_length(two) == 2
+
+
+def test_deep_proof_checks_without_recursion():
+    # a chain of 10,000 and-introductions, each taken apart again, over true
+    p = TopI(TRUE)
+    for _ in range(10_000):
+        p = AndE(TRUE, other=TRUE, side="left", sub=AndI(And(TRUE, TRUE), p, TopI(TRUE)))
+    v = check_nd(p)
+    assert v.ok, v.error
+    assert v.length == 3 * 10_000 + 1

@@ -543,3 +543,19 @@ def _flat_size(obj):
         elif isinstance(node, (Forall, Exists)):
             stack.append(node.body)
     return count
+
+
+def test_repr_is_the_dataclass_form_at_any_depth():
+    sort = "Sort(kind='arith', level=0)"
+    var_x = f"Var(name='x', sort={sort})"
+    assert repr(x) == var_x
+    assert repr(FALSE) == "Falsum()"
+    assert repr(Atom("Q", ())) == "Atom(pred='Q', args=())"
+    assert repr(Forall(x, Imp(P(s(x)), Atom("=", (x, zero))))) == (
+        f"Forall(var={var_x}, body=Imp(left=Atom(pred='P', args=(App(fn='s', args=({var_x},), "
+        f"sort={sort}),)), right=Atom(pred='=', args=({var_x}, App(fn='0', args=(), sort={sort})))))"
+    )
+    numeral = _deep_numeral(x)[0]
+    assert repr(numeral) == "App(fn='s', args=(" * DEEP + var_x + f",), sort={sort})" * DEEP
+    chain = repr(_deep_chain(x)[0])
+    assert chain.startswith("Forall(var=Var(name='v9999', ") and chain.count("And(left=") == DEEP

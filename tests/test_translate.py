@@ -16,8 +16,10 @@ from demod.hilbert import (
     zi_axiom_schemata,
 )
 from demod.nd import (
+    AndE,
     AndI,
     Assume,
+    ExistsI,
     ForallE,
     OrE,
     ForallI,
@@ -262,6 +264,40 @@ def test_nd_to_hilbert_quantifiers():
     v = check_hilbert(out, CAT)
     assert v.ok, v.error
     assert alpha_equal(out.conclusion(), Forall(y, eq(y, y)))
+
+
+_A, _B = eq(ZERO, ZERO), eq(s_(ZERO), s_(ZERO))
+_X = var0("x")
+_REFL = CAT.instantiate(instance("refl"))
+
+
+@pytest.mark.parametrize(
+    "schema, proof",
+    [
+        ("proj-l", ImpI(Imp(And(_A, _B), _A), And(_A, _B), "h",
+                        AndE(_A, _B, "left", Hyp("h", And(_A, _B))))),
+        ("proj-r", ImpI(Imp(And(_A, _B), _B), And(_A, _B), "h",
+                        AndE(_B, _A, "right", Hyp("h", And(_A, _B))))),
+        ("inj-l", ImpI(Imp(_A, Or(_A, _B)), _A, "h", OrI(Or(_A, _B), _B, "left", Hyp("h", _A)))),
+        ("inj-r", ImpI(Imp(_B, Or(_A, _B)), _B, "h", OrI(Or(_A, _B), _A, "right", Hyp("h", _B)))),
+        ("UI^0", ForallE(_B, var=_X, body=eq(_X, _X), term=s_(ZERO), sub=Assume("r", _REFL))),
+        ("EI^0", ImpI(Imp(_A, Exists(_X, eq(_X, _X))), _A, "h",
+                      ExistsI(Exists(_X, eq(_X, _X)), var=_X, body=eq(_X, _X), term=ZERO,
+                              sub=Hyp("h", _A)))),
+    ],
+)
+def test_one_premise_rules_round_trip(schema, proof):
+    # each one-premise rule becomes its schema, and the schema becomes the rule again
+    assert check_nd(proof, assumptions={"r": _REFL}).ok
+    out = nd_to_hilbert(proof, CAT, instances={"r": instance("refl")})
+    v = check_hilbert(out, CAT)
+    assert v.ok, v.error
+    assert schema in [line.just.instance.schema for line in out.lines if isinstance(line.just, SchemaLine)]
+    assert alpha_equal(out.conclusion(), conclusion_of(proof))
+    back = hilbert_to_nd(out, CAT)
+    w = check_nd(back.proof, assumptions=back.assumption_dict())
+    assert w.ok, w.error
+    assert alpha_equal(conclusion_of(back.proof), conclusion_of(proof))
 
 
 def test_nd_to_hilbert_rejects_modulo_proofs():
