@@ -129,14 +129,6 @@ def parse_var(atom: str) -> Var:
     return Var(name, parse_sort(sort))
 
 
-def term_to_sx(t: Term) -> Sx:
-    if isinstance(t, Var):
-        return show_var(t)
-    if not t.args:
-        return t.fn
-    return [t.fn] + [term_to_sx(a) for a in t.args]
-
-
 def term_from_sx(sx: Sx, sig: Signature) -> Term:
     if isinstance(sx, str):
         if "." in sx:
@@ -155,18 +147,39 @@ _CONNECTIVES = {"and": And, "or": Or, "imp": Imp, "forall": Forall, "exists": Ex
 _TAG_OF = {cls: tag for tag, cls in _CONNECTIVES.items()}
 
 
+# each node kind's form: a leaf's whole form, or a list holding what precedes
+# the children's forms, which are appended to it
+_SX_OF = {
+    Var: show_var,
+    App: lambda t: [t.fn] if t.args else t.fn,
+    Verum: lambda p: "true",
+    Falsum: lambda p: "false",
+    Atom: lambda p: [p.pred],
+    **{cls: lambda p: [_TAG_OF[type(p)]] for cls in (And, Or, Imp)},
+    **{cls: lambda p: [_TAG_OF[type(p)], show_var(p.var)] for cls in (Forall, Exists)},
+}
+
+
+def term_to_sx(t: Union[Term, Proposition]) -> Sx:
+    """The form of a term, or of a proposition.  Each list is made when its
+    node is met and its children's forms are appended in order, from an
+    explicit stack, so any depth can be written."""
+    root: list[Sx] = []
+    stack: list[tuple[Union[Term, Proposition], list]] = [(t, root)]
+    while stack:
+        node, into = stack.pop()
+        form = _SX_OF[type(node)](node)
+        into.append(form)
+        if type(form) is list:
+            for sub in reversed(node.shape.children(node)):
+                stack.append((sub, form))
+    return root[0]
+
+
 def prop_to_sx(p: Proposition) -> Sx:
-    if isinstance(p, Verum):
-        return "true"
-    if isinstance(p, Falsum):
-        return "false"
-    if isinstance(p, Atom):
-        return [p.pred] + [term_to_sx(a) for a in p.args]
-    if isinstance(p, (And, Or, Imp)):
-        return [_TAG_OF[type(p)], prop_to_sx(p.left), prop_to_sx(p.right)]
-    if isinstance(p, (Forall, Exists)):
-        return [_TAG_OF[type(p)], show_var(p.var), prop_to_sx(p.body)]
-    raise FormatError(f"not a proposition: {p!r}")
+    if not isinstance(p, Proposition):
+        raise FormatError(f"not a proposition: {p!r}")
+    return term_to_sx(p)
 
 
 _CONNECTIVE_ARITY = {"and": 2, "or": 2, "imp": 2, "iff": 2, "not": 1, "forall": 2, "exists": 2}
@@ -333,12 +346,18 @@ def trace_from_sx(sx: Sx, sig: Signature) -> Trace:
 
 
 def proof_to_sx(p: nd.Proof) -> Sx:
+    return nd.fold_proof(p, _proof_node_to_sx)
+
+
+def _proof_node_to_sx(p: nd.Proof, premises: list[Sx]) -> Sx:
+    """The form of one proof node, given the forms of its premises."""
     kind = nd.KINDS.get(type(p))
     if kind is None:
         raise FormatError(f"cannot serialize {p!r}")
     out: list[Sx] = [kind.tag]
-    for name, field_kind in kind.layout:  # a plain loop: one stack frame per proof level
-        out.append(_FIELD_TO_SX[field_kind](getattr(p, name)))
+    written = iter(premises)
+    for name, field_kind in kind.layout:
+        out.append(next(written) if field_kind == "proof" else _FIELD_TO_SX[field_kind](getattr(p, name)))
     for slot in kind.vias:
         trace = getattr(p, slot)
         if trace is not None:
@@ -488,7 +507,6 @@ _FIELD_TO_SX = {
     "term": term_to_sx,
     "var": show_var,
     "label": lambda label: label,
-    "proof": proof_to_sx,
     "line": str,
     "instance": instance_to_sx,
 }

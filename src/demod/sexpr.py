@@ -8,7 +8,7 @@ identity up to whitespace.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 Sx = Union[str, list]
 
@@ -61,43 +61,70 @@ def parse_many(text: str) -> list[Sx]:
 
 
 def show(sx: Sx) -> str:
-    if isinstance(sx, str):
-        return sx
-    return "(" + " ".join(show(x) for x in sx) + ")"
+    """``sx`` on one line.  The walk keeps its own stack, so any depth prints."""
+    out: list[str] = []
+    stack: list[Sx] = [sx]  # forms to print, and the texts between them
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        out.append("(")
+        stack.append(")")
+        for i in range(len(x) - 1, 0, -1):
+            stack += (x[i], " ")
+        if x:
+            stack.append(x[0])
+    return "".join(out)
 
 
-def show_pretty(sx: Sx, width: int = 100) -> str:
+# Lists that would be indented deeper than this print flat, so pretty text
+# stays linear in the flat text: a deep proof would otherwise repeat its
+# nesting depth as indentation on every line.  The deepest fragment
+# (HHA times-s) needs 47 levels.
+PRETTY_DEPTH = 48
+
+
+def show_pretty(sx: Sx, width: int = 100, depth: int = PRETTY_DEPTH) -> str:
     """Print lists wider than ``width`` as their head, then one element per line.
 
-    Each element line is indented two spaces deeper than its list.  Flat
-    widths are computed once per subtree, so printing is linear in the output.
+    Each element line is indented two spaces deeper than its list.  A list
+    whose lines would be indented more than ``depth`` levels is printed flat
+    instead, so the output is at most ``depth + 1`` times ``show``'s.  Flat
+    widths are computed once per subtree, so printing is linear in the
+    output.  Both walks keep their own stacks.
     """
+    lists: list[list] = []  # every list, each before the lists inside it
+    todo = [sx] if isinstance(sx, list) else []
+    while todo:
+        x = todo.pop()
+        lists.append(x)
+        todo += [y for y in x if isinstance(y, list)]
     flat_width: dict[int, int] = {}
-
-    def measure(x: Sx) -> int:
-        if isinstance(x, str):
-            return len(x)
-        w = 2 + max(len(x) - 1, 0) + sum(measure(y) for y in x)
+    for x in reversed(lists):
+        w = 1 + len(x) if x else 2
+        for y in x:
+            w += len(y) if isinstance(y, str) else flat_width[id(y)]
         flat_width[id(x)] = w
-        return w
 
     out: list[str] = []
-
-    def emit(x: Sx, indent: str) -> None:
-        if isinstance(x, str) or flat_width[id(x)] <= width:
+    # (form, level) prints a form whose first line is indented ``level``
+    # levels; (text, None) is text between forms
+    stack: list[tuple[Sx, Optional[int]]] = [(sx, 0)]
+    while stack:
+        x, level = stack.pop()
+        if level is None:
+            out.append(x)
+        elif isinstance(x, str) or flat_width[id(x)] <= width or level >= depth:
             out.append(show(x))
-            return
-        head, *rest = x
-        out.append("(")
-        emit(head, indent)
-        inner = indent + "  "
-        for y in rest:
-            out.append("\n" + inner)
-            emit(y, inner)
-        if not rest:
-            out.append("\n" + indent)
-        out.append(")")
-
-    measure(sx)
-    emit(sx, "")
+        else:
+            head, *rest = x
+            stack.append((")", None))
+            if not rest:
+                stack.append(("\n" + "  " * level, None))
+            inner = "\n" + "  " * (level + 1)
+            for y in reversed(rest):
+                stack += ((y, level + 1), (inner, None))
+            stack.append((head, level))
+            out.append("(")
     return "".join(out)

@@ -13,11 +13,13 @@ marked as data (a name, a sort or the bound variable) or as children (one
 subproposition, or a tuple of argument terms), and its printed text.  The
 node classes are declared from that table, each carrying its entry as the
 class attribute ``shape``, the one place every walk reads it.  Equality,
-hashing (computed once, when a node is built), printing (``str`` and the
-dataclass-style ``repr``), ``children``, size, positions, free variables,
-substitution, alpha equivalence and the structural walk of the sort check are
-derived from it.  Every traversal keeps its own stack, so
-none is limited by the interpreter's recursion depth.
+hashing, printing (``str`` and the dataclass-style ``repr``), ``children``,
+size, positions, free variables, substitution, alpha equivalence and the
+structural walk of the sort check are derived from it, and so is each kind's
+constructor, which computes the hash and whether the node is ground once,
+when the node is built.  Substitution, free variables and alpha equivalence
+skip ground subterms.  Every traversal keeps its own stack, so none is limited
+by the interpreter's recursion depth.
 """
 
 from __future__ import annotations
@@ -66,13 +68,12 @@ CLASS = Sort("class")
 
 class Node:
     """A term or proposition.  Equality, hashing and printing read the node's
-    shape; the hash is computed once, when the node is built."""
+    shape.  The hash is computed once, when the node is built, and its lowest
+    bit says whether the node is ground: no variable, free or bound, occurs
+    anywhere in it.  Keeping the bit there costs no slot of its own."""
 
     __slots__ = ("_hash",)
     shape: Shape  # the kind's entry in SHAPES
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.shape.values(self)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,7 +90,7 @@ class Node:
         return _show(self, _repr_text)
 
     def __reduce__(self):
-        return type(self), self.shape.values(self)  # rebuilt through __post_init__, which sets the hash
+        return type(self), self.shape.values(self)  # rebuilt through the constructor, which sets the hash
 
 
 class Proposition(Node):
@@ -106,15 +107,15 @@ def _fields(names: Sequence[str]) -> Callable[[Obj], tuple]:
 
 class Shape:
     """One node kind: its fields in declaration order, each marked ``name``,
-    ``sort`` or ``binder`` (data, compared by value) or ``prop`` (one child)
-    or ``args`` (a tuple of argument terms, the children), and its printed
-    text, a function from the node to the texts before, between and after
-    its children."""
+    ``variable`` (a variable's own name), ``sort`` or ``binder`` (data,
+    compared by value) or ``prop`` (one child) or ``args`` (a tuple of
+    argument terms, the children), and its printed text, a function from the
+    node to the texts before, between and after its children."""
 
     def __init__(self, layout: tuple[tuple[str, str], ...], text: Callable[[Obj], tuple[str, str, str]]):
         self.text = text
         self.names = [name for name, _ in layout]
-        data = [name for name, role in layout if role in ("name", "sort", "binder")]
+        data = [name for name, role in layout if role not in ("prop", "args")]
         self.slots = tuple(i for i, (_, role) in enumerate(layout) if role in ("prop", "args"))
         self.variadic = any(role == "args" for _, role in layout)
         self.connective = any(role == "prop" for _, role in layout)
@@ -141,15 +142,38 @@ def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Call
     """A frozen node class with the fields of ``layout``; its shape is recorded in SHAPES
     and carried by the class as ``shape``."""
     cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
-                         repr=False, slots=True, namespace={"__module__": __name__})
+                         init=False, repr=False, slots=True, namespace={"__module__": __name__})
     cls.shape = SHAPES[cls] = Shape(layout, text)
+    cls.__init__ = _constructor(cls, layout)
     return cls
+
+
+def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
+    """The kind's ``__init__``, written out once: it sets each field through
+    its slot, then the hash with the ground bit in one pass over the children.
+    A variable, and a node binding one, is never ground; a child that is not
+    a node makes its parent not ground, so the walks reach it and reject it."""
+    names = [field for field, _ in layout]
+    env = {f"set_{field}": getattr(cls, field).__set__ for field in names}
+    env["set_hash"] = Node._hash.__set__
+    ground = {"prop": "g &= {}._hash", "args": "for a in {}: g &= a._hash"}
+    kids = [ground[role].format(field) for field, role in layout if role in ground]
+    body = [f"set_{field}(self, {field})" for field in names]
+    if any(role in ("variable", "binder") for _, role in layout):
+        body.append("g = 0")
+    elif kids:
+        body += ["g = 1", "try:", *(f"    {line}" for line in kids), "except AttributeError:", "    g = 0"]
+    else:
+        body.append("g = 1")
+    body.append(f"set_hash(self, hash(({''.join(f + ', ' for f in names)})) & -2 | g)")
+    exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
+    return env["__init__"]
 
 
 _BINARY = (("left", "prop"), ("right", "prop"))
 _QUANTIFIED = (("var", "binder"), ("body", "prop"))
 
-Var = _kind("Var", Node, (("name", "name"), ("sort", "sort")), lambda x: (f"{x.name}:{x.sort}", "", ""))
+Var = _kind("Var", Node, (("name", "variable"), ("sort", "sort")), lambda x: (f"{x.name}:{x.sort}", "", ""))
 App = _kind("App", Node, (("fn", "name"), ("args", "args"), ("sort", "sort")),
             lambda x: (f"{x.fn}(", ", ", ")") if x.args else (x.fn, "", ""))
 Falsum = _kind("Falsum", Proposition, (), lambda x: ("false", "", ""))
@@ -433,7 +457,7 @@ def free_variables(x: Obj) -> frozenset[Var]:
         elif isinstance(node, Var):
             if not bound.get(node):
                 free.add(node)
-        else:
+        elif not node._hash & 1:  # a ground node has no variables below it
             shape = node.shape
             if shape.binder:
                 var = getattr(node, shape.binder)
@@ -492,6 +516,9 @@ def apply_substitution(x: Obj, sub: Substitution) -> Obj:
         shape = getattr(type(node), "shape", None)
         if shape is None:
             raise SortError(f"not a term or proposition: {node!r}")
+        if node._hash & 1:  # ground: nothing below to substitute
+            done.append(node)
+            continue
         subs = shape.children(node)
         if shape.binder:
             var, body = getattr(node, shape.binder), subs[0]
@@ -518,15 +545,14 @@ def apply_substitution(x: Obj, sub: Substitution) -> Obj:
 
 def alpha_equal(p: Obj, q: Obj) -> bool:
     """Equality modulo renaming of bound variables."""
-    if p == q:
-        return True
     # each pair carries the depth of the innermost binder of each bound variable
     stack: list[tuple] = [(p, q, {}, {}, 0)]
     while stack:
         a, b, lenv, renv, depth = stack.pop()
-        if not depth and a == b:
+        ground = a._hash & b._hash & 1  # no variables below: alpha equality is equality
+        if (ground or not depth) and a == b:
             continue  # syntactic equality implies alpha equality
-        if type(a) is not type(b):
+        if ground or type(a) is not type(b):
             return False
         if isinstance(a, Var):
             li, ri = lenv.get(a), renv.get(b)
@@ -556,6 +582,8 @@ def freely_substitutable(t: Term, x: Var, p: Proposition) -> bool:
     stack = [p]
     while stack:
         q = stack.pop()
+        if q._hash & 1:
+            continue  # ground: no binder below
         shape = q.shape
         subs = shape.children(q)
         if shape.binder:

@@ -279,6 +279,23 @@ def test_nd_length_counts_inferences_only():
     assert nd_length(two) == 2
 
 
+def test_axiomatic_add_checks_at_n_2000_in_linear_time():
+    # Substitution used to walk the ground numerals of every ForallE body, so
+    # this check took 58 s; skipping ground subterms makes it about 1 s.
+    import time
+
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.theories import add_compatible_axioms
+
+    proof = gen_add_axiomatic_proof(2000)
+    start = time.monotonic()
+    v = check_nd(proof, assumptions=add_compatible_axioms().as_dict())
+    elapsed = time.monotonic() - start
+    assert v.ok, v.error
+    assert v.length == 5 * 2000 + 1
+    assert elapsed <= 10.0, f"{elapsed:.2f} s"
+
+
 def test_deep_proof_checks_without_recursion():
     # a chain of 10,000 and-introductions, each taken apart again, over true
     p = TopI(TRUE)

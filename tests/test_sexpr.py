@@ -27,7 +27,7 @@ from demod.fileformat import (
 from demod.hilbert import Template, check_hilbert, instance, schema_line, zi_axiom_schemata, HilbertProof
 from demod.nd import check_nd, witness_all
 from demod.rewriting import connecting_trace, verify_trace
-from demod.sexpr import SexprError, parse, parse_many, show, show_pretty
+from demod.sexpr import PRETTY_DEPTH, SexprError, parse, parse_many, show, show_pretty
 from demod.syntax import Exists, Forall, Imp, Or, TRUE, Var, alpha_equal, arith
 from demod.theories import (
     OrderConfig,
@@ -60,15 +60,15 @@ def test_sexpr_round_trip():
     assert parse_many("a b") == ["a", "b"]
 
 
-def _show_pretty_reference(sx, width=100):
+def _show_pretty_reference(sx, width=100, depth=PRETTY_DEPTH):
     """The printer that re-renders every subtree at every level."""
     flat = show(sx)
-    if len(flat) <= width or isinstance(sx, str):
+    if len(flat) <= width or isinstance(sx, str) or depth == 0:
         return flat
     head, *rest = sx
-    lines = [_show_pretty_reference(x, width) for x in rest]
+    lines = [_show_pretty_reference(x, width, depth - 1) for x in rest]
     body = "\n".join("  " + line.replace("\n", "\n  ") for line in lines)
-    return f"({show(head) if isinstance(head, str) else _show_pretty_reference(head, width)}\n{body})"
+    return f"({show(head) if isinstance(head, str) else _show_pretty_reference(head, width, depth)}\n{body})"
 
 
 sexprs = st.recursive(
@@ -78,11 +78,14 @@ sexprs = st.recursive(
 )
 
 
-@given(sexprs, st.integers(2, 40))
+@given(sexprs, st.integers(2, 40), st.integers(0, 8))
 @settings(max_examples=300)
-def test_show_pretty_matches_reference(sx, width):
-    assert show_pretty(sx, width) == _show_pretty_reference(sx, width)
-    assert parse_many(show_pretty(sx, width)) == [sx]
+def test_show_pretty_matches_reference(sx, width, depth):
+    text = show_pretty(sx, width, depth)
+    assert text == _show_pretty_reference(sx, width, depth)
+    assert parse_many(text) == [sx]
+    # every line is indented at most depth levels
+    assert len(text) <= (depth + 1) * len(show(sx))
 
 
 def test_show_pretty_matches_reference_on_a_large_proof():
@@ -91,6 +94,51 @@ def test_show_pretty_matches_reference_on_a_large_proof():
 
     doc = nd_proof_document(gen_add_axiomatic_proof(40))
     assert show_pretty(doc) == _show_pretty_reference(doc)
+
+
+def test_dumps_is_linear_in_the_flat_text():
+    # Indented to its full depth, this document printed 32 MB against 1.25 MB
+    # flat; PRETTY_DEPTH bounds the indentation, so the ratio is a constant.
+    from demod.bench import gen_add_axiomatic_proof
+
+    C = 4
+    doc = nd_proof_document(gen_add_axiomatic_proof(80))
+    text, flat = dumps(doc), show(doc)
+    assert len(text) <= C * len(flat)
+    assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == 2 * PRETTY_DEPTH
+    assert show(parse(text)) == flat
+
+
+def test_deep_documents_write_flat():
+    # The axiomatic n = 2,000 proof has numerals 4,000 deep under 10,001
+    # proof nodes, but its flat text grows as n^2 (about 750 MB there), so
+    # each depth is written on its own: the numerals in the modulo proof,
+    # the proof depth in a deeper proof over small propositions.
+    from demod.bench import gen_add_modulo_proof
+    from demod.nd import AndE, AndI, TopI
+    from demod.syntax import And
+
+    # the n = 2,000 modulo proof holds a numeral 4,000 deep
+    assert show(term_to_sx(numeral(4000))) == "(s " * 4000 + "0" + ")" * 4000
+    text = show(nd_proof_document(gen_add_modulo_proof(2000)))
+    assert text.count("(s ") == 8000 and show(parse(text)) == text
+
+    # 20,001 proof levels (30,001 nodes): each AndE over AndI prints as the first does
+    def chain(levels):
+        p = TopI(TRUE)
+        for _ in range(levels):
+            p = AndE(TRUE, other=TRUE, side="left", sub=AndI(And(TRUE, TRUE), p, TopI(TRUE)))
+        return nd_proof_document(p)
+
+    def body(doc):
+        return show(doc)[len("(nd-proof "):-1]
+
+    leaf = body(chain(0))
+    before, _, after = body(chain(1)).partition(leaf)
+    deep = chain(10_000)
+    text = show(deep)
+    assert text == "(nd-proof " + before * 10_000 + leaf + after * 10_000 + ")"
+    assert show(parse(dumps(deep))) == text
 
 
 def test_term_and_prop_round_trip():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,11 +254,12 @@ def _is_free_occurrence(p, pos):
 
 def test_copy_and_pickle_keep_equality_and_hash():
     samples = [x, plus(x, zero), FALSE, TRUE, P(x), And(P(x), FALSE), Or(P(x), TRUE),
-               Imp(P(zero), P(x)), Forall(x, P(x)), Exists(y, Imp(P(y), P(x)))]
+               Imp(P(zero), P(x)), Forall(x, P(x)), Exists(y, Imp(P(y), P(x))), s(zero), P(zero)]
     assert {type(q) for q in samples} == set(SHAPES)
     for q in samples:
         for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
             assert other == q and q == other and hash(other) == hash(q)
+            assert _ground(other) == _ground(q) == _ref_ground(q)
 
 
 def test_sort_of():
@@ -559,3 +561,113 @@ def test_repr_is_the_dataclass_form_at_any_depth():
     assert repr(numeral) == "App(fn='s', args=(" * DEEP + var_x + f",), sort={sort})" * DEEP
     chain = repr(_deep_chain(x)[0])
     assert chain.startswith("Forall(var=Var(name='v9999', ") and chain.count("And(left=") == DEEP
+
+
+# -- the ground bit ------------------------------------------------------------
+
+
+def _ground(obj):
+    """The bit each node stores in its cached hash."""
+    return bool(obj._hash & 1)
+
+
+def _ref_ground(obj):
+    """No variable, free or bound, anywhere in ``obj``."""
+    if isinstance(obj, Var):
+        return False
+    if isinstance(obj, (Forall, Exists)):
+        return False
+    return all(_ref_ground(c) for c in _ref_children(obj))
+
+
+def ground_terms():
+    """Terms that are often ground: numerals, sums of them, some variables."""
+    return st.recursive(
+        st.one_of(st.integers(0, 4).map(_numeral), st.sampled_from(CLASH_VARS)),
+        lambda sub: st.one_of(sub.map(s), st.tuples(sub, sub).map(lambda ab: plus(*ab))),
+        max_leaves=5,
+    )
+
+
+def _numeral(n):
+    t = zero
+    for _ in range(n):
+        t = s(t)
+    return t
+
+
+def ground_props():
+    leaves = st.one_of(ground_terms().map(P), st.tuples(ground_terms(), ground_terms()).map(lambda ab: Atom("=", ab)),
+                       st.sampled_from([FALSE, TRUE]))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda ab: And(*ab)),
+            st.tuples(sub, sub).map(lambda ab: Imp(*ab)),
+            st.tuples(st.sampled_from(CLASH_VARS), sub).map(lambda vb: Forall(*vb)),
+            st.tuples(st.sampled_from(CLASH_VARS), sub).map(lambda vb: Exists(*vb)),
+        ),
+        max_leaves=8,
+    )
+
+
+@given(st.one_of(ground_props(), ground_terms(), clash_props()))
+@settings(max_examples=300, deadline=None)
+def test_ground_bit_is_no_variable_below(obj):
+    for _, sub in positions(obj):
+        assert _ground(sub) == _ref_ground(sub)
+    for other in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert other == obj and hash(other) == hash(obj) and _ground(other) == _ground(obj)
+
+
+@given(st.one_of(
+    st.tuples(st.one_of(ground_props(), ground_terms()),
+              st.dictionaries(st.sampled_from(CLASH_VARS), ground_terms(), max_size=3)),
+    # x free under binders whose names its image mentions: binders are renamed
+    st.tuples(st.tuples(st.sampled_from(CLASH_VARS[1:]), ground_props()).map(lambda vb: Forall(*vb)),
+              st.tuples(ground_terms(), st.sampled_from(CLASH_VARS[1:])).map(lambda tv: {x: plus(*tv)})),
+))
+@settings(max_examples=300, deadline=None)
+def test_substitution_skipping_ground_subterms_matches_the_reference(case):
+    obj, sub = case
+    got, want = apply_substitution(obj, sub), _ref_apply_substitution(obj, sub)
+    assert got == want and str(got) == _ref_str(want)
+    assert free_variables(obj) == _ref_free_variables(obj)
+    for _, part in positions(obj):
+        if _ground(part):
+            assert apply_substitution(part, sub) is part
+            assert alpha_equal(part, got) == _ref_alpha(part, got, {}, {}, 0)
+    for v, t in sub.items():
+        assert freely_substitutable(t, v, obj) == _ref_freely_substitutable(t, v, obj)
+
+
+def _ref_freely_substitutable(t, v, p):
+    if isinstance(p, (Forall, Exists)):
+        if p.var == v:
+            return True
+        if p.var in _ref_free_variables(t) and v in _ref_free_variables(p.body):
+            return False
+        return _ref_freely_substitutable(t, v, p.body)
+    return all(_ref_freely_substitutable(t, v, c) for c in _ref_children(p) if not isinstance(c, (Var, App)))
+
+
+def test_ground_skipping_makes_substitution_linear_in_the_open_part():
+    # a numeral 10,000 deep under one binder: substituting touches only the atom
+    big = _deep_numeral(zero)[0]
+    p = Forall(y, Atom("=", (big, x)))
+    assert _ground(big) and not _ground(p)
+    q = apply_substitution(p, {x: zero})
+    assert q.body.args[0] is big and q == Forall(y, Atom("=", (big, zero)))
+
+
+def test_each_node_kind_has_its_fields_and_one_cached_slot():
+    # The ground bit lives in the lowest bit of the cached hash.  One more
+    # slot per node would grow an App from 64 to 80 bytes (pymalloc rounds to
+    # 16), which raised check-files' peak RSS by 5.3 %, past its 5 % bound.
+    from demod.syntax import Node, Proposition
+
+    word = struct.calcsize("P")
+    assert Node.__slots__ == ("_hash",) and Proposition.__slots__ == ()
+    for cls, shape in SHAPES.items():
+        assert cls.__slots__ == tuple(shape.names)
+        assert cls.__basicsize__ == object.__basicsize__ + word * (len(shape.names) + 1)
