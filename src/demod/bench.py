@@ -730,6 +730,10 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
     report = BenchReport("ws-linearity")
     per_size: dict[int, dict] = {}
     worst_nested = None
+    # The loop runs by size, so a term's children, and its smaller reducts,
+    # were probed before it; a term of the largest size is never one of
+    # those, so it is not kept.
+    known: dict[Term, int] = {}
     sized = ((n, *entry) for n, bucket in _probe_terms_by_size(max_size) for entry in bucket)
     for n, term, has_redex, nested in sized:
         if nested and not include_nested:
@@ -747,7 +751,9 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
         row["count"] += 1
         if not has_redex:
             continue
-        longest = longest_derivation(term, ws)
+        longest = longest_derivation(term, ws, known=known)
+        if n < max_size:
+            known[term] = longest
         row["max_derivation"] = max(row["max_derivation"], longest)
         if longest > n:
             if nested:

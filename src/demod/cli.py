@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -226,7 +227,9 @@ def cmd_bench_growth(args) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="demod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +294,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--seed", type=int, default=2024)
     common(p, system=False)
     p.set_defaults(func=cmd_bench_growth)
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.order < 1:
         parser.error("argument --order: order parameter must be at least 1")

@@ -10,6 +10,7 @@ Parsing is signature-directed, so terms carry their sorts after reading.
 from __future__ import annotations
 
 import functools
+import gc
 from typing import Union
 
 from . import nd
@@ -98,6 +99,24 @@ def _document(what: str):
                 raise FormatError(f"{what} nested too deep to read") from None
         return read
     return wrap
+
+
+def _encoder(encode):
+    """Mark an encoder as a document entry point: the cyclic garbage collector
+    is paused while it runs and left as it was found.  An encoder only builds
+    fresh lists, none in a cycle, so a collection would free nothing, and each
+    one of the oldest generation walks every list built so far."""
+
+    @functools.wraps(encode)
+    def write(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return encode(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +241,7 @@ def term_or_prop_from_sx(sx: Sx, sig: Signature) -> Union[Term, Proposition]:
 # Signatures, rewrite systems, presentations
 
 
+@_encoder
 def signature_to_sx(sig: Signature) -> Sx:
     out: list[Sx] = ["signature", ["sorts"] + [show_sort(s) for s in sig.sorts]]
     for d in sig.fun_decls:
@@ -258,6 +278,7 @@ def _sorts(sx: Sx) -> tuple[Sort, ...]:
 FLAGS = ("terminating", "confluent")
 
 
+@_encoder
 def system_to_sx(system: RewriteSystem) -> Sx:
     out: list[Sx] = ["rules", system.name, ["flags", *(f for f in FLAGS if getattr(system, f))]]
     for r in system.rules:
@@ -286,6 +307,7 @@ def system_from_sx(sx: Sx, sig: Signature) -> RewriteSystem:
         raise FormatError(str(exc)) from None
 
 
+@_encoder
 def presentation_to_sx(pres: Presentation) -> Sx:
     out: list[Sx] = ["axioms", pres.name]
     for name, prop in pres.axioms:
@@ -387,6 +409,7 @@ def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
 _KIND_OF_TAG = {kind.tag: (cls, kind) for cls, kind in nd.KINDS.items()}
 
 
+@_encoder
 def nd_proof_document(p: nd.Proof) -> Sx:
     return ["nd-proof", proof_to_sx(p)]
 
@@ -423,6 +446,7 @@ _INSTANCE_ENTRIES = {
 }
 
 
+@_encoder
 def instance_to_sx(inst: SchemaInstance) -> Sx:
     out: list[Sx] = ["schema", inst.schema]
     for tag, (field, to_sx, _) in _INSTANCE_ENTRIES.items():
@@ -483,6 +507,7 @@ def _just_from_sx(sx: Sx, sig: Signature):
 _JUST_OF_TAG = {kind.tag: (cls, kind) for cls, kind in JUSTIFICATIONS.items()}
 
 
+@_encoder
 def hilbert_to_sx(proof: HilbertProof) -> Sx:
     out: list[Sx] = ["hilbert-proof"]
     for num, line in enumerate(proof.lines, start=1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
     App,
@@ -493,7 +493,9 @@ def check_left_linear(system: RewriteSystem) -> bool:
 # Derivational-length probe
 
 
-def longest_derivation(x: Obj, system: RewriteSystem, fuel: int = 100_000) -> int:
+def longest_derivation(
+    x: Obj, system: RewriteSystem, fuel: int = 100_000, known: Optional[Mapping[Obj, int]] = None
+) -> int:
     """Exact maximal derivation length from x, by exhaustive memoized search.
 
     Below a node whose head symbol no rule has, rewrites in different
@@ -501,17 +503,28 @@ def longest_derivation(x: Obj, system: RewriteSystem, fuel: int = 100_000) -> in
     the search adds up the children's longest derivations.  The test is on
     the head symbol alone: rewriting a child can change its head, so the
     argument shapes ``candidates`` filters on are not stable under search.
+
+    ``known`` maps objects to their exact longest derivations under this
+    same system, as earlier calls returned them; it is only read.  Every
+    subterm and every reduct the search meets is looked up in it before it
+    is split or searched, and a hit is taken as the answer without spending
+    any of ``fuel``, so with ``known`` a search may finish where it would
+    otherwise exhaust its budget.  A wrong entry gives a wrong result.
     """
     memo: dict[Obj, int] = {}
     budget = [fuel]
     heads = system._by_head
+    done = known if known is not None else {}
 
     def split(t: Obj) -> int:
         total = 0
         stack = [t]
         while stack:
             u = stack.pop()
-            if _head(u) in heads:
+            got = done.get(u)
+            if got is not None:
+                total += got
+            elif _head(u) in heads:
                 total += search(u)
             else:
                 stack.extend(children(u))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from demod import bench
 from demod.bench import (
     bench_add,
     bench_fragments,
@@ -19,6 +20,7 @@ from demod.bench import (
 )
 from demod.hilbert import check_hilbert, hilbert_length, zi_axiom_schemata
 from demod.nd import check_nd, nd_length
+from demod.rewriting import longest_derivation
 from demod.syntax import size
 from demod.theories import OrderConfig, add_compatible_axioms, add_system, build_HO
 
@@ -156,6 +158,21 @@ def test_ws_probe_small():
     ]
     assert report2.summary["nested_over_size"] == 42
     assert report2.summary["worst_nested"] == ("sub^0(sub^0(s(s(s(s(0)))), nil), nil)", 9, 10)
+
+
+@pytest.mark.parametrize("include_nested", [True, False])
+def test_ws_probe_matches_per_term_search(monkeypatch, include_nested):
+    # the reference searches every probe term on its own, without known results
+    reports = {}
+    for max_size in range(1, 9):
+        reports[max_size] = probe_ws_exhaustive(max_size, include_nested).to_json()
+
+    def per_term(term, ws, known):
+        return longest_derivation(term, ws)
+
+    monkeypatch.setattr(bench, "longest_derivation", per_term)
+    for max_size, report in reports.items():
+        assert report == probe_ws_exhaustive(max_size, include_nested).to_json()
 
 
 def test_probe_sampled_ho():

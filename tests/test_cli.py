@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from demod import cli
 from demod.cli import main
 from demod.fileformat import dumps, hilbert_to_sx, nd_proof_document
 from demod.hilbert import HilbertProof, instance, schema_line, zi_axiom_schemata
@@ -148,6 +149,39 @@ def test_order_below_one_exits_2(tmp_path, capsys):
         main(["check-hilbert", str(path), "--order", "0"])
     assert err.value.code == 2
     assert "argument --order: order parameter must be at least 1" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_successive_calls_share_one_parser(add_proof_file, tmp_path, capsys):
+    inst = instance("T")
+    line = schema_line(inst, zi_axiom_schemata(OrderConfig(1)).instantiate(inst))
+    hilbert = tmp_path / "h.sexp"
+    hilbert.write_text(dumps(hilbert_to_sx(HilbertProof((line,)))))
+    calls = [
+        ["check-nd", str(add_proof_file), "--system", "add"],
+        ["normalize", "(Add (s 0) 0 (s 0))", "--system", "add"],
+        ["frobnicate"],
+        ["check-hilbert", str(hilbert), "--order", "0"],
+        ["check-hilbert", str(hilbert)],
+        ["check-nd", str(add_proof_file), "--system", "add", "--mode", "auto"],
+    ]
+    cli._parser.cache_clear()
+    in_turn = [_outcome(argv, capsys) for argv in calls]
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(_outcome(argv, capsys))
+    assert in_turn == first
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0]
 
 
 def test_bench_add_cli(tmp_path):

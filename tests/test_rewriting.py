@@ -274,6 +274,43 @@ def test_longest_derivation_splits_on_head_not_argument_shape():
     assert longest_derivation(term, ws) == 2 == _longest_reference(term, ws)
 
 
+def test_known_results_do_not_change_the_longest_derivation():
+    import random as _r
+
+    from demod.bench import PROBE_FUNS, enumerate_probe_terms
+    from demod.theories import OrderConfig, build_WS
+
+    ws = build_WS(OrderConfig(1))
+
+    class Counted(dict):
+        hits = 0
+
+        def get(self, key, default=None):
+            got = super().get(key, default)
+            self.hits += got is not None
+            return got
+
+    known = Counted((t, longest_derivation(t, ws)) for t, _, _ in enumerate_probe_terms(7))
+    rng = _r.Random(10)
+
+    def build(sort, budget):
+        fits = [f for f in PROBE_FUNS if str(f[2]) == sort and len(f[1]) < budget]
+        name, args, result = rng.choice(fits)
+        share = (budget - 1) // max(len(args), 1)
+        return App(name, tuple(build(str(a), share) for a in args), result)
+
+    for _ in range(300):
+        t = build("0", rng.randrange(2, 14))
+        assert longest_derivation(t, ws, known=known) == longest_derivation(t, ws), t
+    assert known.hits > 100
+
+    # a hit is the answer: it spends none of the search budget
+    slow = next(t for t, _, _ in enumerate_probe_terms(7) if known[t] >= 4)
+    with pytest.raises(FuelExhausted):
+        longest_derivation(App("S^0", (slow,), arith(0)), ws, fuel=2)
+    assert longest_derivation(App("S^0", (slow,), arith(0)), ws, fuel=0, known=known) == known[slow]
+
+
 def test_candidates_keep_every_matching_rule_in_order():
     import random as _r
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +141,47 @@ def test_deep_documents_write_flat():
     text = show(deep)
     assert text == "(nd-proof " + before * 10_000 + leaf + after * 10_000 + ")"
     assert show(parse(dumps(deep))) == text
+
+
+@pytest.fixture
+def collections():
+    """The generations of the cyclic collections started while the test runs."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(note)
+    enabled = gc.isenabled()
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(note)
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_encoders_pause_the_collector(collections):
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.theories import Presentation
+
+    proof = gen_add_axiomatic_proof(40)
+    gc.enable()
+    nd_proof_document.__wrapped__(proof)  # unpaused, encoding this proof collects
+    assert collections
+    collections.clear()
+    nd_proof_document(proof)
+    assert not collections and gc.isenabled()
+
+    bad = Presentation("bad", (("a", numeral(1)),))  # a term where an axiom belongs
+    with pytest.raises(FormatError):
+        presentation_to_sx(bad)
+    assert gc.isenabled()
+    gc.disable()
+    nd_proof_document(proof)
+    with pytest.raises(FormatError):
+        presentation_to_sx(bad)
+    assert not gc.isenabled()
 
 
 def test_term_and_prop_round_trip():
