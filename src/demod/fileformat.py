@@ -51,8 +51,6 @@ from .syntax import (
 )
 from .theories import Presentation
 
-RESERVED = {"true", "false", "and", "or", "imp", "not", "iff", "forall", "exists"}
-
 
 class FormatError(Exception):
     pass
@@ -86,37 +84,23 @@ def _label(sx: Sx) -> str:
     return sx
 
 
-def _document(what: str):
-    """Mark a decoder as a document entry point: input nested deeper than the
-    recursive decoders can follow is a FormatError, not a RecursionError."""
+def _entry(fn):
+    """Mark a reader or writer as a document entry point: the cyclic garbage
+    collector is paused while it runs and left as it was found.  Reading and
+    writing build fresh lists and nodes, none in a cycle, so a collection
+    would free nothing, and each one of the oldest generation walks every
+    object built so far."""
 
-    def wrap(decode):
-        @functools.wraps(decode)
-        def read(*args):
-            try:
-                return decode(*args)
-            except RecursionError:
-                raise FormatError(f"{what} nested too deep to read") from None
-        return read
-    return wrap
-
-
-def _encoder(encode):
-    """Mark an encoder as a document entry point: the cyclic garbage collector
-    is paused while it runs and left as it was found.  An encoder only builds
-    fresh lists, none in a cycle, so a collection would free nothing, and each
-    one of the oldest generation walks every list built so far."""
-
-    @functools.wraps(encode)
-    def write(*args):
+    @functools.wraps(fn)
+    def paused(*args):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return encode(*args)
+            return fn(*args)
         finally:
             if enabled:
                 gc.enable()
-    return write
+    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +132,15 @@ def parse_var(atom: str) -> Var:
     return Var(name, parse_sort(sort))
 
 
-def term_from_sx(sx: Sx, sig: Signature) -> Term:
-    if isinstance(sx, str):
-        if "." in sx:
-            v = parse_var(sx)
-            if v.sort not in sig.sorts:
-                raise FormatError(f"variable {sx!r} has an undeclared sort")
-            return v
-        return sig.app(sx)
-    if not sx or not isinstance(sx[0], str):
-        raise FormatError(f"bad term {show(sx)}")
-    return sig.app(sx[0], *[term_from_sx(a, sig) for a in sx[1:]])
-
-
-# connectives with a class of their own; iff and not are read as abbreviations
-_CONNECTIVES = {"and": And, "or": Or, "imp": Imp, "forall": Forall, "exists": Exists}
-_TAG_OF = {cls: tag for tag, cls in _CONNECTIVES.items()}
+# each connective's tag, the function building it and its parts' field kinds;
+# iff and not are read as abbreviations, so only the classes are written
+_CONNECTIVES = {
+    **{tag: (build, ("prop", "prop")) for tag, build in (("and", And), ("or", Or), ("imp", Imp), ("iff", iff))},
+    "not": (neg, ("prop",)),
+    **{tag: (build, ("var", "prop")) for tag, build in (("forall", Forall), ("exists", Exists))},
+}
+_TAG_OF = {build: tag for tag, (build, _) in _CONNECTIVES.items() if isinstance(build, type)}
+RESERVED = {"true", "false", *_CONNECTIVES}
 
 
 # each node kind's form: a leaf's whole form, or a list holding what precedes
@@ -201,47 +178,87 @@ def prop_to_sx(p: Proposition) -> Sx:
     return term_to_sx(p)
 
 
-_CONNECTIVE_ARITY = {"and": 2, "or": 2, "imp": 2, "iff": 2, "not": 1, "forall": 2, "exists": 2}
+def _read(sx: Sx, field_kind: str, sig: Signature):
+    """The object of kind ``field_kind`` that ``sx`` writes.  The kind's step
+    in ``_STEPS`` reads one form and gives the object, or the function that
+    builds it with its parts' forms and field kinds; the parts are read first,
+    in document order.  The walk keeps its own stack, so any depth is read."""
+    done: list = []  # objects read whose parent is not built yet
+    stack: list[tuple] = [(sx, field_kind)]  # (form, field kind) to read, (build, part count) to apply
+    while stack:
+        form, kind = stack.pop()
+        if kind.__class__ is int:
+            cut = len(done) - kind
+            done[cut:] = (form(*done[cut:]),)
+            continue
+        got = _STEPS[kind](form, sig)
+        if got.__class__ is tuple:  # no object read is a tuple
+            build, parts, part_kinds = got
+            stack.append((build, len(parts)))
+            stack += zip(reversed(parts), reversed(part_kinds))
+        else:
+            done.append(got)
+    return done[0]
 
 
-def prop_from_sx(sx: Sx, sig: Signature) -> Proposition:
+def _term_step(sx: Sx, sig: Signature, apply=None):
+    """The step for a term, or, with ``apply=sig.atom``, for an atomic
+    proposition.  Atoms are read in place, so only a form with a list among
+    its arguments has parts."""
+    if isinstance(sx, str):
+        if "." not in sx:
+            return sig.app(sx)
+        v = parse_var(sx)
+        if v.sort not in sig.sorts:
+            raise FormatError(f"variable {sx!r} has an undeclared sort")
+        return v
+    if not sx or not isinstance(sx[0], str):
+        raise FormatError(f"bad term {show(sx)}")
+    apply, head, args = apply or sig.app, sx[0], sx[1:]
+    for a in args:
+        if a.__class__ is list:
+            return functools.partial(apply, head), args, ("term",) * len(args)
+    return apply(head, *[_term_step(a, sig) for a in args])
+
+
+def _prop_step(sx: Sx, sig: Signature):
     if sx == "true":
         return TRUE
     if sx == "false":
         return FALSE
     if isinstance(sx, str) or not sx or not isinstance(sx[0], str):
         raise FormatError(f"bad proposition {show(sx)}")
-    head, *rest = sx
-    arity = _CONNECTIVE_ARITY.get(head)
-    if arity is not None and len(rest) != arity:
-        raise FormatError(f"{head} takes {arity} arguments, found {len(rest)}")
-    if head in ("forall", "exists"):
-        return _CONNECTIVES[head](parse_var(rest[0]), prop_from_sx(rest[1], sig))
+    head, rest = sx[0], sx[1:]
     if head in _CONNECTIVES:
-        return _CONNECTIVES[head](prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
-    if head == "iff":
-        return iff(prop_from_sx(rest[0], sig), prop_from_sx(rest[1], sig))
-    if head == "not":
-        return neg(prop_from_sx(rest[0], sig))
+        build, kinds = _CONNECTIVES[head]
+        if len(rest) != len(kinds):
+            raise FormatError(f"{head} takes {len(kinds)} arguments, found {len(rest)}")
+        return build, rest, kinds
     if head in sig.preds:
-        return sig.atom(head, *[term_from_sx(a, sig) for a in rest])
+        return _term_step(sx, sig, sig.atom)
     raise FormatError(f"unknown proposition head {head!r}")
 
 
-@_document("expression")
+def term_from_sx(sx: Sx, sig: Signature) -> Term:
+    return _read(sx, "term", sig)
+
+
+def prop_from_sx(sx: Sx, sig: Signature) -> Proposition:
+    return _read(sx, "prop", sig)
+
+
+@_entry
 def term_or_prop_from_sx(sx: Sx, sig: Signature) -> Union[Term, Proposition]:
     """A proposition when the head is a connective or a predicate, else a term."""
     head = _tag(sx)
-    if head in RESERVED or head in sig.preds:
-        return prop_from_sx(sx, sig)
-    return term_from_sx(sx, sig)
+    return _read(sx, "prop" if head in RESERVED or head in sig.preds else "term", sig)
 
 
 # ---------------------------------------------------------------------------
 # Signatures, rewrite systems, presentations
 
 
-@_encoder
+@_entry
 def signature_to_sx(sig: Signature) -> Sx:
     out: list[Sx] = ["signature", ["sorts"] + [show_sort(s) for s in sig.sorts]]
     for d in sig.fun_decls:
@@ -251,7 +268,7 @@ def signature_to_sx(sig: Signature) -> Sx:
     return out
 
 
-@_document("signature")
+@_entry
 def signature_from_sx(sx: Sx) -> Signature:
     sorts: list[Sort] = []
     funs: list[FunDecl] = []
@@ -278,17 +295,15 @@ def _sorts(sx: Sx) -> tuple[Sort, ...]:
 FLAGS = ("terminating", "confluent")
 
 
-@_encoder
+@_entry
 def system_to_sx(system: RewriteSystem) -> Sx:
     out: list[Sx] = ["rules", system.name, ["flags", *(f for f in FLAGS if getattr(system, f))]]
-    for r in system.rules:
-        lhs = prop_to_sx(r.lhs) if isinstance(r.lhs, Atom) else term_to_sx(r.lhs)
-        rhs = prop_to_sx(r.rhs) if not isinstance(r.rhs, (Var, App)) else term_to_sx(r.rhs)
-        out.append(["rule", r.name, lhs, rhs])
+    for r in system.rules:  # a rule's sides are both terms or both propositions
+        out.append(["rule", r.name, term_to_sx(r.lhs), term_to_sx(r.rhs)])
     return out
 
 
-@_document("rules")
+@_entry
 def system_from_sx(sx: Sx, sig: Signature) -> RewriteSystem:
     name, flags_sx, *forms = _form(sx, "rules", 2, more=True)
     flags = _form(flags_sx, "flags", 0, more=True)
@@ -307,7 +322,7 @@ def system_from_sx(sx: Sx, sig: Signature) -> RewriteSystem:
         raise FormatError(str(exc)) from None
 
 
-@_encoder
+@_entry
 def presentation_to_sx(pres: Presentation) -> Sx:
     out: list[Sx] = ["axioms", pres.name]
     for name, prop in pres.axioms:
@@ -315,7 +330,7 @@ def presentation_to_sx(pres: Presentation) -> Sx:
     return out
 
 
-@_document("axioms")
+@_entry
 def presentation_from_sx(sx: Sx, sig: Signature) -> Presentation:
     name, *forms = _form(sx, "axioms", 1, more=True)
     axioms = []
@@ -387,7 +402,7 @@ def _proof_node_to_sx(p: nd.Proof, premises: list[Sx]) -> Sx:
     return out
 
 
-def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
+def _proof_step(sx: Sx, sig: Signature):
     if not (isinstance(sx, list) and sx and isinstance(sx[0], str)):
         raise FormatError(f"bad proof node {show(sx)}")
     head = sx[0]
@@ -396,25 +411,31 @@ def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
     cls, kind = _KIND_OF_TAG[head]
     n = len(kind.layout)
     forms = _form(sx, head, n, more=True)
-    fields = {}
-    for (name, field_kind), x in zip(kind.layout, forms):
-        fields[name] = _FIELD_FROM_SX[field_kind](x, sig)
-    for form in forms[n:]:
-        if not (isinstance(form, list) and form and form[0] in kind.vias):
-            raise FormatError(f"unexpected trailing form {show(form)}")
-        fields[form[0]] = trace_from_sx(["trace"] + form[1:], sig)
-    return cls(**fields)
+
+    def build(*values):
+        fields = {name: value for (name, _), value in zip(kind.layout, values)}
+        for form in forms[n:]:
+            if not (isinstance(form, list) and form and form[0] in kind.vias):
+                raise FormatError(f"unexpected trailing form {show(form)}")
+            fields[form[0]] = trace_from_sx(["trace"] + form[1:], sig)
+        return cls(**fields)
+
+    return build, forms[:n], [field_kind for _, field_kind in kind.layout]
+
+
+def proof_from_sx(sx: Sx, sig: Signature) -> nd.Proof:
+    return _read(sx, "proof", sig)
 
 
 _KIND_OF_TAG = {kind.tag: (cls, kind) for cls, kind in nd.KINDS.items()}
 
 
-@_encoder
+@_entry
 def nd_proof_document(p: nd.Proof) -> Sx:
     return ["nd-proof", proof_to_sx(p)]
 
 
-@_document("proof")
+@_entry
 def nd_proof_from_document(sx: Sx, sig: Signature) -> nd.Proof:
     if not (isinstance(sx, list) and len(sx) == 2 and sx[0] == "nd-proof"):
         raise FormatError("expected (nd-proof PROOF)")
@@ -446,7 +467,7 @@ _INSTANCE_ENTRIES = {
 }
 
 
-@_encoder
+@_entry
 def instance_to_sx(inst: SchemaInstance) -> Sx:
     out: list[Sx] = ["schema", inst.schema]
     for tag, (field, to_sx, _) in _INSTANCE_ENTRIES.items():
@@ -454,7 +475,7 @@ def instance_to_sx(inst: SchemaInstance) -> Sx:
     return out
 
 
-@_document("schema instance")
+@_entry
 def instance_from_sx(sx: Sx, sig: Signature) -> SchemaInstance:
     schema, *forms = _form(sx, "schema", 1, more=True)
     entries: dict[str, list] = {tag: [] for tag in _INSTANCE_ENTRIES}
@@ -468,7 +489,7 @@ def instance_from_sx(sx: Sx, sig: Signature) -> SchemaInstance:
     return SchemaInstance(_label(schema), **fields)
 
 
-@_document("instances")
+@_entry
 def instances_from_sx(sx: Sx, sig: Signature) -> dict[str, SchemaInstance]:
     """The named schema instances of ``(instances (NAME (schema ...)) ...)``."""
     out = {}
@@ -500,14 +521,14 @@ def _just_from_sx(sx: Sx, sig: Signature):
     cls, kind = _JUST_OF_TAG[head]
     fields = [sx] if head == "schema" else _form(sx, head, len(kind.layout))
     return cls(**{
-        name: _FIELD_FROM_SX[field_kind](x, sig) for (name, field_kind), x in zip(kind.layout, fields)
+        name: _read(x, field_kind, sig) for (name, field_kind), x in zip(kind.layout, fields)
     })
 
 
 _JUST_OF_TAG = {kind.tag: (cls, kind) for cls, kind in JUSTIFICATIONS.items()}
 
 
-@_encoder
+@_entry
 def hilbert_to_sx(proof: HilbertProof) -> Sx:
     out: list[Sx] = ["hilbert-proof"]
     for num, line in enumerate(proof.lines, start=1):
@@ -515,7 +536,7 @@ def hilbert_to_sx(proof: HilbertProof) -> Sx:
     return out
 
 
-@_document("hilbert proof")
+@_entry
 def hilbert_from_sx(sx: Sx, sig: Signature) -> HilbertProof:
     lines = []
     for expected, form in enumerate(_form(sx, "hilbert-proof", 0, more=True), start=1):
@@ -526,7 +547,8 @@ def hilbert_from_sx(sx: Sx, sig: Signature) -> HilbertProof:
     return HilbertProof(tuple(lines))
 
 
-# the field codec of proof nodes and justifications, by field kind
+# the field codec of proof nodes and justifications, by field kind: each kind's
+# writer, and its reader's step, which reads one form as ``_read`` describes
 _FIELD_TO_SX = {
     "prop": prop_to_sx,
     "term": term_to_sx,
@@ -535,12 +557,12 @@ _FIELD_TO_SX = {
     "line": str,
     "instance": instance_to_sx,
 }
-_FIELD_FROM_SX = {
-    "prop": prop_from_sx,
-    "term": term_from_sx,
+_STEPS = {
+    "prop": _prop_step,
+    "term": _term_step,
     "var": lambda sx, sig: parse_var(sx),
     "label": lambda sx, sig: _label(sx),
-    "proof": proof_from_sx,
+    "proof": _proof_step,
     "line": _line_from_sx,
     "instance": instance_from_sx,
 }
@@ -550,9 +572,11 @@ _FIELD_FROM_SX = {
 # Whole documents
 
 
+@_entry
 def dumps(sx: Sx) -> str:
     return show_pretty(sx) + "\n"
 
 
+@_entry
 def loads(text: str) -> Sx:
     return parse(text)

@@ -587,8 +587,6 @@ def check_nd(
         open_hyps, _ = fold_proof(proof, partial(_check, ctx))
     except CheckFailure as exc:
         return Verdict(False, length, str(exc), ctx.steps)
-    except RecursionError:
-        return Verdict(False, length, "proof too deep for the checker", ctx.steps)
     if open_hyps:
         labels = sorted({label for label, _ in open_hyps})
         return Verdict(False, length, f"undischarged hypotheses {labels}", ctx.steps)

@@ -256,10 +256,6 @@ def apply_redex(x: Obj, redex: Redex) -> Obj:
 Strategy = Callable[[list[Redex]], Redex]
 
 
-def leftmost_outermost(redexes: list[Redex]) -> Redex:
-    return redexes[0]
-
-
 def leftmost_innermost(redexes: list[Redex]) -> Redex:
     # negating indices makes "deeper along the leftmost spine" compare greater
     return max(redexes, key=lambda r: tuple(-i for i in r[0]))

@@ -143,6 +143,74 @@ def test_deep_documents_write_flat():
     assert show(parse(dumps(deep))) == text
 
 
+# Run in a fresh interpreter whose recursion limit is far below every depth
+# read here: a reader that recursed on the input's depth would fail.
+DEEP_READS = """
+import sys
+
+from demod import cli
+from demod.fileformat import (
+    dumps, hilbert_from_sx, hilbert_to_sx, instance_from_sx, instance_to_sx, loads, nd_proof_document,
+    nd_proof_from_document, presentation_from_sx, presentation_to_sx, system_from_sx, system_to_sx,
+    trace_from_sx, trace_to_sx,
+)
+from demod.hilbert import HilbertProof, HypLine, Line, Template, instance
+from demod.nd import AndE, AndI, TopI
+from demod.rewriting import RewriteStep, RewriteSystem, Rule, Trace
+from demod.sexpr import show
+from demod.syntax import TRUE, And, Forall, Imp, Or
+from demod.theories import Presentation, ZERO, add_atom, add_signature, numeral, var0
+
+sys.setrecursionlimit(120)
+
+def read_back(doc, decode):
+    return decode(loads(dumps(doc)), sig)
+
+assert cli.main(["check-nd", sys.argv[1], "--system", "add"]) == 0
+
+sig = add_signature()
+p = TopI(TRUE)
+for _ in range(10_000):
+    p = AndE(TRUE, other=TRUE, side="left", sub=AndI(And(TRUE, TRUE), p, TopI(TRUE)))
+doc = nd_proof_document(p)
+assert show(nd_proof_document(read_back(doc, nd_proof_from_document))) == show(doc)
+
+x, y = var0("x"), var0("y")
+deep = add_atom(x, ZERO, x)
+for i in range(5_000):
+    deep = (Imp(deep, TRUE), Forall(x, deep), Or(TRUE, deep))[i % 3]
+axioms = Presentation("deep", (("a", deep),))
+assert read_back(presentation_to_sx(axioms), presentation_from_sx) == axioms
+rules = RewriteSystem("deep", (Rule("r", add_atom(x, y, x), deep),))
+assert read_back(system_to_sx(rules), system_from_sx).rules == rules.rules
+inst = instance("A", templates=[("A", Template((x,), deep))])
+assert read_back(instance_to_sx(inst), instance_from_sx) == inst
+trace = Trace(None, None, (RewriteStep((1,), "r", ((x, numeral(5_000)),), True),))
+assert read_back(trace_to_sx(trace), trace_from_sx).steps == trace.steps
+hilbert = HilbertProof((Line(HypLine("h"), deep),))
+assert read_back(hilbert_to_sx(hilbert), hilbert_from_sx) == hilbert
+print("read")
+"""
+
+
+def test_deep_documents_read_back(tmp_path):
+    # the one-node modulo proof of Add(n, n, 2n) at n = 10,000 holds numerals
+    # 20,000 deep; the chain is the one written above, 20,001 proof levels
+    import os
+    import subprocess
+    import sys
+
+    from demod.bench import gen_add_modulo_proof
+
+    path = tmp_path / "add-10000.sexp"
+    path.write_text(dumps(nd_proof_document(gen_add_modulo_proof(10_000))))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", DEEP_READS, str(path)], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.splitlines()[-1] == "read"
+
+
 @pytest.fixture
 def collections():
     """The generations of the cyclic collections started while the test runs."""
@@ -182,6 +250,50 @@ def test_encoders_pause_the_collector(collections):
     with pytest.raises(FormatError):
         presentation_to_sx(bad)
     assert not gc.isenabled()
+
+
+def test_readers_pause_the_collector(collections, monkeypatch):
+    from demod import fileformat
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.fileformat import instances_from_sx, term_or_prop_from_sx
+
+    sig, csig = add_signature(), classes_signature(1)
+    doc = nd_proof_document(gen_add_axiomatic_proof(40))
+    gc.enable()
+    nd_proof_from_document.__wrapped__(doc, sig)  # unpaused, reading this proof collects
+    assert collections
+    collections.clear()
+    nd_proof_from_document(doc, sig)
+    assert not collections and gc.isenabled()
+
+    # each reader, on a document it reads and on one it rejects; every reader
+    # works through the parser, _form or _read, which note the collector's state
+    inst = instance_to_sx(instance("T"))
+    readers = [
+        (loads, ("(a (b))",), ("(a",)),
+        (signature_from_sx, (signature_to_sx(sig),), (["signature", ["fun"]],)),
+        (system_from_sx, (system_to_sx(add_system()), sig), (["rules"], sig)),
+        (presentation_from_sx, (presentation_to_sx(add_compatible_axioms()), sig), (["axioms"], sig)),
+        (nd_proof_from_document, (doc, sig), (["nd-proof", ["imp-e"]], sig)),
+        (instance_from_sx, (inst, csig), (["schema"], csig)),
+        (instances_from_sx, (["instances", ["r", inst]], csig), (["instances", ["r"]], csig)),
+        (hilbert_from_sx, (hilbert_to_sx(HilbertProof(())), csig), (["hilbert-proof", ["line"]], csig)),
+        (term_or_prop_from_sx, (["Add", "0", "0", "0"], sig), (["and", "true"], sig)),
+    ]
+    seen = []
+    for name in ("parse", "_form", "_read"):
+        inner = getattr(fileformat, name)
+        monkeypatch.setattr(fileformat, name,
+                            lambda *args, inner=inner, **kwargs: seen.append(gc.isenabled()) or inner(*args, **kwargs))
+    for read, good, bad in readers:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            read(*good)
+            with pytest.raises((FormatError, SexprError)):
+                read(*bad)
+            assert seen and not any(seen), read.__name__
+            assert gc.isenabled() == enabled, read.__name__
 
 
 def test_term_and_prop_round_trip():
