@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import gc
-from typing import Union
+from contextvars import ContextVar
+from typing import Optional, Union
 
 from . import nd
 from .hilbert import (
@@ -84,20 +85,29 @@ def _label(sx: Sx) -> str:
     return sx
 
 
+# the memo of the document being read, from its outermost entry point's call
+# to that call's return; see ``_tables``
+_MEMO: ContextVar[Optional[dict]] = ContextVar("_MEMO", default=None)
+
+
 def _entry(fn):
     """Mark a reader or writer as a document entry point: the cyclic garbage
     collector is paused while it runs and left as it was found.  Reading and
     writing build fresh lists and nodes, none in a cycle, so a collection
     would free nothing, and each one of the oldest generation walks every
-    object built so far."""
+    object built so far.  The outermost entry point's call also holds the
+    memo that every read inside it shares, and drops it when it returns."""
 
     @functools.wraps(fn)
     def paused(*args):
         enabled = gc.isenabled()
         gc.disable()
+        outermost = _MEMO.set({}) if _MEMO.get() is None else None
         try:
             return fn(*args)
         finally:
+            if outermost is not None:
+                _MEMO.reset(outermost)
             if enabled:
                 gc.enable()
     return paused
@@ -178,33 +188,63 @@ def prop_to_sx(p: Proposition) -> Sx:
     return term_to_sx(p)
 
 
+def _tables(sig: Signature) -> dict[str, dict]:
+    """The memo of the document being read with ``sig``: per field kind, a
+    table from an atom's text, or a list's id, to the form and the object it
+    was read as.  A list is held by its entry, so its id is not reused while
+    the memo lives."""
+    memo = _MEMO.get()
+    if memo is None:  # outside every entry point the memo lasts one read
+        return {kind: {} for kind in _STEPS}
+    entry = memo.get(id(sig))
+    if entry is None:  # the entry holds ``sig``, so its id is not reused either
+        entry = memo[id(sig)] = (sig, {kind: {} for kind in _STEPS})
+    return entry[1]
+
+
 def _read(sx: Sx, field_kind: str, sig: Signature):
     """The object of kind ``field_kind`` that ``sx`` writes.  The kind's step
     in ``_STEPS`` reads one form and gives the object, or the function that
     builds it with its parts' forms and field kinds; the parts are read first,
-    in document order.  The walk keeps its own stack, so any depth is read."""
+    in document order.  The walk keeps its own stack, so any depth is read.
+
+    Each (form, field kind) of a document is read once: later meetings take
+    the object from the memo (``_tables``), so equal sub-forms that the parser
+    shares read as one object, in time linear in the distinct forms.  Only
+    objects read are stored, so a failing read fails where it did unshared."""
+    tables = _tables(sig)
     done: list = []  # objects read whose parent is not built yet
-    stack: list[tuple] = [(sx, field_kind)]  # (form, field kind) to read, (build, part count) to apply
+    # (form, field kind) to read; ((build, table, key, form), part count) to
+    # apply and store
+    stack: list[tuple] = [(sx, field_kind)]
     while stack:
         form, kind = stack.pop()
         if kind.__class__ is int:
-            cut = len(done) - kind
-            done[cut:] = (form(*done[cut:]),)
+            (build, seen, key, form), cut = form, len(done) - kind
+            got = build(*done[cut:])
+            seen[key] = form, got
+            done[cut:] = (got,)
+            continue
+        seen = tables[kind]
+        key = form if form.__class__ is str else id(form)
+        hit = seen.get(key)
+        if hit is not None:
+            done.append(hit[1])
             continue
         got = _STEPS[kind](form, sig)
         if got.__class__ is tuple:  # no object read is a tuple
             build, parts, part_kinds = got
-            stack.append((build, len(parts)))
+            stack.append(((build, seen, key, form), len(parts)))
             stack += zip(reversed(parts), reversed(part_kinds))
         else:
+            seen[key] = form, got
             done.append(got)
     return done[0]
 
 
 def _term_step(sx: Sx, sig: Signature, apply=None):
     """The step for a term, or, with ``apply=sig.atom``, for an atomic
-    proposition.  Atoms are read in place, so only a form with a list among
-    its arguments has parts."""
+    proposition."""
     if isinstance(sx, str):
         if "." not in sx:
             return sig.app(sx)
@@ -214,11 +254,8 @@ def _term_step(sx: Sx, sig: Signature, apply=None):
         return v
     if not sx or not isinstance(sx[0], str):
         raise FormatError(f"bad term {show(sx)}")
-    apply, head, args = apply or sig.app, sx[0], sx[1:]
-    for a in args:
-        if a.__class__ is list:
-            return functools.partial(apply, head), args, ("term",) * len(args)
-    return apply(head, *[_term_step(a, sig) for a in args])
+    args = sx[1:]
+    return functools.partial(apply or sig.app, sx[0]), args, ("term",) * len(args)
 
 
 def _prop_step(sx: Sx, sig: Signature):

@@ -16,7 +16,7 @@ walkers, the translators and the file format all read that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -47,20 +47,71 @@ from .syntax import (
 from .theories import ZERO, member, s_
 
 
-@dataclass(frozen=True)
-class Hyp:
+class _Node:
+    """The base of the proof-node kinds.  Equality and ``repr`` mean what the
+    dataclass ones would (field by field in declaration order, and
+    ``Kind(field=value, ...)``), but each is one walk with its own stack over
+    the premises that ``KINDS`` names, so any depth is compared and printed.
+    The hash reads the node's own conclusion only."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.__class__ is not b.__class__:
+                return False
+            for name, premise in _FIELDS[type(a)]:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if premise and isinstance(x, _Node):
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((type(self), conclusion_of(self)))  # equal nodes state equal conclusions
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list = [self]  # nodes to print, and the texts between them
+        while stack:
+            x = stack.pop()
+            if not isinstance(x, _Node):
+                out.append(x)
+                continue
+            parts = [f"{type(x).__qualname__}("]
+            for i, (name, premise) in enumerate(_FIELDS[type(x)]):
+                value = getattr(x, name)
+                parts += (f"{', ' if i else ''}{name}=",
+                          value if premise and isinstance(value, _Node) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
+
+
+_proof_node = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_proof_node
+class Hyp(_Node):
     label: str
     prop: Proposition
 
 
-@dataclass(frozen=True)
-class Assume:
+@_proof_node
+class Assume(_Node):
     name: str
     prop: Proposition
 
 
-@dataclass(frozen=True)
-class ImpI:
+@_proof_node
+class ImpI(_Node):
     conclusion: Proposition
     hyp: Proposition
     label: str
@@ -68,24 +119,24 @@ class ImpI:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class ImpE:
+@_proof_node
+class ImpE(_Node):
     conclusion: Proposition
     minor: "Proof"
     major: "Proof"
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class AndI:
+@_proof_node
+class AndI(_Node):
     conclusion: Proposition
     left: "Proof"
     right: "Proof"
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class AndE:
+@_proof_node
+class AndE(_Node):
     conclusion: Proposition
     other: Proposition
     side: str  # which component the conclusion is
@@ -93,8 +144,8 @@ class AndE:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class OrI:
+@_proof_node
+class OrI(_Node):
     conclusion: Proposition
     other: Proposition
     side: str  # which side the premise proves
@@ -102,8 +153,8 @@ class OrI:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class OrE:
+@_proof_node
+class OrE(_Node):
     conclusion: Proposition
     left: Proposition
     right: Proposition
@@ -115,8 +166,8 @@ class OrE:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class ForallI:
+@_proof_node
+class ForallI(_Node):
     conclusion: Proposition
     var: Var
     body: Proposition
@@ -125,8 +176,8 @@ class ForallI:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class ForallE:
+@_proof_node
+class ForallE(_Node):
     conclusion: Proposition
     var: Var
     body: Proposition
@@ -136,8 +187,8 @@ class ForallE:
     via2: Optional[Trace] = None  # conclusion <->* body[term/var]
 
 
-@dataclass(frozen=True)
-class ExistsI:
+@_proof_node
+class ExistsI(_Node):
     conclusion: Proposition
     var: Var
     body: Proposition
@@ -147,8 +198,8 @@ class ExistsI:
     via2: Optional[Trace] = None  # premise <->* body[term/var]
 
 
-@dataclass(frozen=True)
-class ExistsE:
+@_proof_node
+class ExistsE(_Node):
     conclusion: Proposition
     var: Var
     body: Proposition
@@ -159,28 +210,28 @@ class ExistsE:
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class TopI:
+@_proof_node
+class TopI(_Node):
     conclusion: Proposition
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class BotE:
+@_proof_node
+class BotE(_Node):
     conclusion: Proposition
     sub: "Proof"
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class Tnd:
+@_proof_node
+class Tnd(_Node):
     conclusion: Proposition
     disjunct: Proposition
     via: Optional[Trace] = None
 
 
-@dataclass(frozen=True)
-class IndI:
+@_proof_node
+class IndI(_Node):
     """Induction as an inference rule, replacing the induction rewrite rule."""
 
     conclusion: Proposition
@@ -434,6 +485,10 @@ KINDS: dict[type, Kind] = {
         after=_ind_i,
     ),
 }
+
+# each kind's fields in declaration order, each with whether it is a premise
+_FIELDS = {cls: tuple((f.name, f.name in kind.premises) for f in fields(cls))
+           for cls, kind in KINDS.items()}
 
 
 def premises(p: Proof) -> tuple[Proof, ...]:

@@ -3,12 +3,14 @@
 Documents are atoms (symbols) and parentheses, nothing else; semicolon
 comments run to the end of the line.  Whatever an atom means (sort, variable,
 rule name) is decided by the consumer, so parse-print round trips are
-identity up to whitespace.
+identity up to whitespace.  The reader shares equal sub-forms, so what it
+gives must be treated as immutable.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+import re
+from typing import Optional, Union
 
 Sx = Union[str, list]
 
@@ -17,26 +19,25 @@ class SexprError(Exception):
     pass
 
 
-def tokenize(text: str) -> Iterator[str]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        else:
-            start = i
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-            yield text[start:i]
+# A token is a parenthesis, an atom (a run of anything but whitespace,
+# parentheses and ``;``) or a comment, which is dropped.  Whitespace is
+# space, tab, carriage return and newline only.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+# the other characters of ASCII that ``str.split`` splits at, and ``;``
+_NOT_SPLIT = re.compile(r"[\v\f\x1c-\x1f;]")
+
+
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``.  ASCII text without comments or the characters
+    of ``_NOT_SPLIT`` is split by ``str.split``, which is faster."""
+    if text.isascii() and _NOT_SPLIT.search(text) is None:
+        return text.replace("(", " ( ").replace(")", " ) ").split()
+    return [tok for tok in _TOKEN.findall(text) if tok[0] != ";"]
 
 
 def parse(text: str) -> Sx:
+    """The one form of ``text``.  Equal sub-forms come back as one object
+    (see ``parse_many``), so a parsed form must be treated as immutable."""
     forms = parse_many(text)
     if len(forms) != 1:
         raise SexprError(f"expected one form, found {len(forms)}")
@@ -44,20 +45,29 @@ def parse(text: str) -> Sx:
 
 
 def parse_many(text: str) -> list[Sx]:
-    stack: list[list] = [[]]
+    """The forms of ``text``, in order.  Forms are hash-consed: equal atoms,
+    and equal lists, are one object each, so the forms are a graph with one
+    node per distinct sub-form.  A list is keyed by the ids of its elements,
+    which are already shared when it closes."""
+    atoms: dict[str, str] = {}
+    lists: dict[tuple[int, ...], list] = {}
+    stack: list[list] = []  # the open lists around ``top``
+    top: list = []
     for tok in tokenize(text):
         if tok == "(":
-            stack.append([])
+            stack.append(top)
+            top = []
         elif tok == ")":
-            if len(stack) == 1:
+            if not stack:
                 raise SexprError("unbalanced closing parenthesis")
-            done = stack.pop()
-            stack[-1].append(done)
+            done = lists.setdefault(tuple(map(id, top)), top)
+            top = stack.pop()
+            top.append(done)
         else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
+            top.append(atoms.setdefault(tok, tok))
+    if stack:
         raise SexprError("unclosed parenthesis")
-    return stack[0]
+    return top
 
 
 def show(sx: Sx) -> str:

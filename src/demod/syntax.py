@@ -24,7 +24,7 @@ by the interpreter's recursion depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from functools import cache, cached_property
 from operator import attrgetter, is_not
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -46,6 +46,17 @@ class PositionError(Exception):
 class Sort:
     kind: str  # "arith" | "list" | "class"
     level: int = 0
+    # hashed once, when the sort is made: every node built hashes its sort
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.level)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Sort, (self.kind, self.level)  # rebuilt, so the hash is this process's
 
     def __str__(self) -> str:
         return str(self.level) if self.kind == "arith" else self.kind

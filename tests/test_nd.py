@@ -304,3 +304,20 @@ def test_deep_proof_checks_without_recursion():
     v = check_nd(p)
     assert v.ok, v.error
     assert v.length == 3 * 10_000 + 1
+
+
+def test_deep_proofs_compare_hash_and_print():
+    # ==, hash and repr walk the premises with their own stacks: on two
+    # copies of this chain the dataclass ones each raised RecursionError
+    def chain(levels):
+        p = TopI(TRUE)
+        for _ in range(levels):
+            p = AndE(TRUE, other=TRUE, side="left", sub=AndI(And(TRUE, TRUE), p, TopI(TRUE)))
+        return p
+
+    a, b = chain(10_000), chain(10_000)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != chain(9_999) and a != AndE(TRUE, other=FALSE, side="left", sub=b.sub)
+    leaf = repr(TopI(TRUE))
+    before, _, after = repr(chain(1)).partition(leaf)
+    assert repr(a) == before * 10_000 + leaf + after * 10_000

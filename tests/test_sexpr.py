@@ -29,7 +29,7 @@ from demod.fileformat import (
 from demod.hilbert import Template, check_hilbert, instance, schema_line, zi_axiom_schemata, HilbertProof
 from demod.nd import check_nd, witness_all
 from demod.rewriting import connecting_trace, verify_trace
-from demod.sexpr import PRETTY_DEPTH, SexprError, parse, parse_many, show, show_pretty
+from demod.sexpr import PRETTY_DEPTH, SexprError, parse, parse_many, show, show_pretty, tokenize
 from demod.syntax import Exists, Forall, Imp, Or, TRUE, Var, alpha_equal, arith
 from demod.theories import (
     OrderConfig,
@@ -61,6 +61,84 @@ def test_sexpr_round_trip():
         parse("a b")
     assert parse_many("a b") == ["a", "b"]
 
+
+
+def _reference_tokenize(text):
+    """The tokenizer as a character loop: whitespace is space, tab, carriage
+    return and newline, and a comment runs from ``;`` to the end of the line."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "()":
+            yield c
+            i += 1
+        else:
+            start = i
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+            yield text[start:i]
+
+
+def _reference_parse_many(text):
+    stack = [[]]
+    for tok in _reference_tokenize(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise SexprError("unbalanced closing parenthesis")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) != 1:
+        raise SexprError("unclosed parenthesis")
+    return stack[0]
+
+
+def _outcome(read, *args):
+    """What ``read`` gives: its value, or its error's type and text."""
+    try:
+        return "value", read(*args)
+    except SexprError as exc:
+        return type(exc), str(exc)
+
+
+# comments, parentheses next to atoms and comments, the four whitespace
+# characters, and characters that str.split would split at but the format
+# reads as part of an atom (form feed, vertical tab, the C1 next line, a
+# no-break space, the ASCII separators, a line separator)
+_PIECES = ["(", ")", ";", "; c (d)\n", "\n", " ", "\t", "\r", "\f", "\v", "\x85", "\xa0",
+           "\x1c", "\x1f", "\u2028", "a", "b.0", "x1", "é", "Add", "s"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)), max_size=40))
+@settings(max_examples=600)
+def test_tokenizer_matches_the_character_loop(pieces):
+    text = "".join(pieces)
+    assert tokenize(text) == list(_reference_tokenize(text))
+    assert _outcome(parse_many, text) == _outcome(_reference_parse_many, text)
+
+
+def test_tokenizer_cases():
+    for text, tokens in [
+        ("(a b)", ["(", "a", "b", ")"]),
+        ("a;c (d)\n(e)", ["a", "(", "e", ")"]),
+        ("a\fb\vc\x85d\xa0e f", ["a\fb\vc\x85d\xa0e", "f"]),
+        ("(a\fb\x1fc)", ["(", "a\fb\x1fc", ")"]),
+        ("(a;)\r\n)", ["(", "a", ")"]),
+        ("; only a comment", []),
+    ]:
+        assert tokenize(text) == list(_reference_tokenize(text)) == tokens
+    for text, message in [(")", "unbalanced closing parenthesis"), ("(a ;)", "unclosed parenthesis"),
+                          ("\f)", "unbalanced closing parenthesis")]:
+        with pytest.raises(SexprError, match=message):
+            parse_many(text)
 
 def _show_pretty_reference(sx, width=100, depth=PRETTY_DEPTH):
     """The printer that re-renders every subtree at every level."""
@@ -174,6 +252,7 @@ for _ in range(10_000):
     p = AndE(TRUE, other=TRUE, side="left", sub=AndI(And(TRUE, TRUE), p, TopI(TRUE)))
 doc = nd_proof_document(p)
 assert show(nd_proof_document(read_back(doc, nd_proof_from_document))) == show(doc)
+assert read_back(doc, nd_proof_from_document) == p
 
 x, y = var0("x"), var0("y")
 deep = add_atom(x, ZERO, x)
@@ -528,7 +607,132 @@ def test_mutated_proof_documents_decode_or_raise_format_errors(data):
             parent[i], other_parent[j] = other_parent[j], parent[i]
         if not doc:
             break
-    try:
-        decode(doc)
-    except (FormatError, SortError):
-        pass
+
+    def outcome(sx):
+        try:
+            got = decode(sx)
+        except (FormatError, SortError) as exc:
+            return type(exc), str(exc)
+        return got, repr(got)
+
+    # the parsed text shares its equal sub-forms, and the reader reads each
+    # once: the outcome is the unshared copy's, object or error
+    assert outcome(loads(show(doc))) == outcome(doc)
+
+
+def _dataclass_repr(x):
+    """The repr the dataclass decorator derives for a proof node."""
+    from dataclasses import fields
+
+    from demod import nd
+
+    if type(x) not in nd.KINDS:
+        return repr(x)
+    inner = ", ".join(f"{f.name}={_dataclass_repr(getattr(x, f.name))}" for f in fields(x))
+    return f"{type(x).__qualname__}({inner})"
+
+
+def test_proof_nodes_print_compare_and_hash_as_dataclasses():
+    import copy
+    from dataclasses import replace
+
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.syntax import FALSE
+
+    for node in [node for node, _ in _codec_cases()] + [gen_add_axiomatic_proof(3)]:
+        assert repr(node) == _dataclass_repr(node)
+        other = copy.deepcopy(node)
+        assert other == node and hash(other) == hash(node)
+        wrong = replace(node, prop=FALSE) if hasattr(node, "prop") else replace(node, conclusion=FALSE)
+        assert wrong != node and node != wrong and node != repr(node)
+
+
+def _sub_forms(sx):
+    stack, out = [sx], []
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        if isinstance(x, list):
+            stack += x
+    return out
+
+
+def test_parsing_shares_equal_sub_forms():
+    from demod.bench import gen_add_axiomatic_proof
+
+    f, g, e = parse_many("(f (g x.0) (g x.0) ()) (g x.0) ()")
+    assert f[1] is f[2] is g and f[3] is e and f[1][1] is g[1] and f is not g
+    first, second = parse("(a ())"), parse("(a ())")  # each parse shares within itself only
+    assert first == second and first is not second and first[1] is not second[1]
+
+    text = dumps(nd_proof_document(gen_add_axiomatic_proof(10)))
+    forms = _sub_forms(parse(text))
+    ids: dict[str, set] = {}
+    for x in forms:
+        ids.setdefault(show(x), set()).add(id(x))
+    assert all(len(found) == 1 for found in ids.values())
+    assert len(ids) < len(forms) / 10
+
+
+def test_equal_terms_of_a_document_read_as_one_node():
+    # every application term, proposition and proof node equal to another of
+    # the same document is the same object; variables are read as terms and
+    # as bound variables, by two field kinds, so equal ones may be two objects
+    from demod import nd
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.syntax import App, Proposition
+
+    proof = nd_proof_from_document(loads(dumps(nd_proof_document(gen_add_axiomatic_proof(10)))),
+                                   add_signature())
+    ids: dict[object, set] = {}
+    nodes, stack = 0, [proof]
+    while stack:
+        x = stack.pop()
+        if type(x) in nd.KINDS:
+            stack += [getattr(x, name) for name in vars(x)]
+        elif isinstance(x, (App, Proposition)):
+            stack += x.shape.children(x)
+        else:
+            continue
+        nodes += 1
+        ids.setdefault(x, set()).add(id(x))
+    assert all(len(found) == 1 for found in ids.values())
+    assert len(ids) < nodes / 10
+
+
+def test_a_witnessed_document_read_again_and_again_is_one_proof():
+    # each read has its own memo: ids freed by one read and reused by the
+    # next must not bring back what the first read stored
+    from demod.fragments import hha_fragment
+    from demod.theories import build_HHA
+
+    hha = build_HHA(OrderConfig(1))
+    sig = hha_signature(OrderConfig(1))
+    text = dumps(nd_proof_document(witness_all(hha_fragment("plus-s").proof, hha)))
+    first = nd_proof_from_document(loads(text), sig)
+    assert check_nd(first, system=hha, mode="witnessed").ok
+    for _ in range(50):
+        again = nd_proof_from_document(loads(text), sig)
+        assert again == first and repr(again) == repr(first)
+    assert dumps(nd_proof_document(first)) == text
+
+
+def test_reading_the_axiomatic_add_document_is_linear_in_its_distinct_terms(monkeypatch):
+    # the flat text of this proof grows as n^2, its distinct terms as n: the
+    # reader builds each distinct term once, so it calls Signature.app at
+    # most C*n times (2n + 1 at these sizes, once per numeral 0 .. 2n); a
+    # reader that reads each written term anew calls it about 47 n^2 times
+    # (76,526 at n = 40)
+    from demod.bench import gen_add_axiomatic_proof
+    from demod.syntax import Signature
+
+    C = 3
+    calls = []
+    app = Signature.app
+    monkeypatch.setattr(Signature, "app", lambda sig, *args: calls.append(1) or app(sig, *args))
+    sig = add_signature()
+    for n in (40, 80, 160):
+        doc = loads(show(nd_proof_document(gen_add_axiomatic_proof(n))))
+        calls.clear()
+        nd_proof_from_document(doc, sig)
+        assert len(calls) <= C * n, (n, len(calls))

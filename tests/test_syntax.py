@@ -9,16 +9,19 @@ from demod.syntax import (
     And,
     App,
     Atom,
+    CLASS,
     FALSE,
     Exists,
     Falsum,
     Forall,
     FunDecl,
     Imp,
+    LIST,
     Or,
     PredDecl,
     TRUE,
     Signature,
+    Sort,
     SortError,
     PositionError,
     SHAPES,
@@ -261,6 +264,20 @@ def test_copy_and_pickle_keep_equality_and_hash():
             assert other == q and q == other and hash(other) == hash(q)
             assert _ground(other) == _ground(q) == _ref_ground(q)
 
+
+
+def test_equal_sorts_hash_alike():
+    # the hash is computed once per sort and not pickled, so a sort rebuilt
+    # by copy or pickle, or built apart from the cached arith(), hashes alike
+    sorts = [arith(0), arith(3), LIST, CLASS]
+    for q in sorts:
+        built = Sort(q.kind, q.level)
+        for other in (built, copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert other == q and hash(other) == hash(q) == hash((q.kind, q.level))
+            assert repr(other) == f"Sort(kind={q.kind!r}, level={q.level})"
+    assert len({hash(q) for q in sorts}) == len(sorts)
+    assert sorted([LIST, arith(2), CLASS, arith(1)]) == [arith(1), arith(2), CLASS, LIST]
+    assert "_hash" not in pickle.dumps(arith(3)).decode("latin-1")
 
 def test_sort_of():
     assert sort_of(zero) == S0
