@@ -102,7 +102,7 @@ def _entry(fn):
     def paused(*args):
         enabled = gc.isenabled()
         gc.disable()
-        outermost = _MEMO.set({}) if _MEMO.get() is None else None
+        outermost = _MEMO.set({kind: {} for kind in _STEPS}) if _MEMO.get() is None else None
         try:
             return fn(*args)
         finally:
@@ -188,18 +188,12 @@ def prop_to_sx(p: Proposition) -> Sx:
     return term_to_sx(p)
 
 
-def _tables(sig: Signature) -> dict[str, dict]:
-    """The memo of the document being read with ``sig``: per field kind, a
-    table from an atom's text, or a list's id, to the form and the object it
-    was read as.  A list is held by its entry, so its id is not reused while
-    the memo lives."""
-    memo = _MEMO.get()
-    if memo is None:  # outside every entry point the memo lasts one read
-        return {kind: {} for kind in _STEPS}
-    entry = memo.get(id(sig))
-    if entry is None:  # the entry holds ``sig``, so its id is not reused either
-        entry = memo[id(sig)] = (sig, {kind: {} for kind in _STEPS})
-    return entry[1]
+def _tables() -> dict[str, dict]:
+    """The memo of the document being read: per field kind, a table from an
+    atom's text, or a list's id, to the form and the object it was read as.
+    A list is held by its entry, so its id is not reused while the memo
+    lives.  Outside every entry point a memo lasts one read."""
+    return _MEMO.get() or {kind: {} for kind in _STEPS}
 
 
 def _read(sx: Sx, field_kind: str, sig: Signature):
@@ -212,7 +206,7 @@ def _read(sx: Sx, field_kind: str, sig: Signature):
     the object from the memo (``_tables``), so equal sub-forms that the parser
     shares read as one object, in time linear in the distinct forms.  Only
     objects read are stored, so a failing read fails where it did unshared."""
-    tables = _tables(sig)
+    tables = _tables()
     done: list = []  # objects read whose parent is not built yet
     # (form, field kind) to read; ((build, table, key, form), part count) to
     # apply and store

@@ -23,15 +23,10 @@ class SexprError(Exception):
 # parentheses and ``;``) or a comment, which is dropped.  Whitespace is
 # space, tab, carriage return and newline only.
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
-# the other characters of ASCII that ``str.split`` splits at, and ``;``
-_NOT_SPLIT = re.compile(r"[\v\f\x1c-\x1f;]")
 
 
 def tokenize(text: str) -> list[str]:
-    """The tokens of ``text``.  ASCII text without comments or the characters
-    of ``_NOT_SPLIT`` is split by ``str.split``, which is faster."""
-    if text.isascii() and _NOT_SPLIT.search(text) is None:
-        return text.replace("(", " ( ").replace(")", " ) ").split()
+    """The tokens of ``text``."""
     return [tok for tok in _TOKEN.findall(text) if tok[0] != ";"]
 
 

@@ -110,7 +110,7 @@ def _outcome(read, *args):
 
 
 # comments, parentheses next to atoms and comments, the four whitespace
-# characters, and characters that str.split would split at but the format
+# characters, and characters that Python counts as whitespace but the format
 # reads as part of an atom (form feed, vertical tab, the C1 next line, a
 # no-break space, the ASCII separators, a line separator)
 _PIECES = ["(", ")", ";", "; c (d)\n", "\n", " ", "\t", "\r", "\f", "\v", "\x85", "\xa0",
