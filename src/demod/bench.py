@@ -792,7 +792,7 @@ def probe_sampled(system: RewriteSystem, cfg: OrderConfig, samples: int, max_dep
     """Normalization lengths of random encoded propositions under a system."""
     rng = random.Random(seed)
     report = BenchReport(f"probe-{system.name}")
-    sub = system if system.terminating else system.congruence_system()
+    sub = system.congruence_system()
     for _ in range(samples):
         tmpl = _random_template(rng)
         enc = encode_prop(tmpl.body, tmpl.params)

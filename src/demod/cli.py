@@ -16,7 +16,7 @@ from typing import Optional
 from . import bench, fileformat as ff
 from .hilbert import SchemaError, check_hilbert, zi_axiom_schemata
 from .nd import check_nd, nd_length
-from .rewriting import FuelExhausted, RewriteSystem, check_left_linear, critical_pairs, normalize
+from .rewriting import EMPTY_SYSTEM, FuelExhausted, check_left_linear, critical_pairs, normalize
 from .sexpr import SexprError
 from .syntax import SortError, alpha_equal
 from .theories import (
@@ -45,7 +45,7 @@ def _resolve_system(name: Optional[str], order: int):
     """A builtin system id or a rules file; returns (system, signature)."""
     cfg = OrderConfig(order)
     if name is None or name == "empty":
-        return RewriteSystem("empty", (), terminating=True, confluent=True), classes_signature(order, True)
+        return EMPTY_SYSTEM, classes_signature(order, True)
     if name == "add":
         return add_system(), add_signature()
     if name == "ho":

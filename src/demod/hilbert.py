@@ -5,12 +5,14 @@ assigns proposition templates to proposition variables, terms to term
 variables and variables to metavariables, so checking a line is substitution
 plus side-condition tests, never higher-order matching.
 
-Proof length is the line count.
+Proof length is the line count.  Each justification kind is described once,
+in ``JUSTIFICATIONS``, and its class is generated from that entry: its
+positional fields are its file layout in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -269,39 +271,6 @@ def zi_axiom_schemata(cfg: OrderConfig, classical: bool = True) -> Catalogue:
 
 
 @dataclass(frozen=True)
-class SchemaLine:
-    instance: SchemaInstance
-
-
-@dataclass(frozen=True)
-class MpLine:
-    minor: int  # proves A
-    major: int  # proves A > B
-
-
-@dataclass(frozen=True)
-class GenLine:
-    ref: int
-    eigen: Var
-
-
-@dataclass(frozen=True)
-class PartLine:
-    ref: int
-    eigen: Var
-
-
-@dataclass(frozen=True)
-class HypLine:
-    """An undischarged assumption line; only for intermediate proofs."""
-
-    label: str
-
-
-Justification = Union[SchemaLine, MpLine, GenLine, PartLine, HypLine]
-
-
-@dataclass(frozen=True)
 class JustKind:
     """One justification kind: its file tag and its fields in file order, each
     marked ``line`` (the number of an earlier line), ``var``, ``label`` or
@@ -312,13 +281,27 @@ class JustKind:
     layout: tuple[tuple[str, str], ...]
 
 
-JUSTIFICATIONS: dict[type, JustKind] = {
-    SchemaLine: JustKind("schema", (("instance", "instance"),)),
-    MpLine: JustKind("mp", (("minor", "line"), ("major", "line"))),
-    GenLine: JustKind("gen", (("ref", "line"), ("eigen", "var"))),
-    PartLine: JustKind("part", (("ref", "line"), ("eigen", "var"))),
-    HypLine: JustKind("hyp", (("label", "label"),)),
-}
+JUSTIFICATIONS: dict[type, JustKind] = {}
+
+
+def _justification(name: str, kind: JustKind) -> type:
+    """A frozen justification class whose fields are ``kind``'s layout in file
+    order; the kind is recorded in JUSTIFICATIONS."""
+    cls = make_dataclass(name, [field for field, _ in kind.layout], frozen=True,
+                         namespace={"__module__": __name__})
+    JUSTIFICATIONS[cls] = kind
+    return cls
+
+
+SchemaLine = _justification("SchemaLine", JustKind("schema", (("instance", "instance"),)))
+# the minor line proves A, the major one A > B
+MpLine = _justification("MpLine", JustKind("mp", (("minor", "line"), ("major", "line"))))
+GenLine = _justification("GenLine", JustKind("gen", (("ref", "line"), ("eigen", "var"))))
+PartLine = _justification("PartLine", JustKind("part", (("ref", "line"), ("eigen", "var"))))
+# an undischarged assumption line; only for intermediate proofs
+HypLine = _justification("HypLine", JustKind("hyp", (("label", "label"),)))
+
+Justification = Union[SchemaLine, MpLine, GenLine, PartLine, HypLine]
 
 
 @dataclass(frozen=True)

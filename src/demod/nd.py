@@ -11,17 +11,20 @@ Proof length is the number of inference nodes; hypothesis and assumption
 leaves do not count.
 
 Each node kind is described once, in ``KINDS``: the checker, the tree
-walkers, the translators and the file format all read that table.
+walkers, the translators and the file format all read that table, and each
+node class is generated from its entry.  A node's positional fields are its
+file layout in order, then its traces (``via``, then ``via2``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, make_dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .rewriting import (
     CongruenceError,
+    EMPTY_SYSTEM,
     FuelExhausted,
     RewriteSystem,
     Trace,
@@ -38,7 +41,6 @@ from .syntax import (
     Or,
     Proposition,
     TRUE,
-    Term,
     Var,
     alpha_equal,
     apply_substitution,
@@ -95,174 +97,7 @@ class _Node:
         return "".join(out)
 
 
-_proof_node = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_proof_node
-class Hyp(_Node):
-    label: str
-    prop: Proposition
-
-
-@_proof_node
-class Assume(_Node):
-    name: str
-    prop: Proposition
-
-
-@_proof_node
-class ImpI(_Node):
-    conclusion: Proposition
-    hyp: Proposition
-    label: str
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class ImpE(_Node):
-    conclusion: Proposition
-    minor: "Proof"
-    major: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class AndI(_Node):
-    conclusion: Proposition
-    left: "Proof"
-    right: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class AndE(_Node):
-    conclusion: Proposition
-    other: Proposition
-    side: str  # which component the conclusion is
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class OrI(_Node):
-    conclusion: Proposition
-    other: Proposition
-    side: str  # which side the premise proves
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class OrE(_Node):
-    conclusion: Proposition
-    left: Proposition
-    right: Proposition
-    label_left: str
-    label_right: str
-    major: "Proof"
-    sub_left: "Proof"
-    sub_right: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class ForallI(_Node):
-    conclusion: Proposition
-    var: Var
-    body: Proposition
-    eigen: Var
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class ForallE(_Node):
-    conclusion: Proposition
-    var: Var
-    body: Proposition
-    term: Term
-    sub: "Proof"
-    via: Optional[Trace] = None  # premise <->* forall var. body
-    via2: Optional[Trace] = None  # conclusion <->* body[term/var]
-
-
-@_proof_node
-class ExistsI(_Node):
-    conclusion: Proposition
-    var: Var
-    body: Proposition
-    term: Term
-    sub: "Proof"
-    via: Optional[Trace] = None  # conclusion <->* exists var. body
-    via2: Optional[Trace] = None  # premise <->* body[term/var]
-
-
-@_proof_node
-class ExistsE(_Node):
-    conclusion: Proposition
-    var: Var
-    body: Proposition
-    eigen: Var
-    label: str
-    major: "Proof"
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class TopI(_Node):
-    conclusion: Proposition
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class BotE(_Node):
-    conclusion: Proposition
-    sub: "Proof"
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class Tnd(_Node):
-    conclusion: Proposition
-    disjunct: Proposition
-    via: Optional[Trace] = None
-
-
-@_proof_node
-class IndI(_Node):
-    """Induction as an inference rule, replacing the induction rewrite rule."""
-
-    conclusion: Proposition
-    cls: Term
-    term: Term
-    eigen: Var
-    label: str
-    base: "Proof"
-    step: "Proof"
-
-
-Proof = Union[
-    Hyp,
-    Assume,
-    ImpI,
-    ImpE,
-    AndI,
-    AndE,
-    OrI,
-    OrE,
-    ForallI,
-    ForallE,
-    ExistsI,
-    ExistsE,
-    TopI,
-    BotE,
-    Tnd,
-    IndI,
-]
-
-LEAVES = (Hyp, Assume)
+Proof = _Node
 
 
 class CheckFailure(Exception):
@@ -396,99 +231,113 @@ def _instance(p: Union[ForallE, ExistsI]) -> Proposition:
     return apply_substitution(p.body, {p.var: p.term})
 
 
-KINDS: dict[type, Kind] = {
-    Hyp: Kind("hyp", (("label", "label"), ("prop", "prop"))),
-    Assume: Kind("assume", (("name", "label"), ("prop", "prop"))),
-    ImpI: Kind(
-        "imp-i",
-        (("conclusion", "prop"), ("hyp", "prop"), ("label", "label"), ("sub", "proof")),
-        (Obligation("conclusion", lambda p: Imp(p.hyp, conclusion_of(p.sub))),),
-        (Binding("label", "sub", lambda p: p.hyp),),
-    ),
-    ImpE: Kind(
-        "imp-e",
-        (("conclusion", "prop"), ("minor", "proof"), ("major", "proof")),
-        (Obligation("major", lambda p: Imp(conclusion_of(p.minor), p.conclusion)),),
-    ),
-    AndI: Kind(
-        "and-i",
-        (("conclusion", "prop"), ("left", "proof"), ("right", "proof")),
-        (Obligation("conclusion", lambda p: And(conclusion_of(p.left), conclusion_of(p.right))),),
-    ),
-    AndE: Kind(
-        "and-e",
-        (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
-        (Obligation("sub", _and_shape),),
-        before=_side,
-    ),
-    OrI: Kind(
-        "or-i",
-        (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
-        (Obligation("conclusion", _or_shape),),
-        before=_side,
-    ),
-    OrE: Kind(
-        "or-e",
-        (("conclusion", "prop"), ("left", "prop"), ("right", "prop"), ("label_left", "label"),
-         ("label_right", "label"), ("major", "proof"), ("sub_left", "proof"),
-         ("sub_right", "proof")),
-        (Obligation("major", lambda p: Or(p.left, p.right)),),
-        (Binding("label_left", "sub_left", lambda p: p.left),
-         Binding("label_right", "sub_right", lambda p: p.right)),
-        after=_or_e,
-    ),
-    ForallI: Kind(
-        "forall-i",
-        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
-         ("sub", "proof")),
-        (Obligation("conclusion", lambda p: Forall(p.var, p.body)),),
-        before=_forall_i,
-    ),
-    ForallE: Kind(
-        "forall-e",
-        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
-         ("sub", "proof")),
-        (Obligation("sub", lambda p: Forall(p.var, p.body)),
-         Obligation("conclusion", _instance, "via2")),
-    ),
-    ExistsI: Kind(
-        "exists-i",
-        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
-         ("sub", "proof")),
-        (Obligation("conclusion", lambda p: Exists(p.var, p.body)),
-         Obligation("sub", _instance, "via2")),
-    ),
-    ExistsE: Kind(
-        "exists-e",
-        (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
-         ("label", "label"), ("major", "proof"), ("sub", "proof")),
-        (Obligation("major", lambda p: Exists(p.var, p.body)),),
-        (Binding("label", "sub", lambda p: apply_substitution(p.body, {p.var: p.eigen})),),
-        after=_exists_e,
-    ),
-    TopI: Kind("top-i", (("conclusion", "prop"),), (Obligation("conclusion", lambda p: TRUE),)),
-    BotE: Kind(
-        "bot-e",
-        (("conclusion", "prop"), ("sub", "proof")),
-        (Obligation("sub", lambda p: FALSE),),
-    ),
-    Tnd: Kind(
-        "tnd",
-        (("conclusion", "prop"), ("disjunct", "prop")),
-        (Obligation("conclusion", lambda p: Or(p.disjunct, Imp(p.disjunct, FALSE))),),
-    ),
-    IndI: Kind(
-        "ind-i",
-        (("conclusion", "prop"), ("cls", "term"), ("term", "term"), ("eigen", "var"),
-         ("label", "label"), ("base", "proof"), ("step", "proof")),
-        binds=(Binding("label", "step", lambda p: member([p.eigen], p.cls)),),
-        after=_ind_i,
-    ),
-}
-
+KINDS: dict[type, Kind] = {}
 # each kind's fields in declaration order, each with whether it is a premise
-_FIELDS = {cls: tuple((f.name, f.name in kind.premises) for f in fields(cls))
-           for cls, kind in KINDS.items()}
+_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _node(name: str, kind: Kind) -> type:
+    """A frozen proof-node class whose fields are ``kind``'s layout in file
+    order, then a trace defaulting to None for each of its slots; the kind is
+    recorded in KINDS."""
+    layout = [field for field, _ in kind.layout]
+    cls = make_dataclass(name, layout + [(slot, Optional[Trace], None) for slot in kind.vias],
+                         bases=(_Node,), frozen=True, eq=False, repr=False,
+                         namespace={"__module__": __name__})
+    KINDS[cls] = kind
+    _FIELDS[cls] = tuple((field, field in kind.premises) for field in layout + list(kind.vias))
+    return cls
+
+
+Hyp = _node("Hyp", Kind("hyp", (("label", "label"), ("prop", "prop"))))
+Assume = _node("Assume", Kind("assume", (("name", "label"), ("prop", "prop"))))
+ImpI = _node("ImpI", Kind(
+    "imp-i",
+    (("conclusion", "prop"), ("hyp", "prop"), ("label", "label"), ("sub", "proof")),
+    (Obligation("conclusion", lambda p: Imp(p.hyp, conclusion_of(p.sub))),),
+    (Binding("label", "sub", lambda p: p.hyp),),
+))
+ImpE = _node("ImpE", Kind(
+    "imp-e",
+    (("conclusion", "prop"), ("minor", "proof"), ("major", "proof")),
+    (Obligation("major", lambda p: Imp(conclusion_of(p.minor), p.conclusion)),),
+))
+AndI = _node("AndI", Kind(
+    "and-i",
+    (("conclusion", "prop"), ("left", "proof"), ("right", "proof")),
+    (Obligation("conclusion", lambda p: And(conclusion_of(p.left), conclusion_of(p.right))),),
+))
+AndE = _node("AndE", Kind(  # side: which component the conclusion is
+    "and-e",
+    (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
+    (Obligation("sub", _and_shape),),
+    before=_side,
+))
+OrI = _node("OrI", Kind(  # side: which side the premise proves
+    "or-i",
+    (("conclusion", "prop"), ("side", "label"), ("other", "prop"), ("sub", "proof")),
+    (Obligation("conclusion", _or_shape),),
+    before=_side,
+))
+OrE = _node("OrE", Kind(
+    "or-e",
+    (("conclusion", "prop"), ("left", "prop"), ("right", "prop"), ("label_left", "label"),
+     ("label_right", "label"), ("major", "proof"), ("sub_left", "proof"),
+     ("sub_right", "proof")),
+    (Obligation("major", lambda p: Or(p.left, p.right)),),
+    (Binding("label_left", "sub_left", lambda p: p.left),
+     Binding("label_right", "sub_right", lambda p: p.right)),
+    after=_or_e,
+))
+ForallI = _node("ForallI", Kind(
+    "forall-i",
+    (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
+     ("sub", "proof")),
+    (Obligation("conclusion", lambda p: Forall(p.var, p.body)),),
+    before=_forall_i,
+))
+ForallE = _node("ForallE", Kind(
+    "forall-e",
+    (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
+     ("sub", "proof")),
+    (Obligation("sub", lambda p: Forall(p.var, p.body)),
+     Obligation("conclusion", _instance, "via2")),
+))
+ExistsI = _node("ExistsI", Kind(
+    "exists-i",
+    (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("term", "term"),
+     ("sub", "proof")),
+    (Obligation("conclusion", lambda p: Exists(p.var, p.body)),
+     Obligation("sub", _instance, "via2")),
+))
+ExistsE = _node("ExistsE", Kind(
+    "exists-e",
+    (("conclusion", "prop"), ("var", "var"), ("body", "prop"), ("eigen", "var"),
+     ("label", "label"), ("major", "proof"), ("sub", "proof")),
+    (Obligation("major", lambda p: Exists(p.var, p.body)),),
+    (Binding("label", "sub", lambda p: apply_substitution(p.body, {p.var: p.eigen})),),
+    after=_exists_e,
+))
+TopI = _node("TopI", Kind("top-i", (("conclusion", "prop"),), (Obligation("conclusion", lambda p: TRUE),)))
+BotE = _node("BotE", Kind(
+    "bot-e",
+    (("conclusion", "prop"), ("sub", "proof")),
+    (Obligation("sub", lambda p: FALSE),),
+))
+Tnd = _node("Tnd", Kind(
+    "tnd",
+    (("conclusion", "prop"), ("disjunct", "prop")),
+    (Obligation("conclusion", lambda p: Or(p.disjunct, Imp(p.disjunct, FALSE))),),
+))
+IndI = _node("IndI", Kind(  # induction as an inference rule, replacing the induction rewrite rule
+    "ind-i",
+    (("conclusion", "prop"), ("cls", "term"), ("term", "term"), ("eigen", "var"),
+     ("label", "label"), ("base", "proof"), ("step", "proof")),
+    binds=(Binding("label", "step", lambda p: member([p.eigen], p.cls)),),
+    after=_ind_i,
+))
+
+LEAVES = (Hyp, Assume)
 
 
 def premises(p: Proof) -> tuple[Proof, ...]:
@@ -633,7 +482,7 @@ def check_nd(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if system is None:
-        system = RewriteSystem("empty", (), terminating=True, confluent=True)
+        system = EMPTY_SYSTEM
     if not isinstance(assumptions, Mapping):
         assumptions = dict(assumptions)
     ctx = _Ctx(assumptions, system, mode, fuel)

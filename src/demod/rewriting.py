@@ -99,14 +99,17 @@ class Rule:
         return not isinstance(self.lhs, Atom)
 
 
+# normalizing x may take up to FUEL_COEFF * size(x) ** FUEL_DEGREE steps by default
+FUEL_COEFF = 200
+FUEL_DEGREE = 2
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     name: str
     rules: tuple[Rule, ...]
     terminating: bool = False
     confluent: bool = False
-    fuel_coeff: int = 200
-    fuel_degree: int = 2
     auto_fallback: Optional["RewriteSystem"] = None
 
     def __post_init__(self) -> None:
@@ -154,7 +157,7 @@ class RewriteSystem:
         return got
 
     def default_fuel(self, x: Obj) -> int:
-        return self.fuel_coeff * size(x) ** self.fuel_degree
+        return FUEL_COEFF * size(x) ** FUEL_DEGREE
 
     def without(self, *names: str) -> "RewriteSystem":
         keep = tuple(r for r in self.rules if r.name not in set(names))
@@ -169,6 +172,9 @@ class RewriteSystem:
         raise CongruenceError(
             f"{self.name} is not declared terminating and has no terminating subsystem"
         )
+
+
+EMPTY_SYSTEM = RewriteSystem("empty", (), terminating=True, confluent=True)
 
 
 @dataclass(frozen=True)

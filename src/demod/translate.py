@@ -878,11 +878,11 @@ def _lift_one(
         h = Hyp(l, src)
         if isinstance(parent, And):
             if idx == 1:
-                body = AndI(dst, ImpE(b, minor=AndE(a, src.right, "left", h), major=use),
-                            AndE(src.right, a, "right", h))
+                body = AndI(dst, ImpE(b, minor=AndE(a, other=src.right, side="left", sub=h), major=use),
+                            AndE(src.right, other=a, side="right", sub=h))
             else:
-                body = AndI(dst, AndE(src.left, a, "left", h),
-                            ImpE(b, minor=AndE(a, src.left, "right", h), major=use))
+                body = AndI(dst, AndE(src.left, other=a, side="left", sub=h),
+                            ImpE(b, minor=AndE(a, other=src.left, side="right", sub=h), major=use))
         elif isinstance(parent, Or):
             la, lb = lab(), lab()
             if idx == 1:

@@ -266,7 +266,7 @@ def _fixture_corpus():
 
     compat = AndI(
         And(Imp(a, Or(a, b)), Imp(Or(a, b), a)),
-        ImpI(Imp(a, Or(a, b)), hyp=a, label="i", sub=OrI(Or(a, b), b, "left", Hyp("i", a))),
+        ImpI(Imp(a, Or(a, b)), hyp=a, label="i", sub=OrI(Or(a, b), other=b, side="left", sub=Hyp("i", a))),
         ImpI(
             Imp(Or(a, b), a),
             hyp=Or(a, b),

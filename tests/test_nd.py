@@ -77,7 +77,8 @@ def test_modulo_proof_of_b_imp_a():
 
 def test_compatibility_proof_of_a_iff_a_or_b():
     # proof of A <=> A | B assuming B > A, in pure natural deduction
-    left = ImpI(Imp(A, Or(A, B)), hyp=A, label="i", sub=OrI(Or(A, B), B, "left", Hyp("i", A)))
+    left = ImpI(Imp(A, Or(A, B)), hyp=A, label="i",
+                sub=OrI(Or(A, B), other=B, side="left", sub=Hyp("i", A)))
     right = ImpI(
         Imp(Or(A, B), A),
         hyp=Or(A, B),
@@ -275,7 +276,7 @@ def test_ind_rule_well_formed_instance():
 def test_nd_length_counts_inferences_only():
     assert nd_length(TopI(TRUE)) == 1
     assert nd_length(Hyp("i", A)) == 0
-    two = ImpI(Imp(B, A), hyp=B, label="i", sub=OrI(A, A, "right", Hyp("i", B)))
+    two = ImpI(Imp(B, A), hyp=B, label="i", sub=OrI(A, other=A, side="right", sub=Hyp("i", B)))
     assert nd_length(two) == 2
 
 

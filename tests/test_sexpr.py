@@ -542,6 +542,54 @@ def test_proof_codec_pins_every_node_kind():
         assert proof_from_sx(parse(text), sig) == node
 
 
+def test_each_table_is_the_declaration_of_its_classes():
+    # every proof-node and justification class has the fields its table entry
+    # lays out, in file order, then the node's trace slots; built positionally
+    # from distinct values in that order, it is written as (TAG FORM ...) and
+    # read back equal
+    from dataclasses import fields
+
+    from demod.fileformat import proof_from_sx, proof_to_sx, show_var
+    from demod.hilbert import JUSTIFICATIONS, Line
+    from demod.nd import KINDS, Hyp
+
+    sig = classes_signature(1)
+
+    def prop(i):
+        return eq(var0("x"), numeral(i))
+
+    values = {
+        "prop": (prop, prop_to_sx),
+        "term": (numeral, term_to_sx),
+        "var": (lambda i: var0(f"v{i}"), show_var),
+        "label": (lambda i: f"l{i}", str),
+        "line": (lambda i: i + 1, str),
+        "proof": (lambda i: Hyp(f"h{i}", prop(i)), proof_to_sx),
+        "instance": (lambda i: instance("I", templates=[("A", prop(i))]), instance_to_sx),
+    }
+
+    def built(cls, kind):
+        args = [values[field_kind][0](i) for i, (_, field_kind) in enumerate(kind.layout)]
+        forms = [values[field_kind][1](x) for x, (_, field_kind) in zip(args, kind.layout)]
+        return cls(*args), forms
+
+    assert len(KINDS) == 16 and len(JUSTIFICATIONS) == 5
+    for cls, kind in KINDS.items():
+        declared = fields(cls)
+        assert [f.name for f in declared] == [name for name, _ in kind.layout] + list(kind.vias)
+        assert all(f.default is None for f in declared[len(kind.layout):])
+        node, forms = built(cls, kind)
+        assert proof_to_sx(node) == [kind.tag, *forms]
+        assert proof_from_sx(proof_to_sx(node), sig) == node
+    for cls, kind in JUSTIFICATIONS.items():
+        assert [f.name for f in fields(cls)] == [name for name, _ in kind.layout]
+        just, forms = built(cls, kind)
+        doc = hilbert_to_sx(HilbertProof((Line(just, TRUE),)))
+        # a schema justification is written as its instance's own form
+        assert doc[1][2] == (forms[0] if kind.tag == "schema" else [kind.tag, *forms])
+        assert hilbert_from_sx(doc, sig).lines[0].just == just
+
+
 def _atom_paths(sx, path=()):
     if isinstance(sx, str):
         yield path

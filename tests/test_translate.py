@@ -275,11 +275,13 @@ _REFL = CAT.instantiate(instance("refl"))
     "schema, proof",
     [
         ("proj-l", ImpI(Imp(And(_A, _B), _A), And(_A, _B), "h",
-                        AndE(_A, _B, "left", Hyp("h", And(_A, _B))))),
+                        AndE(_A, other=_B, side="left", sub=Hyp("h", And(_A, _B))))),
         ("proj-r", ImpI(Imp(And(_A, _B), _B), And(_A, _B), "h",
-                        AndE(_B, _A, "right", Hyp("h", And(_A, _B))))),
-        ("inj-l", ImpI(Imp(_A, Or(_A, _B)), _A, "h", OrI(Or(_A, _B), _B, "left", Hyp("h", _A)))),
-        ("inj-r", ImpI(Imp(_B, Or(_A, _B)), _B, "h", OrI(Or(_A, _B), _A, "right", Hyp("h", _B)))),
+                        AndE(_B, other=_A, side="right", sub=Hyp("h", And(_A, _B))))),
+        ("inj-l", ImpI(Imp(_A, Or(_A, _B)), _A, "h",
+                       OrI(Or(_A, _B), other=_B, side="left", sub=Hyp("h", _A)))),
+        ("inj-r", ImpI(Imp(_B, Or(_A, _B)), _B, "h",
+                       OrI(Or(_A, _B), other=_A, side="right", sub=Hyp("h", _B)))),
         ("UI^0", ForallE(_B, var=_X, body=eq(_X, _X), term=s_(ZERO), sub=Assume("r", _REFL))),
         ("EI^0", ImpI(Imp(_A, Exists(_X, eq(_X, _X))), _A, "h",
                       ExistsI(Exists(_X, eq(_X, _X)), var=_X, body=eq(_X, _X), term=ZERO,
