@@ -166,7 +166,7 @@ def cmd_probe(args) -> int:
         ok = report.summary["always_exhausts"]
     else:
         system, _ = _resolve_system(args.system, args.order)
-        report = bench.probe_sampled(system, OrderConfig(args.order), args.samples, args.max_size, args.seed)
+        report = bench.probe_sampled(system, OrderConfig(args.order), args.samples, args.seed)
         ok = True
     _emit(args, json.loads(report.to_json()))
     return 0 if ok else 1
@@ -263,7 +263,8 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_confluence)
 
     p = sub.add_parser("probe", help="derivational-length probes")
-    p.add_argument("--max-size", type=int, default=10)
+    p.add_argument("--max-size", type=int, default=10,
+                   help="largest term size to enumerate; read only with --exhaustive")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--exhaustive", action="store_true")

@@ -406,7 +406,7 @@ def trace_from_sx(sx: Sx, sig: Signature) -> Trace:
                 raise FormatError(f"expected (VAR TERM), found {show(bind)}")
             subst.append((parse_var(bind[0]), term_from_sx(bind[1], sig)))
         steps.append(RewriteStep(tuple(int(i) for i in pos), rule, tuple(subst), direction == "fwd"))
-    return Trace(None, None, tuple(steps))
+    return Trace(tuple(steps))
 
 
 # ---------------------------------------------------------------------------

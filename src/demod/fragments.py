@@ -57,7 +57,6 @@ from .theories import (
     encode_prop,
     eq,
     ind_ax,
-    induction_unfolding,
     leibniz_ax,
     mem,
     member,
@@ -254,10 +253,7 @@ IND_RULE_VARS = (var0("x"), Var("p", CLASS))  # variables of the induction rewri
 
 def induction_trace(target: Term, cls: Term) -> Trace:
     x, p = IND_RULE_VARS
-    start = member([target], cls)
-    end = induction_unfolding(target, cls)
-    step = RewriteStep((), "nat-induction", ((p, cls), (x, target)))
-    return Trace(start, end, (step,))
+    return Trace((RewriteStep((), "nat-induction", ((p, cls), (x, target))),))
 
 
 def _induction(

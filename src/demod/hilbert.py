@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, make_dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .syntax import (
     Exists,
@@ -186,12 +186,6 @@ class Catalogue:
     def _schema_ids(self) -> frozenset[str]:
         return frozenset(self.axiom_schema_ids())
 
-    def rule_ids(self) -> tuple[str, ...]:
-        out = ["mp"]
-        for j in range(self.top + 1):
-            out += [f"gen^{j}", f"part^{j}"]
-        return tuple(out)
-
     def instantiate(self, inst: SchemaInstance) -> Proposition:
         name = inst.schema
         if name not in self._schema_ids:
@@ -301,8 +295,6 @@ PartLine = _justification("PartLine", JustKind("part", (("ref", "line"), ("eigen
 # an undischarged assumption line; only for intermediate proofs
 HypLine = _justification("HypLine", JustKind("hyp", (("label", "label"),)))
 
-Justification = Union[SchemaLine, MpLine, GenLine, PartLine, HypLine]
-
 
 @dataclass(frozen=True)
 class QuantifierRule:
@@ -332,7 +324,7 @@ QUANTIFIER_RULES: dict[type, QuantifierRule] = {
 
 @dataclass(frozen=True)
 class Line:
-    just: Justification
+    just: object  # an instance of a class in JUSTIFICATIONS
     prop: Proposition
 
 

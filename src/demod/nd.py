@@ -249,8 +249,8 @@ def _node(name: str, kind: Kind) -> type:
     return cls
 
 
-Hyp = _node("Hyp", Kind("hyp", (("label", "label"), ("prop", "prop"))))
-Assume = _node("Assume", Kind("assume", (("name", "label"), ("prop", "prop"))))
+Hyp = _node("Hyp", Kind("hyp", (("label", "label"), ("conclusion", "prop"))))
+Assume = _node("Assume", Kind("assume", (("name", "label"), ("conclusion", "prop"))))
 ImpI = _node("ImpI", Kind(
     "imp-i",
     (("conclusion", "prop"), ("hyp", "prop"), ("label", "label"), ("sub", "proof")),
@@ -346,8 +346,6 @@ def premises(p: Proof) -> tuple[Proof, ...]:
 
 
 def conclusion_of(p: Proof) -> Proposition:
-    if isinstance(p, LEAVES):
-        return p.prop
     return p.conclusion
 
 
@@ -461,14 +459,12 @@ class _Ctx:
         if self.mode == "witnessed":
             raise CheckFailure(f"missing trace for {p} <->* {q} in witnessed mode")
         try:
-            joined, tp, tq = _normal_forms(p, q, self.system, self.fuel)
+            joined, (nf_p, tp), (nf_q, tq) = _normal_forms(p, q, self.system, self.fuel)
         except (CongruenceError, FuelExhausted) as exc:
             raise CheckFailure(f"cannot decide {p} <->* {q}: {exc}") from exc
         self.steps += len(tp) + len(tq)
         if not joined:
-            raise CheckFailure(
-                f"congruence fails: {p} and {q} have normal forms {tp.end} vs {tq.end}"
-            )
+            raise CheckFailure(f"congruence fails: {p} and {q} have normal forms {nf_p} vs {nf_q}")
 
 
 def check_nd(
@@ -518,14 +514,14 @@ def _check(
     """Check one node, given the open hypotheses and assumption propositions of
     each premise's subtree; returns those of the node's subtree."""
     if isinstance(p, Hyp):
-        return [(p.label, p.prop)], []
+        return [(p.label, p.conclusion)], []
     if isinstance(p, Assume):
         stated = ctx.assumptions.get(p.name)
         if stated is None:
             raise CheckFailure(f"assumption {p.name!r} is not among the named assumptions")
-        if not alpha_equal(stated, p.prop):
-            raise CheckFailure(f"assumption {p.name!r} states {stated}, leaf says {p.prop}")
-        return [], [p.prop]
+        if not alpha_equal(stated, p.conclusion):
+            raise CheckFailure(f"assumption {p.name!r} states {stated}, leaf says {p.conclusion}")
+        return [], [p.conclusion]
 
     kind = KINDS.get(type(p))
     if kind is None:

@@ -3,17 +3,18 @@
 A rewrite system carries capability flags.  ``congruent_auto`` (normalize and
 compare) is only available when the system is declared terminating and
 confluent; for systems without those guarantees a congruence can instead be
-certified by an explicit trace of steps, replayed by ``verify_trace``.  A
+certified by an explicit trace, replayed by ``verify_trace``.  A trace is its
+steps alone; its two ends are the sides of the congruence it certifies.  A
 system may also name a terminating subsystem (``auto_fallback``) used for
 sound normalize-and-compare checks when the full system does not terminate.
+``normalize`` always rewrites the leftmost-outermost redex.
 """
 
 from __future__ import annotations
 
-import random as _random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .syntax import (
     App,
@@ -159,10 +160,6 @@ class RewriteSystem:
     def default_fuel(self, x: Obj) -> int:
         return FUEL_COEFF * size(x) ** FUEL_DEGREE
 
-    def without(self, *names: str) -> "RewriteSystem":
-        keep = tuple(r for r in self.rules if r.name not in set(names))
-        return replace(self, rules=keep, auto_fallback=None)
-
     def congruence_system(self) -> "RewriteSystem":
         """The system used for normalize-and-compare congruence checks."""
         if self.terminating:
@@ -190,8 +187,8 @@ class RewriteStep:
 
 @dataclass(frozen=True)
 class Trace:
-    start: Obj
-    end: Obj
+    """A rewrite derivation; ``verify_trace`` is given its two ends beside it."""
+
     steps: tuple[RewriteStep, ...] = ()
 
     def __len__(self) -> int:
@@ -201,7 +198,7 @@ class Trace:
         flipped = tuple(
             RewriteStep(s.position, s.rule, s.subst, not s.forward) for s in reversed(self.steps)
         )
-        return Trace(self.end, self.start, flipped)
+        return Trace(flipped)
 
 
 def match(pattern: Obj, subject: Obj) -> Optional[dict[Var, Term]]:
@@ -259,26 +256,8 @@ def apply_redex(x: Obj, redex: Redex) -> Obj:
     return replace_at(x, image, pos)
 
 
-Strategy = Callable[[list[Redex]], Redex]
-
-
-def leftmost_innermost(redexes: list[Redex]) -> Redex:
-    # negating indices makes "deeper along the leftmost spine" compare greater
-    return max(redexes, key=lambda r: tuple(-i for i in r[0]))
-
-
-def random_strategy(seed: int) -> Strategy:
-    rng = _random.Random(seed)
-    return lambda redexes: rng.choice(redexes)
-
-
-def normalize(
-    x: Obj,
-    system: RewriteSystem,
-    fuel: Optional[int] = None,
-    strategy: Optional[Strategy] = None,
-) -> tuple[Obj, Trace]:
-    """Rewrite to normal form; raises FuelExhausted before looping forever."""
+def normalize(x: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> tuple[Obj, Trace]:
+    """Rewrite leftmost-outermost to normal form; raises FuelExhausted before looping forever."""
     if fuel is None:
         fuel = system.default_fuel(x)
     if fuel <= 0:
@@ -286,13 +265,9 @@ def normalize(
     steps: list[RewriteStep] = []
     cur = x
     while True:
-        if strategy is None:
-            redex = first_redex(cur, system)
-        else:
-            candidates = rewrite_redexes(cur, system)
-            redex = strategy(candidates) if candidates else None
+        redex = first_redex(cur, system)
         if redex is None:
-            return cur, Trace(x, cur, tuple(steps))
+            return cur, Trace(tuple(steps))
         if len(steps) >= fuel:
             raise FuelExhausted(
                 f"no normal form within {fuel} steps under {system.name}", len(steps)
@@ -304,16 +279,18 @@ def normalize(
         steps.append(RewriteStep(pos, rule.name, tuple(bound)))
 
 
-def _normal_forms(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int]) -> tuple[bool, Trace, Trace]:
+def _normal_forms(
+    p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int]
+) -> tuple[bool, tuple[Obj, Trace], tuple[Obj, Trace]]:
     """Normalize both sides under the congruence system and compare the results.
 
-    Returns whether the normal forms are alpha-equal, and the two traces to
-    them (each trace's end is its normal form).
+    Returns whether the normal forms are alpha-equal, and each side's normal
+    form beside the trace to it.
     """
     sub = system.congruence_system()
-    _, tp = normalize(p, sub, fuel)
-    _, tq = normalize(q, sub, fuel)
-    return alpha_equal(tp.end, tq.end), tp, tq
+    nf_p, tp = normalize(p, sub, fuel)
+    nf_q, tq = normalize(q, sub, fuel)
+    return alpha_equal(nf_p, nf_q), (nf_p, tp), (nf_q, tq)
 
 
 def congruent_auto(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
@@ -340,11 +317,11 @@ def congruent(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None)
 def connecting_trace(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> Trace:
     """Build a trace certifying p <->* q via their common normal form."""
     if alpha_equal(p, q):
-        return Trace(p, q)
-    joined, tp, tq = _normal_forms(p, q, system, fuel)
+        return Trace()
+    joined, (_, tp), (_, tq) = _normal_forms(p, q, system, fuel)
     if not joined:
         raise CongruenceError(f"{p} and {q} have distinct normal forms")
-    return Trace(p, q, tp.steps + tq.reversed().steps)
+    return Trace(tp.steps + tq.reversed().steps)
 
 
 def verify_trace(p: Obj, q: Obj, trace: Trace, system: RewriteSystem) -> bool:

@@ -352,7 +352,7 @@ def _check_eigen_clear(prem: Proof, eigen: Var) -> None:
     stack = [prem]
     while stack:
         node = stack.pop()
-        if isinstance(node, Assume) and eigen in free_variables(node.prop):
+        if isinstance(node, Assume) and eigen in free_variables(node.conclusion):
             raise TranslationError(
                 f"generalized variable occurs in the axiom instance {node.name!r}"
             )
@@ -545,12 +545,12 @@ class _NdToHilbert:
 
     def tree(self, p: Proof, buf: _Buf) -> int:
         if isinstance(p, Hyp):
-            return buf.add(HypLine(p.label), p.prop)
+            return buf.add(HypLine(p.label), p.conclusion)
         if isinstance(p, Assume):
             inst = self.instances.get(p.name)
             if inst is None:
                 raise TranslationError(f"assumption {p.name!r} has no schema instance")
-            return buf.add(SchemaLine(inst), p.prop)
+            return buf.add(SchemaLine(inst), p.conclusion)
         if isinstance(p, TopI):
             return buf.add(SchemaLine(instance("T")), TRUE)
         if isinstance(p, Tnd):
@@ -625,7 +625,7 @@ class _NdToHilbert:
             k = buf.schema("K", [("A", prop), ("B", a)])
             return buf.add(MpLine(m, k), target)
         if isinstance(p, Hyp) and p.label == label:
-            return buf.add(SchemaLine(instance("I", templates=[("A", a)])), Imp(a, p.prop))
+            return buf.add(SchemaLine(instance("I", templates=[("A", a)])), Imp(a, p.conclusion))
         if isinstance(p, ImpI):
             inner = _Buf()
             self.abstract_tree(p.sub, p.hyp, p.label, inner)
@@ -781,7 +781,7 @@ def zi_nd_to_hha(proof: Proof, instances: Mapping[str, SchemaInstance]) -> Proof
             frag = hha_fragment(name, inst.template("A"))
         else:
             frag = hha_fragment(name)
-        if not alpha_equal(conclusion_of(frag.proof), p.prop):
+        if not alpha_equal(conclusion_of(frag.proof), p.conclusion):
             raise TranslationError(f"fragment for {name} proves a different instance")
         return frag.proof
 
@@ -1036,7 +1036,7 @@ def eliminate_axioms(proof: Proof, cert: CompatibilityCertificate) -> Proof:
         if p.name not in expanded:
             expanded[p.name] = expand_congruences(cert.axiom_proof(p.name), cert)
         replacement = expanded[p.name]
-        if not alpha_equal(conclusion_of(replacement), p.prop):
+        if not alpha_equal(conclusion_of(replacement), p.conclusion):
             raise TranslationError(f"axiom {p.name!r} proof concludes something else")
         return replacement
 

@@ -258,7 +258,7 @@ def _fixture_corpus():
     a = SAtom("A", ())
     b = SAtom("B", ())
     ab_system = RewriteSystem("AorB", (Rule("a-to-or", a, Or(a, b)),))
-    unfold = Trace(a, Or(a, b), (RewriteStep((), "a-to-or", ()),))
+    unfold = Trace((RewriteStep((), "a-to-or", ()),))
     modulo_proof = ImpI(
         Imp(b, a), hyp=b, label="i", sub=OrI(a, other=a, side="right", sub=Hyp("i", b), via=unfold)
     )

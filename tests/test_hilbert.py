@@ -40,7 +40,6 @@ def test_catalogue_counts():
     for i in (1, 2, 3):
         cat = zi_axiom_schemata(OrderConfig(i))
         assert len(cat.axiom_schema_ids()) == 15 + 2 * i + 2 + 7 + 1 + (i - 1)
-        assert len(cat.rule_ids()) == 1 + 2 * i
     intuitionistic = zi_axiom_schemata(OrderConfig(1), classical=False)
     assert "TND" not in intuitionistic.axiom_schema_ids()
     assert "TND" in zi_axiom_schemata(OrderConfig(1)).axiom_schema_ids()

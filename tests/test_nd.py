@@ -63,7 +63,7 @@ AB_SYSTEM = RewriteSystem("AorB", (Rule("a-to-or", A, Or(A, B)),))
 
 def test_modulo_proof_of_b_imp_a():
     # hypothesis B, then or-intro concluding A (A rewrites to A | B), then imp-intro
-    unfold = Trace(A, Or(A, B), (RewriteStep((), "a-to-or", ()),))
+    unfold = Trace((RewriteStep((), "a-to-or", ()),))
     proof = ImpI(
         Imp(B, A),
         hyp=B,
@@ -210,7 +210,7 @@ def test_length_invariant_under_witnessing():
 
 
 def test_bad_trace_rejected():
-    bad = Trace(None, None, (RewriteStep((3, 3), "add-base", ()),))
+    bad = Trace((RewriteStep((3, 3), "add-base", ()),))
     proof = TopI(add_atom(numeral(0), numeral(0), numeral(0)), via=bad)
     v = check_nd(proof, system=ADD, mode="witnessed")
     assert not v.ok

@@ -264,7 +264,7 @@ rules = RewriteSystem("deep", (Rule("r", add_atom(x, y, x), deep),))
 assert read_back(system_to_sx(rules), system_from_sx).rules == rules.rules
 inst = instance("A", templates=[("A", Template((x,), deep))])
 assert read_back(instance_to_sx(inst), instance_from_sx) == inst
-trace = Trace(None, None, (RewriteStep((1,), "r", ((x, numeral(5_000)),), True),))
+trace = Trace((RewriteStep((1,), "r", ((x, numeral(5_000)),), True),))
 assert read_back(trace_to_sx(trace), trace_from_sx).steps == trace.steps
 hilbert = HilbertProof((Line(HypLine("h"), deep),))
 assert read_back(hilbert_to_sx(hilbert), hilbert_from_sx) == hilbert
@@ -492,8 +492,8 @@ def _codec_cases():
     c = Var("c", CLASS)
     A, B = eq(x, ZERO), eq(ZERO, ZERO)
     sA, sB = "(= x.0 0)", "(= 0 0)"
-    via = Trace(None, None, (RewriteStep((1, 2), "r", ((x, ZERO),), True),))
-    via2 = Trace(None, None, (RewriteStep((), "q", (), False), RewriteStep((2,), "r", (), True)))
+    via = Trace((RewriteStep((1, 2), "r", ((x, ZERO),), True),))
+    via2 = Trace((RewriteStep((), "q", (), False), RewriteStep((2,), "r", (), True)))
     sv = "(via (step (1 2) r fwd ((x.0 0))))"
     sv2 = "(via2 (step () q bwd ()) (step (2) r fwd ()))"
     hA, hB = nd.Hyp("a", A), nd.Hyp("b", B)
@@ -691,7 +691,7 @@ def test_proof_nodes_print_compare_and_hash_as_dataclasses():
         assert repr(node) == _dataclass_repr(node)
         other = copy.deepcopy(node)
         assert other == node and hash(other) == hash(node)
-        wrong = replace(node, prop=FALSE) if hasattr(node, "prop") else replace(node, conclusion=FALSE)
+        wrong = replace(node, conclusion=FALSE)
         assert wrong != node and node != wrong and node != repr(node)
 
 
@@ -763,6 +763,19 @@ def test_a_witnessed_document_read_again_and_again_is_one_proof():
         again = nd_proof_from_document(loads(text), sig)
         assert again == first and repr(again) == repr(first)
     assert dumps(nd_proof_document(first)) == text
+
+
+def test_every_witnessed_hha_fragment_reads_back_equal():
+    # a trace is its steps, so a witnessed proof read from its file is the proof
+    from demod.fragments import HHA_LIBRARY, hha_fragment
+    from demod.theories import build_HHA
+
+    hha = build_HHA(OrderConfig(1))
+    sig = hha_signature(OrderConfig(1))
+    for name in HHA_LIBRARY:
+        proof = witness_all(hha_fragment(name).proof, hha)
+        back = nd_proof_from_document(loads(dumps(nd_proof_document(proof))), sig)
+        assert back == proof and hash(back) == hash(proof), name
 
 
 def test_reading_the_axiomatic_add_document_is_linear_in_its_distinct_terms(monkeypatch):
