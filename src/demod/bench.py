@@ -788,7 +788,7 @@ def _stacked_bound(term: Term) -> int:
     return total
 
 
-def probe_sampled(system: RewriteSystem, cfg: OrderConfig, samples: int, seed: int) -> BenchReport:
+def probe_sampled(system: RewriteSystem, samples: int, seed: int) -> BenchReport:
     """Normalization lengths of random encoded propositions under a system."""
     rng = random.Random(seed)
     report = BenchReport(f"probe-{system.name}")

@@ -166,7 +166,7 @@ def cmd_probe(args) -> int:
         ok = report.summary["always_exhausts"]
     else:
         system, _ = _resolve_system(args.system, args.order)
-        report = bench.probe_sampled(system, OrderConfig(args.order), args.samples, args.seed)
+        report = bench.probe_sampled(system, args.samples, args.seed)
         ok = True
     _emit(args, json.loads(report.to_json()))
     return 0 if ok else 1
@@ -233,8 +233,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="demod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system=True):
-        p.add_argument("--order", type=int, default=1, help="order parameter i")
+    def common(p, system=True, order="order parameter i"):
+        p.add_argument("--order", type=int, default=1, help=order)
         p.add_argument("--fuel", type=int, default=None)
         p.add_argument("--json", metavar="OUT", default=None, help="write the report to a file")
         if system:
@@ -268,7 +268,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--exhaustive", action="store_true")
-    common(p)
+    common(p, order="order parameter i; selects the system only, not the sample")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("translate", help="run a proof translation")

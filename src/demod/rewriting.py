@@ -7,13 +7,16 @@ certified by an explicit trace, replayed by ``verify_trace``.  A trace is its
 steps alone; its two ends are the sides of the congruence it certifies.  A
 system may also name a terminating subsystem (``auto_fallback``) used for
 sound normalize-and-compare checks when the full system does not terminate.
-``normalize`` always rewrites the leftmost-outermost redex.
+``normalize`` always rewrites the leftmost-outermost redex.  It walks the
+object once with a cursor: after each step it resumes where it rewrote and
+rechecks only the ancestors within the rules' reach (``RewriteSystem.reach``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import is_
 from typing import Mapping, Optional, Union
 
 from .syntax import (
@@ -32,7 +35,6 @@ from .syntax import (
     replace_at,
     size,
     sort_of,
-    subterm_at,
 )
 
 
@@ -120,10 +122,34 @@ class RewriteSystem:
             raise RuleError(f"{self.name}: duplicate rule name {duplicate}")
 
     def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(f"{self.name} has no rule {name!r}")
+        got = self._by_name.get(name)
+        if got is None:
+            raise KeyError(f"{self.name} has no rule {name!r}")
+        return got
+
+    @cached_property
+    def _by_name(self) -> dict[str, Rule]:
+        return {r.name: r for r in self.rules}
+
+    @cached_property
+    def reach(self) -> Optional[int]:
+        """How far above a rewritten position a new redex can appear: the depth
+        of the deepest non-variable position of any left side.  A left side
+        reads a variable's image only for its sort, which rewriting keeps, so
+        a step changes no match more than this many levels above it.  None when
+        the system is not left-linear: a repeated variable compares whole
+        subterms, however deep the step."""
+        deepest = 0
+        for rule in self.rules:
+            seen: set[Var] = set()
+            for pos, sub in positions(rule.lhs):
+                if not isinstance(sub, Var):
+                    deepest = max(deepest, len(pos))
+                elif sub in seen:
+                    return None
+                else:
+                    seen.add(sub)
+        return deepest
 
     @cached_property
     def _by_head(self) -> dict[str, tuple[tuple[Rule, ArgHeads], ...]]:
@@ -256,27 +282,96 @@ def apply_redex(x: Obj, redex: Redex) -> Obj:
     return replace_at(x, image, pos)
 
 
+def _redex_at(sub: Obj, system: RewriteSystem) -> Optional[tuple[Rule, dict[Var, Term]]]:
+    """The first rule, in rule order, whose left side matches at the root of ``sub``."""
+    for rule in system.candidates(sub):
+        sigma = match(rule.lhs, sub)
+        if sigma is not None:
+            return rule, sigma
+    return None
+
+
+# A cursor into an object is the focus beside a spine and a path: the spine
+# holds a pair (node, kids) for each ancestor of the focus, root first, where
+# ``kids`` lists the node's children as the walk last left them, and the path
+# holds the focus's position, so the focus is ``kids[path[-1] - 1]`` of the
+# last pair (Huet, "The Zipper", JFP 1997).
+
+
+def _leave(node: Obj, kids: list[Obj], idx: int, focus: Obj) -> Obj:
+    """``node`` with ``focus`` as its child ``idx``; rebuilt only if a child changed."""
+    kids[idx - 1] = focus
+    return node if all(map(is_, kids, children(node))) else node.shape.rebuild(node, kids)
+
+
 def normalize(x: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> tuple[Obj, Trace]:
-    """Rewrite leftmost-outermost to normal form; raises FuelExhausted before looping forever."""
+    """Rewrite leftmost-outermost to normal form; raises FuelExhausted before looping forever.
+
+    One pre-order walk over a cursor.  After a step at p the subtrees left of
+    p are unchanged and were found redex-free, so the next redex is one of
+    p's ancestors, rechecked outermost first, or lies at or after p, where
+    the walk resumes.  Only the ancestors within ``system.reach`` of p can
+    have become redexes; they are rebuilt and rechecked at once, every other
+    ancestor once, when the walk leaves it.
+    """
     if fuel is None:
         fuel = system.default_fuel(x)
     if fuel <= 0:
         raise FuelExhausted("normalize needs positive fuel")
+    reach, heads = system.reach, system._by_head
     steps: list[RewriteStep] = []
-    cur = x
+    spine: list[tuple[Obj, list[Obj]]] = []
+    path: list[int] = []
+    focus = x
+    found = _redex_at(focus, system)
     while True:
-        redex = first_redex(cur, system)
-        if redex is None:
-            return cur, Trace(tuple(steps))
-        if len(steps) >= fuel:
-            raise FuelExhausted(
-                f"no normal form within {fuel} steps under {system.name}", len(steps)
-            )
-        pos, rule, sigma = redex
-        cur = apply_redex(cur, redex)
-        # sort by the variable alone: str() of a bound term recurses through it
-        bound = sorted(sigma.items(), key=lambda vt: (vt[0].name, vt[0].sort))
-        steps.append(RewriteStep(pos, rule.name, tuple(bound)))
+        if found is not None:
+            if len(steps) >= fuel:
+                raise FuelExhausted(
+                    f"no normal form within {fuel} steps under {system.name}", len(steps)
+                )
+            rule, sigma = found
+            focus = apply_substitution(rule.rhs, sigma)
+            # sort by the variable alone: str() of a bound term recurses through it
+            bound = sorted(sigma.items(), key=lambda vt: (vt[0].name, vt[0].sort))
+            steps.append(RewriteStep(tuple(path), rule.name, tuple(bound)))
+            near = 0 if reach is None else max(0, len(spine) - reach)
+            # a head no rule has stays no redex, so such outer ancestors need no rebuild yet
+            while near < len(spine) and _head(spine[near][0]) not in heads:
+                near += 1
+            sub = focus
+            for j in range(len(spine) - 1, near - 1, -1):
+                node, kids = spine[j]
+                sub = _leave(node, kids, path[j], sub)
+                spine[j] = sub, kids
+            for j in range(near, len(spine)):
+                found = _redex_at(spine[j][0], system)
+                if found is not None:
+                    focus = spine[j][0]
+                    del spine[j:], path[j:]
+                    break
+            else:
+                found = _redex_at(focus, system)
+            continue
+        kids = children(focus)
+        if kids:
+            spine.append((focus, list(kids)))
+            path.append(1)
+            focus = kids[0]
+        else:
+            while spine:
+                node, kids = spine[-1]
+                idx = path[-1]
+                if idx < len(kids):
+                    kids[idx - 1] = focus
+                    path[-1] = idx + 1
+                    focus = kids[idx]
+                    break
+                spine.pop()
+                focus = _leave(node, kids, path.pop(), focus)
+            else:
+                return focus, Trace(tuple(steps))
+        found = _redex_at(focus, system)
 
 
 def _normal_forms(
@@ -325,29 +420,42 @@ def connecting_trace(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] 
 
 
 def verify_trace(p: Obj, q: Obj, trace: Trace, system: RewriteSystem) -> bool:
-    """Replay a trace step by step; backward steps replay the inverse rewrite."""
-    cur = p
+    """Replay a trace step by step; backward steps replay the inverse rewrite.
+
+    The replay walks a cursor as ``normalize`` does: each step climbs to the
+    common prefix of the last step's position and its own, then descends.
+    """
+    spine: list[tuple[Obj, list[Obj]]] = []
+    path: Position = ()
+    focus = p
     for step in trace.steps:
         try:
             rule = system.rule(step.rule)
         except KeyError:
             return False
+        pos = step.position
+        while pos[: len(path)] != path:
+            focus = _leave(*spine.pop(), path[-1], focus)
+            path = path[:-1]
+        for idx in pos[len(path) :]:
+            kids = children(focus)
+            if not 1 <= idx <= len(kids):
+                return False
+            spine.append((focus, list(kids)))
+            focus = kids[idx - 1]
+        path = pos
         sigma = step.substitution()
-        try:
-            sub = subterm_at(cur, step.position)
-        except Exception:
-            return False
         if step.forward:
-            expected = apply_substitution(rule.lhs, sigma)
-            if sub != expected:
+            if focus != apply_substitution(rule.lhs, sigma):
                 return False
-            cur = replace_at(cur, apply_substitution(rule.rhs, sigma), step.position)
+            focus = apply_substitution(rule.rhs, sigma)
         else:
-            image = apply_substitution(rule.rhs, sigma)
-            if not alpha_equal(sub, image):
+            if not alpha_equal(focus, apply_substitution(rule.rhs, sigma)):
                 return False
-            cur = replace_at(cur, apply_substitution(rule.lhs, sigma), step.position)
-    return alpha_equal(cur, q)
+            focus = apply_substitution(rule.lhs, sigma)
+    for (node, kids), idx in zip(reversed(spine), reversed(path)):
+        focus = _leave(node, kids, idx, focus)
+    return alpha_equal(focus, q)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +566,7 @@ def joinable(pair: CriticalPair, system: RewriteSystem, fuel: Optional[int] = No
 
 
 def check_left_linear(system: RewriteSystem) -> bool:
-    for rule in system.rules:
-        seen: set[Var] = set()
-        for _, sub in positions(rule.lhs):
-            if isinstance(sub, Var):
-                if sub in seen:
-                    return False
-                seen.add(sub)
-    return True
+    return system.reach is not None
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_ws_probe_matches_per_term_search(monkeypatch, include_nested):
 
 def test_probe_sampled_ho():
     ho = build_HO(OrderConfig(1))
-    report = probe_sampled(ho, OrderConfig(1), samples=40, seed=5)
+    report = probe_sampled(ho, samples=40, seed=5)
     assert len(report.rows) == 40
     assert report.summary["fit"]["class"] in ("constant", "linear", "power")
 

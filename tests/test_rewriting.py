@@ -387,3 +387,196 @@ def test_candidates_keep_every_matching_rule_in_order():
                     break
                 cur = apply_redex(cur, rng.choice(redexes))
     assert checked > 1000
+
+
+def _reference_normalize(x, system, fuel=None):
+    """Leftmost-outermost normalization that rescans from the root after every step."""
+    if fuel is None:
+        fuel = system.default_fuel(x)
+    steps = []
+    while True:
+        redex = first_redex(x, system)
+        if redex is None:
+            return x, Trace(tuple(steps))
+        if len(steps) >= fuel:
+            raise FuelExhausted(f"no normal form within {fuel} steps under {system.name}", len(steps))
+        pos, rule, sigma = redex
+        x = apply_redex(x, redex)
+        bound = sorted(sigma.items(), key=lambda vt: (vt[0].name, vt[0].sort))
+        steps.append(RewriteStep(pos, rule.name, tuple(bound)))
+
+
+def _outcome(normalizer, x, system, fuel=None):
+    try:
+        nf, trace = normalizer(x, system, fuel)
+    except FuelExhausted as exc:
+        return str(exc), exc.steps_taken
+    return repr(nf), trace
+
+
+def test_normalize_matches_rescanning_from_the_root():
+    # normalize resumes after each step and rechecks only the ancestors within
+    # the system's reach; the reference finds every redex from the root
+    from demod.bench import _random_template, enumerate_probe_terms
+    from demod.syntax import And, Forall
+    from demod.theories import OrderConfig, build_HHA, build_HO, build_WS, encode_prop, member
+
+    cfg = OrderConfig(1)
+    ws, ho, hha = build_WS(cfg), build_HO(cfg), build_HHA(cfg)
+    assert (ws.reach, ho.reach, hha.reach, ADD.reach) == (1, 1, 2, None)
+    rng = random.Random(15)
+    cases = [(ws, t, None) for t, _, _ in enumerate_probe_terms(7)]
+    assert len(cases) == 4419
+    members = []
+    for _ in range(300):
+        tmpl = _random_template(rng)
+        members.append(member([numeral(rng.randrange(4))], encode_prop(tmpl.body, tmpl.params).cls))
+    cases += [(hha.congruence_system(), t, None) for t in members]
+    cases += [(hha, t, 30) for t in members[:100]]
+    cases += [(ho, t, None) for t in members]
+    atoms = [
+        add_atom(*(rng.choice([numeral(rng.randrange(8)), x, y, s_(z)]) for _ in range(3)))
+        for _ in range(200)
+    ]
+    cases += [(ADD, a, None) for a in atoms]
+    cases += [(ADD, Forall(x, And(a, b)), None) for a, b in zip(atoms, atoms[100:])]
+    cases += [(ADD, a, 2) for a in atoms[:50]]
+    exhausted = 0
+    for system, t, fuel in cases:
+        want = _outcome(_reference_normalize, t, system, fuel)
+        assert _outcome(normalize, t, system, fuel) == want, (system.name, t)
+        exhausted += isinstance(want[1], int)
+    assert exhausted > 50
+
+
+def test_normalize_rechecks_every_ancestor_a_step_can_make_a_redex():
+    # pred(s(0)) reaches two levels down, so a step at 1.1 can make the root a
+    # redex; +(x, x) repeats x, so a step at any depth can make its node one
+    from demod.syntax import replace_at, subterm_at
+    from demod.theories import plus, pred_
+
+    lifting = [
+        Rule("pred-s0", pred_(s_(ZERO)), ZERO),
+        Rule("plus-0", plus(ZERO, y), y),
+        Rule("s-pred", s_(pred_(x)), x),
+    ]
+    linear = RewriteSystem("linear", tuple(lifting), terminating=True)
+    doubling = RewriteSystem("doubling", (Rule("plus-xx", plus(x, x), x), *lifting), terminating=True)
+    assert (linear.reach, doubling.reach) == (2, None)
+    rng = random.Random(15)
+
+    def term(depth):
+        if depth == 0:
+            return rng.choice([ZERO, x])
+        op = rng.choice([s_, pred_, plus])
+        return op(term(depth - 1)) if op is not plus else plus(term(depth - 1), term(depth - 1))
+
+    terms = [term(rng.randrange(1, 7)) for _ in range(600)]
+    for t in terms[:300]:
+        # +(n, n') where n' is the normal form n with a redex put deep inside it
+        n, _ = normalize(t, linear)
+        deep = [pos for pos, _ in positions(n) if len(pos) >= 2]
+        if deep:
+            pos = rng.choice(deep)
+            terms.append(plus(n, replace_at(n, s_(pred_(subterm_at(n, pos))), pos)))
+    for system in (linear, doubling):
+        steps = 0
+        for t in terms:
+            want = _reference_normalize(t, system)
+            assert normalize(t, system) == want, (system.name, t)
+            steps += len(want[1])
+        assert steps > 500
+
+
+def test_normalize_is_linear_in_fuel_on_the_induction_redex():
+    # under nat-induction the redex sinks a level every two steps; rescanning
+    # from the root made fuel 1,000 alone take seconds
+    import time
+
+    from demod.syntax import CLASS
+    from demod.theories import OrderConfig, build_HHA, member
+
+    hha = build_HHA(OrderConfig(1))
+    start = time.perf_counter()
+    with pytest.raises(FuelExhausted) as exc:
+        normalize(member([x], Var("p", CLASS)), hha, fuel=3000)
+    assert exc.value.steps_taken == 3000
+    assert time.perf_counter() - start < 3.0
+
+
+def _reference_verify_trace(p, q, trace, system):
+    """Replay each step from the root with ``subterm_at`` and ``replace_at``."""
+    from demod.syntax import apply_substitution, replace_at, subterm_at
+
+    cur = p
+    for step in trace.steps:
+        if step.rule not in {r.name for r in system.rules}:
+            return False
+        rule = system.rule(step.rule)
+        sigma = step.substitution()
+        try:
+            sub = subterm_at(cur, step.position)
+        except Exception:
+            return False
+        if step.forward:
+            if sub != apply_substitution(rule.lhs, sigma):
+                return False
+            cur = replace_at(cur, apply_substitution(rule.rhs, sigma), step.position)
+        else:
+            if not alpha_equal(sub, apply_substitution(rule.rhs, sigma)):
+                return False
+            cur = replace_at(cur, apply_substitution(rule.lhs, sigma), step.position)
+    return alpha_equal(cur, q)
+
+
+def _mutated(trace, rng):
+    """The trace with one step broken in one of four ways, chosen by ``rng``."""
+    steps = list(trace.steps)
+    k = rng.randrange(len(steps))
+    s = steps[k]
+    how = rng.randrange(4)
+    if how == 0:
+        cut = rng.randrange(len(s.position) + 1)
+        s = RewriteStep(s.position[:cut] + (rng.choice([0, 4, 99]),), s.rule, s.subst, s.forward)
+    elif how == 1:
+        s = RewriteStep(s.position, "no-such-rule", s.subst, s.forward)
+    elif how == 2:
+        s = RewriteStep(s.position, s.rule, s.subst, not s.forward)
+    elif s.subst:
+        j = rng.randrange(len(s.subst))
+        v, _ = s.subst[j]
+        subst = s.subst[:j] + ((v, Var(v.name + "'", v.sort)),) + s.subst[j + 1 :]
+        s = RewriteStep(s.position, s.rule, subst, s.forward)
+    steps[k] = s
+    return Trace(tuple(steps))
+
+
+def test_verify_trace_matches_replaying_from_the_root():
+    from demod.fragments import FZ_LIBRARY, HHA_LIBRARY, fz_fragment, hha_fragment
+    from demod.nd import fold_proof, obligations
+    from demod.theories import OrderConfig, build_HHA, build_HO
+
+    cfg = OrderConfig(1)
+    proofs = [(build_HHA(cfg), hha_fragment(name).proof) for name in HHA_LIBRARY]
+    proofs += [(build_HO(cfg), fz_fragment(name).proof) for name in FZ_LIBRARY]
+    cases = []
+    for system, proof in proofs:
+        nodes = []
+        fold_proof(proof, lambda node, _: nodes.append(node))
+        for node in nodes:
+            for left, right, _ in obligations(node):
+                if not alpha_equal(left, right):
+                    try:
+                        trace = connecting_trace(left, right, system)
+                    except (CongruenceError, FuelExhausted):
+                        continue
+                    cases.append((left, right, trace, system))
+    rng = random.Random(15)
+    verdicts = []
+    for left, right, trace, system in cases:
+        tries = [trace] + [_mutated(trace, rng) for _ in range(8) if trace.steps]
+        for t in tries:
+            got = verify_trace(left, right, t, system)
+            assert got is _reference_verify_trace(left, right, t, system), (left, right, t)
+            verdicts.append(got)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 200

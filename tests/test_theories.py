@@ -350,7 +350,7 @@ def test_hha_without_induction_terminates_on_probed_inputs():
     from demod.bench import probe_sampled
 
     hha = build_HHA(OrderConfig(1))
-    report = probe_sampled(hha, OrderConfig(1), samples=60, seed=17)
+    report = probe_sampled(hha, samples=60, seed=17)
     # every sampled normalization finished within the polynomial default fuel
     assert len(report.rows) == 60
     assert all(row["steps"] >= 0 for row in report.rows)
