@@ -10,14 +10,20 @@ sound normalize-and-compare checks when the full system does not terminate.
 ``normalize`` always rewrites the leftmost-outermost redex.  It walks the
 object once with a cursor: after each step it resumes where it rewrote and
 rechecks only the ancestors within the rules' reach (``RewriteSystem.reach``).
+
+Each rule is compiled once (``Compiled``, shared by equal rules through one
+table): a matcher written out for its left side, and a builder for each side
+that puts the matched images in without capture checks unless the side binds.
+Matching (``match`` included), ``normalize``, the redex listing,
+``longest_derivation`` and trace replay all run these compiled forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import is_
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
     App,
@@ -25,6 +31,7 @@ from .syntax import (
     Obj,
     Position,
     Proposition,
+    SortError,
     Term,
     Var,
     alpha_equal,
@@ -159,7 +166,7 @@ class RewriteSystem:
         return {k: tuple(v) for k, v in index.items()}
 
     @cached_property
-    def _by_shape(self) -> dict[tuple[str, ArgHeads], tuple[Rule, ...]]:
+    def _by_shape(self) -> dict[tuple[str, ArgHeads], tuple[tuple[Rule, "Compiled"], ...]]:
         return {}
 
     def candidates(self, subject: Obj) -> tuple[Rule, ...]:
@@ -169,6 +176,10 @@ class RewriteSystem:
         is the subject's and each argument of its left side is a variable or
         has the head symbol of the subject's argument.
         """
+        return tuple(rule for rule, _ in self._candidate_forms(subject))
+
+    def _candidate_forms(self, subject: Obj) -> tuple[tuple[Rule, "Compiled"], ...]:
+        """``candidates``, each beside its compiled form."""
         head = _head(subject)
         rules = self._by_head.get(head)
         if rules is None:
@@ -177,7 +188,7 @@ class RewriteSystem:
         got = self._by_shape.get((head, args))
         if got is None:
             got = self._by_shape[head, args] = tuple(
-                r
+                (r, compiled(r.lhs, r.rhs))
                 for r, want in rules
                 if len(want) == len(args) and all(w is None or w == a for w, a in zip(want, args))
             )
@@ -227,67 +238,247 @@ class Trace:
         return Trace(flipped)
 
 
+# ---------------------------------------------------------------------------
+# Rules compiled once
+
+
+class Compiled:
+    """A rule's two sides, or a pattern alone, compiled once into functions
+    written out for their shapes, each a straight line of tests or of node
+    constructions (a matcher specialised to one pattern, in the manner of
+    Maranget, "Compiling pattern matching to good decision trees", ML 2008):
+
+    - ``match(subject)`` tests heads, arities and variable sorts in pre-order
+      and reads the slots straight out.  It gives the images of ``variables``,
+      the left side's variables in the order they first occur, as a tuple, or
+      None.  A variable's image is a ``Var`` or ``App`` of its sort, a
+      repeated variable needs equal images, and an application's sort is not
+      tested.
+    - ``build_lhs(images)`` and ``build_rhs(images)`` give a side with the
+      images put in for ``variables``.  A side with no binder is built with no
+      capture check, and its ground subterms are reused as they are.  A side
+      with one goes through the capture-avoiding ``apply_substitution``.
+    - ``rhs_variables`` lists the right side's variables in the order
+      ``apply_substitution`` meets them, or is None if the side binds.
+    - ``subst(images)`` gives a ``RewriteStep.subst``: the bindings sorted by
+      variable, in an order worked out here.
+
+    Forms live in ``_COMPILED``, keyed by the pair of sides, so equal rules of
+    systems built again share one; a form pickles as its sides.
+    """
+
+    __slots__ = (
+        "lhs", "rhs", "variables", "rhs_variables", "match", "build_lhs", "build_rhs", "subst"
+    )
+
+    def __reduce__(self):
+        return compiled, (self.lhs, self.rhs)
+
+    def lhs_under(self, sigma: Mapping[Var, Term]) -> Obj:
+        """``apply_substitution(self.lhs, sigma)``, with the same SortError."""
+        return self.build_lhs(_images(self.variables, sigma, self.variables))
+
+    def rhs_under(self, sigma: Mapping[Var, Term]) -> Obj:
+        """``apply_substitution(self.rhs, sigma)``, with the same SortError."""
+        if self.rhs_variables is None:
+            # which binders are renamed depends on the variables sigma binds
+            return apply_substitution(self.rhs, sigma)
+        return self.build_rhs(_images(self.variables, sigma, self.rhs_variables))
+
+
+_COMPILED: dict[tuple[Obj, Optional[Obj]], Compiled] = {}
+
+
+def compiled(lhs: Obj, rhs: Optional[Obj] = None) -> Compiled:
+    """The compiled form of a rule's sides, or of the pattern ``lhs`` alone."""
+    got = _COMPILED.get((lhs, rhs))
+    if got is None:
+        got = _COMPILED[lhs, rhs] = _compile(lhs, rhs)
+    return got
+
+
+def _images(
+    variables: tuple[Var, ...], sigma: Mapping[Var, Term], checked: tuple[Var, ...]
+) -> tuple:
+    """The images of ``variables`` under ``sigma``, an unbound one itself.  Of
+    ``checked``, in the order ``apply_substitution`` meets them, the first one
+    bound to a term of another sort raises the SortError it would."""
+    for v in checked:
+        t = sigma.get(v)
+        if t is not None and t.sort != v.sort:
+            raise SortError(f"substitution maps {v} to {t} of sort {t.sort}")
+    return tuple([sigma.get(v, v) for v in variables])
+
+
+def _compile(lhs: Obj, rhs: Optional[Obj]) -> Compiled:
+    env: dict[str, object] = {}
+    names: dict[int, str] = {}  # by id: the values are kept alive in env
+
+    def const(value: object) -> str:
+        """An expression for ``value`` in the generated code."""
+        if type(value) is str:
+            return repr(value)
+        name = names.get(id(value))
+        if name is None:
+            name = names[id(value)] = f"c{len(names)}"
+            env[name] = value
+        return name
+
+    form = Compiled()
+    variables = _first_occurrences(lhs)
+    form.lhs, form.rhs, form.variables = lhs, rhs, variables
+    unpack = ["".join(f"i{k}, " for k in range(len(variables))) + "= i"] if variables else []
+    order = sorted(range(len(variables)), key=lambda k: (variables[k].name, variables[k].sort))
+    pairs = "".join(f"({const(variables[k])}, i{k}), " for k in order)
+    bodies = {
+        "match": ("s", _matcher_lines(lhs, variables, const)),
+        "subst": ("i", [*unpack, f"return ({pairs})"]),
+    }
+    form.build_rhs = form.rhs_variables = None
+    for name, side in (("build_lhs", lhs), ("build_rhs", rhs)):
+        lines = None if side is None else _builder_lines(side, variables, const)
+        if lines is not None:
+            bodies[name] = ("i", [*unpack, *lines])
+        elif side is not None:
+            setattr(form, name, partial(_substituted, side, variables))
+    if "build_rhs" in bodies:
+        form.rhs_variables = _first_occurrences(rhs)
+    # one exec for the form's functions, each of them a straight line
+    exec("".join(f"def {name}({param}):\n" + "".join(f"    {line}\n" for line in body)
+                 for name, (param, body) in bodies.items()), env)
+    for name in bodies:
+        setattr(form, name, env[name])
+    return form
+
+
+def _first_occurrences(side: Obj) -> tuple[Var, ...]:
+    """The variables of a side with no binder, in the order ``apply_substitution`` meets them."""
+    return tuple(dict.fromkeys(sub for _, sub in positions(side) if type(sub) is Var))
+
+
+def _matcher_lines(
+    pattern: Obj, variables: tuple[Var, ...], const: Callable[[object], str]
+) -> list[str]:
+    """The body of ``match(s)`` for ``pattern``, one line per test in
+    pre-order, returning the images of ``variables``."""
+    lines: list[str] = []
+    at: dict[Var, str] = {}  # where each variable first occurs
+    count = 0
+    stack = [(pattern, "s")]
+    while stack:
+        p, s = stack.pop()
+        kind = type(p)
+        if kind is Var:
+            if p in at:
+                lines.append(f"if {s} != {at[p]}: return None")
+                continue
+            at[p] = s
+            sort = const(p.sort)
+            lines.append(
+                f"if type({s}) is not {const(Var)} and type({s}) is not {const(App)}"
+                f" or {s}.sort is not {sort} and {s}.sort != {sort}: return None"
+            )
+        elif kind is App or kind is Atom:
+            head = "fn" if kind is App else "pred"
+            name = getattr(p, head)
+            lines.append(f"if type({s}) is not {const(kind)} or {s}.{head} != {name!r}: return None")
+            kids = [f"s{count + k}" for k in range(len(p.args))]
+            count += len(kids)
+            if kids:
+                lines += [f"a = {s}.args", f"if len(a) != {len(kids)}: return None"]
+                lines.append("".join(f"{k}, " for k in kids) + "= a")
+            else:
+                lines.append(f"if {s}.args: return None")
+            stack.extend(reversed(list(zip(p.args, kids))))
+        else:
+            lines.append("return None")  # only variables, applications and atoms match
+            break
+    else:
+        lines.append("return (" + "".join(f"{at[v]}, " for v in variables) + ")")
+    return lines
+
+
+def _builder_lines(
+    side: Obj, variables: tuple[Var, ...], const: Callable[[object], str]
+) -> Optional[list[str]]:
+    """The lines building ``side`` from the images ``i0``, ``i1``, ... of
+    ``variables``, one node per line; None if ``side`` binds."""
+    index = {v: k for k, v in enumerate(variables)}
+    lines: list[str] = []
+    built: dict[Obj, str] = {}
+    stack = [side]
+    while stack:
+        node = stack[-1]
+        if node in built:
+            stack.pop()
+        elif type(node) is Var:
+            built[node] = f"i{index[node]}"
+        elif node._hash & 1:  # ground: reused as it is
+            built[node] = const(node)
+        elif node.shape.binder:
+            return None
+        else:
+            shape = node.shape
+            kids = shape.children(node)
+            todo = [k for k in kids if k not in built]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            parts = [const(v) for v in shape.values(node)]
+            if shape.variadic:
+                parts[shape.slots[0]] = "(" + "".join(f"{built[k]}, " for k in kids) + ")"
+            else:
+                for slot, k in zip(shape.slots, kids):
+                    parts[slot] = built[k]
+            built[node] = f"t{len(lines)}"
+            lines.append(f"{built[node]} = {const(type(node))}({', '.join(parts)})")
+    return [*lines, f"return {built[side]}"]
+
+
+def _substituted(side: Obj, variables: tuple[Var, ...], images: tuple) -> Obj:
+    return apply_substitution(side, dict(zip(variables, images)))
+
+
 def match(pattern: Obj, subject: Obj) -> Optional[dict[Var, Term]]:
-    """First-order matching; repeated pattern variables need equal images."""
-    bind: dict[Var, Term] = {}
-
-    def go(p: Obj, s: Obj) -> bool:
-        if isinstance(p, Var):
-            if not isinstance(s, (Var, App)) or sort_of(s) != p.sort:
-                return False
-            seen = bind.get(p)
-            if seen is None:
-                bind[p] = s
-                return True
-            return seen == s
-        head = _head(p)
-        return (
-            head is not None
-            and type(p) is type(s)
-            and head == _head(s)
-            and len(p.args) == len(s.args)
-            and all(go(a, b) for a, b in zip(p.args, s.args))
-        )
-
-    return bind if go(pattern, subject) else None
+    """First-order matching by ``pattern``'s compiled form; repeated pattern
+    variables need equal images."""
+    form = compiled(pattern)
+    images = form.match(subject)
+    return None if images is None else dict(zip(form.variables, images))
 
 
 Redex = tuple[Position, Rule, dict[Var, Term]]
 
 
-def rewrite_redexes(x: Obj, system: RewriteSystem) -> list[Redex]:
-    """All redexes, leftmost-outermost first; rule order breaks ties."""
-    out: list[Redex] = []
+def _redexes(x: Obj, system: RewriteSystem) -> list[tuple[Position, Rule, Compiled, tuple]]:
+    """Every redex with its rule's compiled form and images, leftmost-outermost first."""
+    out = []
     for pos, sub in positions(x):
-        for rule in system.candidates(sub):
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                out.append((pos, rule, sigma))
+        for rule, form in system._candidate_forms(sub):
+            images = form.match(sub)
+            if images is not None:
+                out.append((pos, rule, form, images))
     return out
 
 
-def first_redex(x: Obj, system: RewriteSystem) -> Optional[Redex]:
-    for pos, sub in positions(x):
-        for rule in system.candidates(sub):
-            sigma = match(rule.lhs, sub)
-            if sigma is not None:
-                return (pos, rule, sigma)
-    return None
+def rewrite_redexes(x: Obj, system: RewriteSystem) -> list[Redex]:
+    """All redexes, leftmost-outermost first; rule order breaks ties."""
+    redexes = _redexes(x, system)
+    return [(pos, rule, dict(zip(form.variables, images))) for pos, rule, form, images in redexes]
 
 
 def apply_redex(x: Obj, redex: Redex) -> Obj:
     pos, rule, sigma = redex
-    # binders introduced by the right side must not catch substituted variables
-    image = apply_substitution(rule.rhs, sigma)
-    return replace_at(x, image, pos)
+    return replace_at(x, compiled(rule.lhs, rule.rhs).rhs_under(sigma), pos)
 
 
-def _redex_at(sub: Obj, system: RewriteSystem) -> Optional[tuple[Rule, dict[Var, Term]]]:
-    """The first rule, in rule order, whose left side matches at the root of ``sub``."""
-    for rule in system.candidates(sub):
-        sigma = match(rule.lhs, sub)
-        if sigma is not None:
-            return rule, sigma
+def _redex_at(sub: Obj, system: RewriteSystem) -> Optional[tuple[Rule, Compiled, tuple]]:
+    """The first rule, in rule order, whose left side matches at the root of
+    ``sub``, with its compiled form and the images of its variables."""
+    for rule, form in system._candidate_forms(sub):
+        images = form.match(sub)
+        if images is not None:
+            return rule, form, images
     return None
 
 
@@ -330,11 +521,9 @@ def normalize(x: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> tupl
                 raise FuelExhausted(
                     f"no normal form within {fuel} steps under {system.name}", len(steps)
                 )
-            rule, sigma = found
-            focus = apply_substitution(rule.rhs, sigma)
-            # sort by the variable alone: str() of a bound term recurses through it
-            bound = sorted(sigma.items(), key=lambda vt: (vt[0].name, vt[0].sort))
-            steps.append(RewriteStep(tuple(path), rule.name, tuple(bound)))
+            rule, form, images = found
+            focus = form.build_rhs(images)
+            steps.append(RewriteStep(tuple(path), rule.name, form.subst(images)))
             near = 0 if reach is None else max(0, len(spine) - reach)
             # a head no rule has stays no redex, so such outer ancestors need no rebuild yet
             while near < len(spine) and _head(spine[near][0]) not in heads:
@@ -444,15 +633,15 @@ def verify_trace(p: Obj, q: Obj, trace: Trace, system: RewriteSystem) -> bool:
             spine.append((focus, list(kids)))
             focus = kids[idx - 1]
         path = pos
-        sigma = step.substitution()
+        form, sigma = compiled(rule.lhs, rule.rhs), step.substitution()
         if step.forward:
-            if focus != apply_substitution(rule.lhs, sigma):
+            if focus != form.lhs_under(sigma):
                 return False
-            focus = apply_substitution(rule.rhs, sigma)
+            focus = form.rhs_under(sigma)
         else:
-            if not alpha_equal(focus, apply_substitution(rule.rhs, sigma)):
+            if not alpha_equal(focus, form.rhs_under(sigma)):
                 return False
-            focus = apply_substitution(rule.lhs, sigma)
+            focus = form.lhs_under(sigma)
     for (node, kids), idx in zip(reversed(spine), reversed(path)):
         focus = _leave(node, kids, idx, focus)
     return alpha_equal(focus, q)
@@ -615,11 +804,11 @@ def longest_derivation(
         if got is not None:
             return got
         best = 0
-        for redex in rewrite_redexes(t, system):
+        for pos, _, form, images in _redexes(t, system):
             budget[0] -= 1
             if budget[0] < 0:
                 raise FuelExhausted("longest_derivation search budget exhausted")
-            best = max(best, 1 + split(apply_redex(t, redex)))
+            best = max(best, 1 + split(replace_at(t, form.build_rhs(images), pos)))
         memo[t] = best
         return best
 

@@ -16,7 +16,6 @@ from demod.rewriting import (
     congruent_auto,
     connecting_trace,
     critical_pairs,
-    first_redex,
     joinable,
     longest_derivation,
     match,
@@ -389,6 +388,16 @@ def test_candidates_keep_every_matching_rule_in_order():
     assert checked > 1000
 
 
+def first_redex(x, system):
+    """The leftmost-outermost redex; rule order breaks ties."""
+    for pos, sub in positions(x):
+        for rule in system.candidates(sub):
+            sigma = match(rule.lhs, sub)
+            if sigma is not None:
+                return (pos, rule, sigma)
+    return None
+
+
 def _reference_normalize(x, system, fuel=None):
     """Leftmost-outermost normalization that rescans from the root after every step."""
     if fuel is None:
@@ -580,3 +589,201 @@ def test_verify_trace_matches_replaying_from_the_root():
             assert got is _reference_verify_trace(left, right, t, system), (left, right, t)
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 200
+
+
+def _reference_match(pattern, subject):
+    """Recursive first-order matching: a variable's image is a Var or App of
+    its sort, a repeated variable needs equal images, heads and arities must
+    agree, and an application's sort is not tested."""
+    bind = {}
+
+    def go(p, s):
+        if isinstance(p, Var):
+            if not isinstance(s, (Var, App)) or s.sort != p.sort:
+                return False
+            if p in bind:
+                return bind[p] == s
+            bind[p] = s
+            return True
+        if isinstance(p, App):
+            same_head = isinstance(s, App) and s.fn == p.fn
+        elif isinstance(p, Atom):
+            same_head = isinstance(s, Atom) and s.pred == p.pred
+        else:
+            return False
+        return same_head and len(p.args) == len(s.args) and all(map(go, p.args, s.args))
+
+    return bind if go(pattern, subject) else None
+
+
+def _near_misses(subject, lhs, pool, rng):
+    """``subject``, an instance of ``lhs``, changed at one position of ``lhs``
+    each way a match can fail, or nearly fail."""
+    from demod.syntax import replace_at, subterm_at
+
+    out = []
+    sorts = list(pool)
+    seen = set()
+    for pos, p in positions(lhs):
+        at = subterm_at(subject, pos)
+        if isinstance(p, Var):
+            other = rng.choice([s for s in sorts if s != p.sort])
+            out += [replace_at(subject, rng.choice(pool[other]), pos), replace_at(subject, TRUE, pos)]
+            if p in seen:  # a repeated variable given an image unequal to its first one
+                out += [replace_at(subject, t, pos) for t in pool[p.sort] if t != at][:2]
+            seen.add(p)
+            continue
+        args = at.args
+        shorter = args[:-1] if args else (ZERO,)
+        longer = args + (rng.choice(pool[rng.choice(sorts)]),)
+        if isinstance(at, App):
+            other = rng.choice(sorts)
+            changed = [
+                App(at.fn, shorter, at.sort),
+                App(at.fn, longer, at.sort),
+                App(at.fn + "'", args, at.sort),
+                App(at.fn, args, other),  # an application's sort is not tested
+                Atom(at.fn, args),
+                Atom(at.fn[1:], args) if at.fn.startswith("@") else Atom("@" + at.fn, args),
+            ]
+        else:
+            changed = [
+                Atom(at.pred, shorter),
+                Atom(at.pred, longer),
+                Atom(at.pred + "'", args),
+                App(at.pred, args, arith(0)),
+                App("@" + at.pred, args, arith(0)),
+            ]
+        out += [replace_at(subject, c, pos) for c in changed]
+    return out
+
+
+def test_compiled_rules_agree_with_recursive_matching_and_substitution():
+    from demod.rewriting import compiled
+    from demod.syntax import LIST, apply_substitution, free_variables
+    from demod.theories import OrderConfig, build_HHA, build_HO, build_WS
+
+    hha = build_HHA(OrderConfig(1))
+    systems = [ADD, build_WS(OrderConfig(1)), build_HO(OrderConfig(1)), build_HO(OrderConfig(2)), hha]
+    systems.append(hha.auto_fallback)
+    assert hha.auto_fallback.name == "HHA-mod-noind"
+    rng = random.Random(16)
+    hits = misses = renamed = 0
+    for system in systems:
+        # terms to put in for variables: every term in the rules, each also instantiated once
+        pool = {}
+        for rule in system.rules:
+            for side in (rule.lhs, rule.rhs):
+                for _, t in positions(side):
+                    if isinstance(t, (Var, App)):
+                        pool.setdefault(t.sort, set()).add(t)
+        for sort in (*pool, LIST, arith(1)):
+            pool.setdefault(sort, set()).add(Var("u", sort))
+        pool = {sort: sorted(terms, key=repr) for sort, terms in pool.items()}
+        for terms in list(pool.values()):
+            for t in terms[:]:
+                sigma = {v: rng.choice(pool[v.sort]) for v in free_variables(t)}
+                terms.append(apply_substitution(t, sigma))
+        for rule in system.rules:
+            form = compiled(rule.lhs, rule.rhs)
+            for _ in range(4):
+                sigma = {v: rng.choice(pool[v.sort]) for v in free_variables(rule.lhs)}
+                subject = apply_substitution(rule.lhs, sigma)
+                for s in [subject] + _near_misses(subject, rule.lhs, pool, rng):
+                    want = _reference_match(rule.lhs, s)
+                    assert match(rule.lhs, s) == want, (rule.name, s)
+                    images = form.match(s)
+                    assert (images is None) == (want is None), (rule.name, s)
+                    if want is None:
+                        misses += 1
+                        continue
+                    hits += 1
+                    assert dict(zip(form.variables, images)) == want
+                    assert form.build_lhs(images) == apply_substitution(rule.lhs, want)
+                    built = form.build_rhs(images)
+                    assert built == apply_substitution(rule.rhs, want), (rule.name, s)
+                    # the order a RewriteStep's bindings were sorted in by normalize
+                    ordered = sorted(want.items(), key=lambda vt: (vt[0].name, vt[0].sort))
+                    assert form.subst(images) == tuple(ordered)
+                    renamed += built != apply_substitution(rule.rhs, {}) and "'" in str(built)
+    assert hits > 1000 and misses > 5000 and renamed > 20
+
+    # a right side with a binder still renames it around an image that would be caught
+    unfold = hha.rule("eq-unfold")
+    form = compiled(unfold.lhs, unfold.rhs)
+    assert form.rhs_variables is None
+    z0 = Var("z", arith(0))
+    sigma = {x: z0, y: ZERO}
+    built = form.build_rhs(tuple(sigma[v] for v in form.variables))
+    assert built == apply_substitution(unfold.rhs, sigma)
+    assert built.var.name == "z'" and z0 in free_variables(built)
+    assert form.rhs_under(sigma) == built
+
+
+def test_verify_trace_replay_edge_cases(tmp_path, capsys):
+    # a binding of the wrong sort is an error, an extra one is ignored, and
+    # a missing one leaves the rule's variable in the side it builds
+    from demod.cli import main
+    from demod.fileformat import dumps, nd_proof_document
+    from demod.nd import TopI
+    from demod.syntax import LIST, SortError
+    from demod.theories import null, pred_
+
+    nil = App("nil", (), LIST)
+    start, end = add_atom(s_(ZERO), ZERO, s_(ZERO)), add_atom(ZERO, ZERO, ZERO)
+    good = ((x, ZERO), (y, ZERO), (z, ZERO))
+
+    def step(subst):
+        return Trace((RewriteStep((), "add-step", subst),))
+
+    assert verify_trace(start, end, step(good), ADD)
+    with pytest.raises(SortError, match=r"^substitution maps x:0 to nil of sort list$"):
+        verify_trace(start, end, step(((x, nil),) + good[1:]), ADD)
+    assert verify_trace(start, end, step(good + ((var0("w"), ZERO), (Var("l", LIST), ZERO))), ADD)
+    assert verify_trace(start, end, step(good[1:]), ADD) is False
+    assert verify_trace(end, start, step(good).reversed(), ADD)
+    assert verify_trace(end, start, step(good[1:]).reversed(), ADD) is False
+
+    def checked(image):
+        via = Trace((RewriteStep((1,), "pred-s", ((x, image),)), RewriteStep((), "null-zero", ())))
+        path = tmp_path / "proof.sexp"
+        path.write_text(dumps(nd_proof_document(TopI(null(pred_(s_(ZERO))), via=via))))
+        return main(["check-nd", str(path), "--system", "hha", "--mode", "witnessed"])
+
+    assert checked(ZERO) == 0
+    capsys.readouterr()
+    assert checked(nil) == 2
+    assert capsys.readouterr().err == "error: substitution maps x:0 to nil of sort list\n"
+
+
+def test_systems_with_compiled_rules_pickle_and_share_them():
+    import copy
+    import pickle
+
+    from demod.rewriting import _COMPILED, compiled
+    from demod.theories import OrderConfig, build_HHA
+
+    system = add_system()
+    start = add_atom(numeral(2), numeral(2), numeral(4))
+    want = normalize(start, system)
+    for again in (pickle.loads(pickle.dumps(system)), copy.deepcopy(system)):
+        assert again == system
+        assert normalize(start, again) == want
+
+    from demod.syntax import CLASS
+    from demod.theories import member
+
+    def compile_all(hha):
+        for rule in hha.rules + hha.auto_fallback.rules:
+            compiled(rule.lhs, rule.rhs)
+        return normalize(member([numeral(2)], Var("p", CLASS)), hha, fuel=40)
+
+    with pytest.raises(FuelExhausted):
+        compile_all(build_HHA(OrderConfig(1)))
+    size = len(_COMPILED)
+    with pytest.raises(FuelExhausted):
+        compile_all(build_HHA(OrderConfig(1)))
+    assert len(_COMPILED) == size
+    first, second = build_HHA(OrderConfig(1)), build_HHA(OrderConfig(1))
+    for a, b in zip(first.rules, second.rules):
+        assert compiled(a.lhs, a.rhs) is compiled(b.lhs, b.rhs)
