@@ -123,13 +123,18 @@ def cmd_normalize(args) -> int:
     except FuelExhausted as exc:
         _emit(args, {"ok": False, "error": str(exc), "steps": exc.steps_taken})
         return 1
-    out_sx = ff.prop_to_sx(nf) if not hasattr(nf, "sort") else ff.term_to_sx(nf)
-    _emit(args, {"ok": True, "normal_form": ff.dumps(out_sx).strip(), "steps": len(trace)})
+    _emit(args, {"ok": True, "normal_form": ff.dumps(ff.term_to_sx(nf)).strip(), "steps": len(trace)})
     return 0
 
 
 def cmd_confluence(args) -> int:
     system, _ = _resolve_system(args.system, args.order)
+    if args.fuel is None and not system.terminating:
+        # the default fuel grows with the square of each pair's size, so an
+        # unbounded normalization may run out of memory before it runs out of fuel
+        print(f"error: system {system.name} is not declared terminating; give --fuel to bound "
+              "each normalization", file=sys.stderr)
+        return 2
     pairs = critical_pairs(system)
     rows = []
     all_joined = True

@@ -320,6 +320,12 @@ class Signature:
         pn = [d.name for d in self.pred_decls]
         if len(set(fn)) != len(fn) or len(set(pn)) != len(pn):
             raise SortError("duplicate symbol declaration in signature")
+        declared = set(self.sorts)
+        for d in self.fun_decls + self.pred_decls:
+            named = d.arg_sorts + ((d.result,) if isinstance(d, FunDecl) else ())
+            if not declared.issuperset(named):
+                undeclared = next(s for s in named if s not in declared)
+                raise SortError(f"{d.name} uses the undeclared sort {undeclared}")
 
     @cached_property
     def funs(self) -> Mapping[str, FunDecl]:

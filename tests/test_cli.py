@@ -124,10 +124,16 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          ["translate", "nd-hilbert", "p.sexp", "--instances", "i.sexp"], "expected (NAME (schema ...))"),
         ({"p.sexp": TOP_PROOF, "i.sexp": "(instances (r (schema K)))"},
          ["translate", "nd-hilbert", "p.sexp", "--instances", "i.sexp"], "K: missing proposition variable A"),
+        ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (sorts 0) (fun z () 0) (sorts list))"},
+         NORMALIZE_RULES, "unknown signature entry 'sorts'"),
+        ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (fun z () 0))"}, NORMALIZE_RULES,
+         "expected (sorts ...)"),
+        ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (sorts 0) (fun nil () list))"},
+         NORMALIZE_RULES, "nil uses the undeclared sort list"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
-         "short-instance", "incomplete-instance"],
+         "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -136,6 +142,25 @@ def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_confluence_without_fuel_needs_a_terminating_system(tmp_path, monkeypatch, capsys):
+    # the default fuel of a system that may not terminate is no bound in
+    # practice: HHA's critical pairs once ran past 1.4 GB under it
+    def runaway(system):
+        raise AssertionError("critical pairs computed without a bound")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "critical_pairs", runaway)
+    (tmp_path / "r.rules").write_text("(rules R (flags) (rule r (s x.0) x.0))")
+    (tmp_path / "r.rules.sig").write_text(ADD_SIG)
+    for system, name in (("hha", "HHA-mod"), ("r.rules", "R")):
+        assert main(["confluence", "--system", system]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: system {name} is not declared terminating") and "--fuel" in err
+    monkeypatch.undo()
+    assert main(["confluence", "--system", "hha", "--fuel", "10"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["system"] == "HHA-mod"
 
 
 DEEP_IMP = "(imp " * 3000 + "true" + " true)" * 3000
