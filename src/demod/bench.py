@@ -26,6 +26,7 @@ from .hilbert import (
     check_hilbert,
     hilbert_length,
     instance,
+    split_schema_id,
     zi_axiom_schemata,
 )
 from .nd import (
@@ -331,8 +332,7 @@ def bench_fragments(samples: int = 100, seed: int = 2024) -> BenchReport:
         for name in names:
             lengths = set()
             for _ in range(samples):
-                level = int(name[5:]) if name.startswith("comp^") else 0
-                tmpl = _random_template(rng, level)
+                tmpl = _random_template(rng, split_schema_id(name)[1])
                 if library == "fz":
                     frag = fz_fragment(name, tmpl)
                     verdict = check_nd(frag.proof, assumptions=fz, system=ho)

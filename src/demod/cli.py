@@ -11,7 +11,7 @@ import json
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bench, fileformat as ff
 from .hilbert import SchemaError, check_hilbert, zi_axiom_schemata
@@ -38,27 +38,26 @@ from .translate import (
     zi_nd_to_hha,
 )
 
-BUILTIN_SYSTEMS = ("add", "ho", "ws", "hha", "hha-noind")
+# each builtin system id to its system and signature at an order
+_BUILTINS: dict[str, Callable[[OrderConfig], tuple]] = {
+    "empty": lambda cfg: (EMPTY_SYSTEM, classes_signature(cfg.i, True)),
+    "add": lambda cfg: (add_system(), add_signature()),
+    "ho": lambda cfg: (build_HO(cfg), classes_signature(cfg.i)),
+    "ws": lambda cfg: (build_WS(cfg), classes_signature(cfg.i)),
+    "hha": lambda cfg: (build_HHA(cfg), hha_signature(cfg)),
+    "hha-noind": lambda cfg: (build_HHA(cfg).auto_fallback, hha_signature(cfg)),
+}
+BUILTIN_SYSTEMS = tuple(_BUILTINS)
 
 
 def _resolve_system(name: Optional[str], order: int):
     """A builtin system id or a rules file; returns (system, signature)."""
-    cfg = OrderConfig(order)
-    if name is None or name == "empty":
-        return EMPTY_SYSTEM, classes_signature(order, True)
-    if name == "add":
-        return add_system(), add_signature()
-    if name == "ho":
-        return build_HO(cfg), classes_signature(order)
-    if name == "ws":
-        return build_WS(cfg), classes_signature(order)
-    if name == "hha":
-        return build_HHA(cfg), hha_signature(cfg)
-    if name == "hha-noind":
-        return build_HHA(cfg).auto_fallback, hha_signature(cfg)
+    builtin = _BUILTINS.get("empty" if name is None else name)
+    if builtin is not None:
+        return builtin(OrderConfig(order))
     path = Path(name)
-    if not path.exists():
-        raise SystemExit(f"unknown system {name!r} (builtins: {', '.join(BUILTIN_SYSTEMS)})")
+    if not path.exists():  # neither a builtin nor a file: a usage error, like a missing file
+        raise FileNotFoundError(f"unknown system {name!r} (builtins: {', '.join(BUILTIN_SYSTEMS)})")
     sig_path = Path(str(path) + ".sig")
     if not sig_path.exists():
         raise SexprError(f"rules file {name} needs a signature file {sig_path}")

@@ -285,7 +285,8 @@ def _number(what: str) -> Callable:
     """The reader of a decimal atom, the ``what`` of its form."""
 
     def read(sx: Sx, sig=None) -> int:
-        if not (isinstance(sx, str) and sx.isdecimal()):
+        # ASCII digits without a leading zero: the number reprints as it reads
+        if not (isinstance(sx, str) and sx.isascii() and sx.isdecimal() and (sx[0] != "0" or sx == "0")):
             raise FormatError(f"expected {what}, found {show(sx)}")
         return int(sx)
     return read

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .hilbert import Template
+from .hilbert import SCHEMATA, Template, split_schema_id
 from .nd import (
     AndI,
     Assume,
@@ -119,18 +119,20 @@ def _encode(template: Template) -> Term:
 # Fragments for the finite core FZ modulo the class system
 
 
-def fz_leibniz(template: Template) -> Fragment:
-    """One instantiation of the class-level identity axiom."""
+def _leibniz_at(template: Template, axiom: Proof) -> Proof:
+    """The leibniz instance at ``template``: ``axiom``, a proof of the
+    class-level identity axiom, eliminated at the template's class."""
     fx = _Fresh(_avoid(template))
     a, b = fx.var("a", arith(0)), fx.var("b", arith(0))
     g = fx.var("g", CLASS)
-    cls = _encode(template)
     body = Forall(a, Forall(b, Imp(eq(a, b), Imp(member([a], g), member([b], g)))))
-    stated = Forall(
-        a, Forall(b, Imp(eq(a, b), Imp(template.apply([a]), template.apply([b]))))
-    )
-    proof = ForallE(stated, var=g, body=body, term=cls, sub=Assume("leibniz-ax", leibniz_ax()))
-    return Fragment("leibniz", proof, ("leibniz-ax",))
+    stated = SCHEMATA["leibniz"].build(template, a, b)
+    return ForallE(stated, var=g, body=body, term=_encode(template), sub=axiom)
+
+
+def fz_leibniz(template: Template) -> Fragment:
+    """One instantiation of the class-level identity axiom."""
+    return Fragment("leibniz", _leibniz_at(template, Assume("leibniz-ax", leibniz_ax())), ("leibniz-ax",))
 
 
 def fz_ind(template: Template) -> Fragment:
@@ -143,13 +145,7 @@ def fz_ind(template: Template) -> Fragment:
         member([ZERO], g),
         Imp(Forall(b, Imp(member([b], g), member([s_(b)], g))), Forall(a, member([a], g))),
     )
-    stated = Imp(
-        template.apply([ZERO]),
-        Imp(
-            Forall(b, Imp(template.apply([b]), template.apply([s_(b)]))),
-            Forall(a, template.apply([a])),
-        ),
-    )
+    stated = SCHEMATA["ind"].build(template, a, b)
     proof = ForallE(stated, var=g, body=body, term=cls, sub=Assume("ind-ax", ind_ax()))
     return Fragment("ind", proof, ("ind-ax",))
 
@@ -172,14 +168,8 @@ def fz_comp(j: int, template: Template) -> Fragment:
         eigen=beta,
         sub=n3,
     )
-    stated = Exists(alpha, Forall(beta, iff(mem(j, beta, alpha), template.apply([beta]))))
-    n5 = ExistsI(
-        stated,
-        var=alpha,
-        body=Forall(beta, iff(mem(j, beta, alpha), template.apply([beta]))),
-        term=witness,
-        sub=n4,
-    )
+    stated = SCHEMATA["comp"].build(template, alpha, beta)
+    n5 = ExistsI(stated, var=alpha, body=stated.body, term=witness, sub=n4)
     return Fragment(f"comp^{j}", n5)
 
 
@@ -331,17 +321,7 @@ def hha_leibniz_ax() -> Fragment:
 
 def hha_leibniz(template: Template) -> Fragment:
     """A schema instance: the class-level axiom proof, then one elimination."""
-    base = hha_leibniz_ax()
-    fx = _Fresh(_avoid(template))
-    a, b = fx.var("a", arith(0)), fx.var("b", arith(0))
-    g = fx.var("g", CLASS)
-    cls = _encode(template)
-    body = Forall(a, Forall(b, Imp(eq(a, b), Imp(member([a], g), member([b], g)))))
-    stated = Forall(
-        a, Forall(b, Imp(eq(a, b), Imp(template.apply([a]), template.apply([b]))))
-    )
-    proof = ForallE(stated, var=g, body=body, term=cls, sub=base.proof)
-    return Fragment("leibniz", proof)
+    return Fragment("leibniz", _leibniz_at(template, hha_leibniz_ax().proof))
 
 
 def hha_zero_ne_s() -> Fragment:
@@ -411,7 +391,7 @@ def hha_onto_s() -> Fragment:
     c1 = AndI(And(conclusion_of(n5), conclusion_of(m6)), n5, m6)
     at = member([a], cls)
     c2 = OrI(at, other=at, side="right", sub=c1, via=induction_trace(a, cls))
-    stated = Forall(a, Imp(neg(eq(a, ZERO)), Exists(b, eq(a, s_(b)))))
+    stated = SCHEMATA["onto-s"].build()
     c3 = ForallI(stated, var=a, body=at, eigen=a, sub=c2)
     return Fragment("onto-s", c3)
 
@@ -438,7 +418,7 @@ def hha_plus_zero() -> Fragment:
         )
 
     body = _induction(cls, a, base, step, fx)
-    stated = Forall(a, eq(plus(a, ZERO), a))
+    stated = SCHEMATA["plus-zero"].build()
     proof = ForallI(stated, var=a, body=member([a], cls), eigen=a, sub=body)
     return Fragment("plus-zero", proof)
 
@@ -464,15 +444,9 @@ def hha_plus_s() -> Fragment:
         )
 
     body = _induction(cls, a, base, step, fx)
-    inner = ForallI(
-        Forall(b, eq(plus(a, s_(b)), s_(plus(a, b)))),
-        var=b,
-        body=member([a], cls),
-        eigen=b,
-        sub=body,
-    )
-    stated = Forall(a, Forall(b, eq(plus(a, s_(b)), s_(plus(a, b)))))
-    proof = ForallI(stated, var=a, body=inner.conclusion, eigen=a, sub=inner)
+    stated = SCHEMATA["plus-s"].build()
+    inner = ForallI(stated.body, var=b, body=member([a], cls), eigen=b, sub=body)
+    proof = ForallI(stated, var=a, body=stated.body, eigen=a, sub=inner)
     return Fragment("plus-s", proof)
 
 
@@ -497,7 +471,7 @@ def hha_times_zero() -> Fragment:
         )
 
     body = _induction(cls, a, base, step, fx)
-    stated = Forall(a, eq(times(a, ZERO), ZERO))
+    stated = SCHEMATA["times-zero"].build()
     proof = ForallI(stated, var=a, body=member([a], cls), eigen=a, sub=body)
     return Fragment("times-zero", proof)
 
@@ -656,15 +630,9 @@ def hha_times_s() -> Fragment:
         )
 
     body = _induction(cls, a, base, step, fx)
-    inner = ForallI(
-        Forall(b, eq(times(a, s_(b)), plus(times(a, b), a))),
-        var=b,
-        body=member([a], cls),
-        eigen=b,
-        sub=body,
-    )
-    stated = Forall(a, Forall(b, eq(times(a, s_(b)), plus(times(a, b), a))))
-    proof = ForallI(stated, var=a, body=inner.conclusion, eigen=a, sub=inner)
+    stated = SCHEMATA["times-s"].build()
+    inner = ForallI(stated.body, var=b, body=member([a], cls), eigen=b, sub=body)
+    proof = ForallI(stated, var=a, body=stated.body, eigen=a, sub=inner)
     return Fragment("times-s", proof)
 
 
@@ -673,20 +641,18 @@ def hha_ind(template: Template) -> Fragment:
     a, b = fx.var("a", arith(0)), fx.var("b", arith(0))
     cls = _encode(template)
     l0, ls = fx.label(), fx.label()
-    base_prop = template.apply([ZERO])
-    step_prop = Forall(b, Imp(template.apply([b]), template.apply([s_(b)])))
-    h0 = Hyp(l0, base_prop)
-    hs = Hyp(ls, step_prop)
+    stated = SCHEMATA["ind"].build(template, a, b)  # base > (step > all a. A(a))
+    step = stated.right
     n1 = AndI(
         And(member([ZERO], cls), Forall(b, Imp(member([b], cls), member([s_(b)], cls)))),
-        h0,
-        hs,
+        Hyp(l0, stated.left),
+        Hyp(ls, step.left),
     )
     at = member([a], cls)
     n2 = OrI(at, other=at, side="right", sub=n1, via=induction_trace(a, cls))
-    n3 = ForallI(Forall(a, template.apply([a])), var=a, body=at, eigen=a, sub=n2)
-    n4 = ImpI(Imp(step_prop, n3.conclusion), hyp=step_prop, label=ls, sub=n3)
-    n5 = ImpI(Imp(base_prop, n4.conclusion), hyp=base_prop, label=l0, sub=n4)
+    n3 = ForallI(step.right, var=a, body=at, eigen=a, sub=n2)
+    n4 = ImpI(step, hyp=step.left, label=ls, sub=n3)
+    n5 = ImpI(stated, hyp=stated.left, label=l0, sub=n4)
     return Fragment("ind", n5)
 
 
@@ -709,14 +675,8 @@ def hha_comp(j: int, template: Template) -> Fragment:
         eigen=beta,
         sub=n3,
     )
-    stated = Exists(alpha, Forall(beta, iff(mem(j, beta, alpha), template.apply([beta]))))
-    n5 = ExistsI(
-        stated,
-        var=alpha,
-        body=Forall(beta, iff(mem(j, beta, alpha), template.apply([beta]))),
-        term=witness,
-        sub=n4,
-    )
+    stated = SCHEMATA["comp"].build(template, alpha, beta)
+    n5 = ExistsI(stated, var=alpha, body=stated.body, term=witness, sub=n4)
     return Fragment(f"comp^{j}", n5)
 
 
@@ -727,18 +687,7 @@ def hha_comp(j: int, template: Template) -> Fragment:
 DEFAULT_TEMPLATE = Template((var0("hole"),), eq(var0("hole"), ZERO))
 
 
-def fz_fragment(name: str, template: Optional[Template] = None) -> Fragment:
-    template = template or DEFAULT_TEMPLATE
-    if name == "leibniz":
-        return fz_leibniz(template)
-    if name == "ind":
-        return fz_ind(template)
-    if name.startswith("comp^"):
-        return fz_comp(int(name[5:]), template)
-    raise KeyError(f"no FZ fragment named {name!r}")
-
-
-_HHA_FIXED: Mapping[str, Callable[[], Fragment]] = {
+HHA_FIXED: Mapping[str, Callable[[], Fragment]] = {
     "refl": hha_refl,
     "leibniz-ax": hha_leibniz_ax,
     "zero-ne-s": hha_zero_ne_s,
@@ -750,19 +699,37 @@ _HHA_FIXED: Mapping[str, Callable[[], Fragment]] = {
     "times-s": hha_times_s,
 }
 
+# each library maps a schema family to the builder of its fragment at a level
+# and a template
+_FZ_BY_FAMILY: Mapping[str, Callable[[int, Template], Fragment]] = {
+    "leibniz": lambda j, template: fz_leibniz(template),
+    "ind": lambda j, template: fz_ind(template),
+    "comp": fz_comp,
+}
+_HHA_BY_FAMILY: Mapping[str, Callable[[int, Template], Fragment]] = {
+    "leibniz": lambda j, template: hha_leibniz(template),
+    "ind": lambda j, template: hha_ind(template),
+    "comp": hha_comp,
+}
+
+
+def _fragment(library: Mapping[str, Callable[[int, Template], Fragment]], label: str, name: str,
+              template: Optional[Template]) -> Fragment:
+    family, j = split_schema_id(name)
+    if family not in library:
+        raise KeyError(f"no {label} fragment named {name!r}")
+    return library[family](j, template or DEFAULT_TEMPLATE)
+
+
+def fz_fragment(name: str, template: Optional[Template] = None) -> Fragment:
+    return _fragment(_FZ_BY_FAMILY, "FZ", name, template)
+
 
 def hha_fragment(name: str, template: Optional[Template] = None) -> Fragment:
-    if name in _HHA_FIXED:
-        return _HHA_FIXED[name]()
-    template = template or DEFAULT_TEMPLATE
-    if name == "leibniz":
-        return hha_leibniz(template)
-    if name == "ind":
-        return hha_ind(template)
-    if name.startswith("comp^"):
-        return hha_comp(int(name[5:]), template)
-    raise KeyError(f"no HHA fragment named {name!r}")
+    if name in HHA_FIXED:
+        return HHA_FIXED[name]()
+    return _fragment(_HHA_BY_FAMILY, "HHA", name, template)
 
 
 FZ_LIBRARY = ("leibniz", "ind", "comp^0")
-HHA_LIBRARY = tuple(_HHA_FIXED) + ("leibniz", "ind", "comp^0")
+HHA_LIBRARY = (*HHA_FIXED, *FZ_LIBRARY)

@@ -3,7 +3,8 @@
 Axiom schemata are instantiated through explicit witnesses: a schema instance
 assigns proposition templates to proposition variables, terms to term
 variables and variables to metavariables, so checking a line is substitution
-plus side-condition tests, never higher-order matching.
+plus side-condition tests, never higher-order matching.  Each schema family
+is declared once, in ``SCHEMATA``; a catalogue's ids and checks derive from it.
 
 Proof length is the line count.  Each justification kind is described once,
 in ``JUSTIFICATIONS``, and its class is generated from that entry: its
@@ -12,9 +13,10 @@ positional fields are its file layout in order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, make_dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 from .syntax import (
     Exists,
@@ -45,7 +47,6 @@ from .theories import (
     refl_axiom,
     robinson_axioms,
     s_,
-    var0,
 )
 
 
@@ -66,7 +67,7 @@ class Template:
 
     @property
     def arity(self) -> tuple[Sort, ...]:
-        return tuple(v.sort for v in self.params)
+        return tuple(v.sort for v in self.params) if self.params else ()  # most are closed
 
     def apply(self, args: Sequence[Term]) -> Proposition:
         if len(args) != len(self.params):
@@ -128,41 +129,121 @@ def instance(schema: str, templates=(), terms=(), metavars=()) -> SchemaInstance
 # ---------------------------------------------------------------------------
 # The catalogue
 
-Builder = Callable[[SchemaInstance], Proposition]
+
+def _binders(name: str, templates: list[Template], terms: list[Term], metavars: list[Var]) -> None:
+    """No metavariable, which the schema binds, is free in an instance."""
+    for v in metavars:
+        for t in templates:
+            if v in t.outer_free():
+                raise SchemaError(f"{name}: bound metavariable {v} is free in an instance")
 
 
-def _binder_check(schema: str, v: Var, *templates: Template) -> None:
-    for t in templates:
-        if v in t.outer_free():
-            raise SchemaError(f"{schema}: bound metavariable {v} is free in an instance")
+def _substitutable(name: str, templates: list[Template], terms: list[Term], metavars: list[Var]) -> None:
+    """UI and EI: the binder test, then the term substitutes freely for A's parameter."""
+    _binders(name, templates, terms, metavars)
+    (a,), (tau,) = templates, terms
+    if not freely_substitutable(tau, a.params[0], a.body):
+        raise SchemaError(f"{name}: {tau} is not freely substitutable in the instance")
 
 
-PROPOSITIONAL: dict[str, tuple[tuple[str, ...], Callable[..., Proposition]]] = {
-    "I": (("A",), lambda a: Imp(a, a)),
-    "K": (("A", "B"), lambda a, b: Imp(a, Imp(b, a))),
-    "W": (("A", "B"), lambda a, b: Imp(Imp(a, Imp(a, b)), Imp(a, b))),
-    "C": (("A", "B", "C"), lambda a, b, c: Imp(Imp(a, Imp(b, c)), Imp(b, Imp(a, c)))),
-    "B": (("A", "B", "C"), lambda a, b, c: Imp(Imp(a, b), Imp(Imp(b, c), Imp(a, c)))),
-    "proj-l": (("A", "B"), lambda a, b: Imp(And(a, b), a)),
-    "proj-r": (("A", "B"), lambda a, b: Imp(And(a, b), b)),
-    "pair": (("A", "B", "C"), lambda a, b, c: Imp(Imp(a, b), Imp(Imp(a, c), Imp(a, And(b, c))))),
-    "inj-l": (("A", "B"), lambda a, b: Imp(a, Or(a, b))),
-    "inj-r": (("A", "B"), lambda a, b: Imp(b, Or(a, b))),
-    "case": (
-        ("A", "B", "C"),
-        lambda a, b, c: Imp(Imp(a, c), Imp(Imp(b, c), Imp(Or(a, b), c))),
-    ),
-    "contradiction": (
-        ("A", "B"),
-        lambda a, b: Imp(Imp(a, b), Imp(Imp(a, Imp(b, FALSE)), Imp(a, FALSE))),
-    ),
-    "efsq": (("A", "B"), lambda a, b: Imp(Imp(a, FALSE), Imp(a, b))),
-    "T": ((), lambda: TRUE),
-    "TND": (("A",), lambda a: Or(a, Imp(a, FALSE))),
+def _distinct(name: str, templates: list[Template], terms: list[Term], metavars: list[Var]) -> None:
+    """leibniz: its metavariables differ, then the binder test."""
+    if len(set(metavars)) != len(metavars):
+        raise SchemaError(f"{name}: alpha and beta must be distinct")
+    _binders(name, templates, terms, metavars)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One axiom-schema family.  Sorts are arithmetic levels relative to the
+    family's level j: ``props`` gives each proposition variable its arity,
+    ``terms`` each term variable its sort, ``metavars`` each metavariable the
+    schema binds its default name and sort.  A family has no level (None,
+    read at j = 0) or exists at the levels 0..top-``levels``; a ``classical``
+    one only in classical catalogues.  ``build`` takes the proposition
+    variables (a proposition at arity 0), terms and metavariables in declared
+    order; ``check`` tests the side conditions once arities and sorts hold."""
+
+    build: Callable[..., Proposition]
+    props: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    terms: tuple[tuple[str, int], ...] = ()
+    metavars: tuple[tuple[str, str, int], ...] = ()
+    levels: Optional[int] = None
+    classical: bool = False
+    check: Callable[[str, list[Template], list[Term], list[Var]], None] = _binders
+
+
+def _closed(*names: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    return tuple((n, ()) for n in names)
+
+
+_A = (("A", (0,)),)  # A(x), x at the family's level
+_AB = (("alpha", "a", 0), ("beta", "b", 0))
+_QUANTIFIER = dict(props=_A, terms=(("tau", 0),), metavars=(("alpha", "a", 0),), levels=0,
+                   check=_substitutable)
+
+# Every schema family, in catalogue order.  Consecutive families with the same
+# levels are listed level by level: UI^0, EI^0, UI^1, EI^1, ...
+SCHEMATA: dict[str, Schema] = {
+    "I": Schema(lambda a: Imp(a, a), _closed("A")),
+    "K": Schema(lambda a, b: Imp(a, Imp(b, a)), _closed("A", "B")),
+    "W": Schema(lambda a, b: Imp(Imp(a, Imp(a, b)), Imp(a, b)), _closed("A", "B")),
+    "C": Schema(lambda a, b, c: Imp(Imp(a, Imp(b, c)), Imp(b, Imp(a, c))), _closed("A", "B", "C")),
+    "B": Schema(lambda a, b, c: Imp(Imp(a, b), Imp(Imp(b, c), Imp(a, c))), _closed("A", "B", "C")),
+    "proj-l": Schema(lambda a, b: Imp(And(a, b), a), _closed("A", "B")),
+    "proj-r": Schema(lambda a, b: Imp(And(a, b), b), _closed("A", "B")),
+    "pair": Schema(lambda a, b, c: Imp(Imp(a, b), Imp(Imp(a, c), Imp(a, And(b, c)))), _closed("A", "B", "C")),
+    "inj-l": Schema(lambda a, b: Imp(a, Or(a, b)), _closed("A", "B")),
+    "inj-r": Schema(lambda a, b: Imp(b, Or(a, b)), _closed("A", "B")),
+    "case": Schema(lambda a, b, c: Imp(Imp(a, c), Imp(Imp(b, c), Imp(Or(a, b), c))), _closed("A", "B", "C")),
+    "contradiction": Schema(lambda a, b: Imp(Imp(a, b), Imp(Imp(a, Imp(b, FALSE)), Imp(a, FALSE))),
+                            _closed("A", "B")),
+    "efsq": Schema(lambda a, b: Imp(Imp(a, FALSE), Imp(a, b)), _closed("A", "B")),
+    "T": Schema(lambda: TRUE),
+    "TND": Schema(lambda a: Or(a, Imp(a, FALSE)), _closed("A"), classical=True),
+    "UI": Schema(lambda a, tau, x: Imp(Forall(x, a.apply([x])), a.apply([tau])), **_QUANTIFIER),
+    "EI": Schema(lambda a, tau, x: Imp(a.apply([tau]), Exists(x, a.apply([x]))), **_QUANTIFIER),
+    "refl": Schema(refl_axiom),
+    "leibniz": Schema(lambda a, x, y: Forall(x, Forall(y, Imp(eq(x, y), Imp(a.apply([x]), a.apply([y]))))),
+                      _A, metavars=_AB, check=_distinct),
+    # built once: instances share them
+    **{name: Schema(lambda p=p: p) for name, p in robinson_axioms()},
+    "ind": Schema(lambda a, x, y: Imp(a.apply([ZERO]), Imp(Forall(y, Imp(a.apply([y]), a.apply([s_(y)]))),
+                                                          Forall(x, a.apply([x])))), _A, metavars=_AB),
+    "comp": Schema(lambda a, x, y: Exists(x, Forall(y, iff(mem(y.sort.level, y, x), a.apply([y])))),
+                   _A, metavars=(("alpha", "a", 1), ("beta", "b", 0)), levels=1),
 }
 
 
-_ROBINSON: dict[str, Proposition] = dict(robinson_axioms())  # built once: instances share them
+def schema_id(family: str, j: int) -> str:
+    """The id of ``family``'s schema at level ``j``: ``comp^1``, or ``K``."""
+    return family if SCHEMATA[family].levels is None else f"{family}^{j}"
+
+
+def split_schema_id(name: str) -> tuple[str, int]:
+    """The family and level of a schema id: ``comp^1`` is ``("comp", 1)``;
+    an id without a level, ``K`` say, is its family at level 0."""
+    family, _, level = name.partition("^")
+    return family, int(level) if level else 0
+
+
+@cache  # shared by equal catalogues: every `demod check-hilbert` builds its own
+def _schema_index(top: int, classical: bool) -> dict[str, tuple]:
+    """Each schema id of a catalogue, in order, to its entry and, at the id's level, each
+    proposition variable's arity, term variable's sort and metavariable's default."""
+    index = {}
+    enabled = [(f, s) for f, s in SCHEMATA.items() if classical or not s.classical]
+    for levels, run in itertools.groupby(enabled, key=lambda e: e[1].levels):
+        run = list(run)
+        for j in range(1 if levels is None else top + 1 - levels):
+            for family, schema in run:
+                index[schema_id(family, j)] = (
+                    schema,
+                    tuple((v, tuple(arith(j + k) for k in arity)) for v, arity in schema.props),
+                    tuple((v, arith(j + k)) for v, k in schema.terms),
+                    tuple((v, Var(name, arith(j + k))) for v, name, k in schema.metavars),
+                )
+    return index
 
 
 @dataclass(frozen=True)
@@ -173,86 +254,36 @@ class Catalogue:
     classical: bool = True
 
     def axiom_schema_ids(self) -> tuple[str, ...]:
-        ids = [n for n in PROPOSITIONAL if self.classical or n != "TND"]
-        for j in range(self.top + 1):
-            ids += [f"UI^{j}", f"EI^{j}"]
-        ids += ["refl", "leibniz"]
-        ids += list(_ROBINSON)
-        ids += ["ind"]
-        ids += [f"comp^{j}" for j in range(self.top)]
-        return tuple(ids)
-
-    @cached_property
-    def _schema_ids(self) -> frozenset[str]:
-        return frozenset(self.axiom_schema_ids())
+        return tuple(_schema_index(self.top, self.classical))
 
     def instantiate(self, inst: SchemaInstance) -> Proposition:
         name = inst.schema
-        if name not in self._schema_ids:
+        found = _schema_index(self.top, self.classical).get(name)
+        if found is None:
             raise SchemaError(f"unknown or disabled schema {name!r}")
-        if name in PROPOSITIONAL:
-            wanted, build = PROPOSITIONAL[name]
-            return build(*(inst.prop(n) for n in wanted))
-        if name.startswith("UI^") or name.startswith("EI^"):
-            j = int(name[3:])
-            a = inst.template("A")
-            if a.arity != (arith(j),):
-                raise SchemaError(f"{name}: A must have arity [{j}]")
-            alpha = inst.metavar("alpha", Var("a", arith(j)))
-            tau = inst.term("tau")
-            if sort_of(tau) != arith(j):
-                raise SchemaError(f"{name}: term has sort {sort_of(tau)}, wants {j}")
-            _binder_check(name, alpha, a)
-            if not freely_substitutable(tau, a.params[0], a.body):
-                raise SchemaError(f"{name}: {tau} is not freely substitutable in the instance")
-            closure = Forall(alpha, a.apply([alpha]))
-            if name.startswith("UI^"):
-                return Imp(closure, a.apply([tau]))
-            return Imp(a.apply([tau]), Exists(alpha, a.apply([alpha])))
-        if name == "refl":
-            return refl_axiom()
-        if name == "leibniz":
-            a = inst.template("A")
-            if a.arity != (arith(0),):
-                raise SchemaError("leibniz: A must have arity [0]")
-            alpha = inst.metavar("alpha", var0("a"))
-            beta = inst.metavar("beta", var0("b"))
-            if alpha == beta:
-                raise SchemaError("leibniz: alpha and beta must be distinct")
-            _binder_check(name, alpha, a)
-            _binder_check(name, beta, a)
-            return Forall(
-                alpha,
-                Forall(beta, Imp(eq(alpha, beta), Imp(a.apply([alpha]), a.apply([beta])))),
-            )
-        if name in _ROBINSON:
-            return _ROBINSON[name]
-        if name == "ind":
-            a = inst.template("A")
-            if a.arity != (arith(0),):
-                raise SchemaError("ind: A must have arity [0]")
-            alpha = inst.metavar("alpha", var0("a"))
-            beta = inst.metavar("beta", var0("b"))
-            _binder_check(name, alpha, a)
-            _binder_check(name, beta, a)
-            return Imp(
-                a.apply([ZERO]),
-                Imp(
-                    Forall(beta, Imp(a.apply([beta]), a.apply([s_(beta)]))),
-                    Forall(alpha, a.apply([alpha])),
-                ),
-            )
-        if name.startswith("comp^"):
-            j = int(name[5:])
-            a = inst.template("A")
-            if a.arity != (arith(j),):
-                raise SchemaError(f"comp^{j}: A must have arity [{j}]")
-            alpha = inst.metavar("alpha", Var("a", arith(j + 1)))
-            beta = inst.metavar("beta", Var("b", arith(j)))
-            _binder_check(name, alpha, a)
-            _binder_check(name, beta, a)
-            return Exists(alpha, Forall(beta, iff(mem(j, beta, alpha), a.apply([beta]))))
-        raise SchemaError(f"no builder for schema {name!r}")
+        schema, props, terms, metavars = found
+        templates, args = [], []
+        for var, arity in props:
+            t = inst.template(var)
+            if t.arity != arity:
+                want = f"[{', '.join(map(str, arity))}]" if arity else "0"
+                raise SchemaError(f"{name}: {var} must have arity {want}")
+            templates.append(t)
+            args.append(t if arity else t.body)
+        for var, sort in terms:
+            tau = inst.term(var)
+            if sort_of(tau) != sort:
+                raise SchemaError(f"{name}: term has sort {sort_of(tau)}, wants {sort}")
+            args.append(tau)
+        bound = []
+        for var, default in metavars:
+            v = inst.metavar(var, default)
+            if v.sort != default.sort:
+                raise SchemaError(f"{name}: metavariable {var} has sort {v.sort}, wants {default.sort}")
+            bound.append(v)
+        if bound:  # each side condition is about the variables the schema binds
+            schema.check(name, templates, args[len(props):], bound)
+        return schema.build(*args, *bound)
 
 
 def zi_axiom_schemata(cfg: OrderConfig, classical: bool = True) -> Catalogue:

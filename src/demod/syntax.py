@@ -321,6 +321,8 @@ class Signature:
         if len(set(fn)) != len(fn) or len(set(pn)) != len(pn):
             raise SortError("duplicate symbol declaration in signature")
         declared = set(self.sorts)
+        if len(declared) != len(self.sorts):
+            raise SortError("duplicate sort declaration in signature")
         for d in self.fun_decls + self.pred_decls:
             named = d.arg_sorts + ((d.result,) if isinstance(d, FunDecl) else ())
             if not declared.issuperset(named):

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable, Mapping, Optional, Union
 
-from .fragments import fz_fragment, hha_fragment
+from .fragments import HHA_FIXED, fz_fragment, hha_fragment
 from .hilbert import (
     Catalogue,
     GenLine,
@@ -31,14 +31,16 @@ from .hilbert import (
     HypLine,
     Line,
     MpLine,
-    PROPOSITIONAL,
     PartLine,
     QUANTIFIER_RULES,
+    SCHEMATA,
     SchemaInstance,
     SchemaLine,
     Template,
     check_hilbert,
     instance,
+    schema_id,
+    split_schema_id,
 )
 from .nd import (
     AndE,
@@ -137,7 +139,7 @@ def _avoid_capture(body: Proposition, terms: list[Term]) -> Proposition:
 def _quantifier_instance(family: str, p: Union[ForallE, ExistsI]) -> SchemaInstance:
     """The ``UI^j`` or ``EI^j`` instance that takes ``p.body`` at ``p.term``."""
     safe = _avoid_capture(p.body, [p.term])
-    return instance(f"{family}^{p.var.sort.level}", templates=[("A", Template((p.var,), safe))],
+    return instance(schema_id(family, p.var.sort.level), templates=[("A", Template((p.var,), safe))],
                     terms=[("tau", p.term)], metavars=[("alpha", p.var)])
 
 
@@ -212,10 +214,10 @@ _ONE_PREMISE_SCHEMAS = {name: rule for rule in ONE_PREMISE.values() for name in 
 
 
 def _classical_proof(inst: SchemaInstance, cat: Catalogue, lab: _Gensym) -> Optional[Proof]:
-    name = inst.schema
-    if name in _PROP_TEMPLATES:
-        return _PROP_TEMPLATES[name](lab, *(inst.prop(n) for n in PROPOSITIONAL[name][0]))
-    rule = _ONE_PREMISE_SCHEMAS.get(name.partition("^")[0])
+    family = split_schema_id(inst.schema)[0]
+    if family in _PROP_TEMPLATES:
+        return _PROP_TEMPLATES[family](lab, *(inst.prop(n) for n, _ in SCHEMATA[family].props))
+    rule = _ONE_PREMISE_SCHEMAS.get(family)
     if rule is None:
         return None
     built = cat.instantiate(inst)
@@ -433,20 +435,18 @@ def zi_hilbert_to_fz_modulo(proof: HilbertProof, cat: Catalogue) -> NDTranslatio
 
     def handler(inst: SchemaInstance, prop: Proposition) -> Proof:
         name = inst.schema
-        if name == "leibniz" or name == "ind" or name.startswith("comp^"):
-            frag = fz_fragment(name, inst.template("A"))
-            for used_name in frag.assumptions:
-                used[used_name] = fz[used_name]
-            if not alpha_equal(conclusion_of(frag.proof), prop):
-                raise TranslationError(f"fragment for {name} concludes a different instance")
-            return frag.proof
         if name in fz:
             axiom = fz[name]
             if not alpha_equal(axiom, prop):
                 raise TranslationError(f"{name} instance differs from the axiom")
             used[name] = axiom
             return Assume(name, axiom)
-        raise TranslationError(f"no modulo fragment for schema {name!r}")
+        frag = fz_fragment(name, inst.template("A"))
+        for used_name in frag.assumptions:
+            used[used_name] = fz[used_name]
+        if not alpha_equal(conclusion_of(frag.proof), prop):
+            raise TranslationError(f"fragment for {name} concludes a different instance")
+        return frag.proof
 
     out = _hilbert_to_nd_engine(proof, cat, handler)
     return NDTranslation(out, tuple(used.items()), ())
@@ -465,9 +465,9 @@ class _Buf:
         return len(self.lines)
 
     def schema(self, name: str, props: list[tuple[str, Proposition]]) -> int:
-        wanted, build = PROPOSITIONAL[name]
         got = dict(props)
-        return self.add(SchemaLine(instance(name, templates=props)), build(*(got[n] for n in wanted)))
+        prop = SCHEMATA[name].build(*(got[n] for n, _ in SCHEMATA[name].props))
+        return self.add(SchemaLine(instance(name, templates=props)), prop)
 
     def line(self, k: int) -> Line:
         return self.lines[k - 1]
@@ -777,10 +777,7 @@ def zi_nd_to_hha(proof: Proof, instances: Mapping[str, SchemaInstance]) -> Proof
         if inst is None:
             raise TranslationError(f"assumption {p.name!r} is not in the fragment library")
         name = inst.schema
-        if name in ("leibniz", "ind") or name.startswith("comp^"):
-            frag = hha_fragment(name, inst.template("A"))
-        else:
-            frag = hha_fragment(name)
+        frag = hha_fragment(name, None if name in HHA_FIXED else inst.template("A"))
         if not alpha_equal(conclusion_of(frag.proof), p.conclusion):
             raise TranslationError(f"fragment for {name} proves a different instance")
         return frag.proof

@@ -130,10 +130,19 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "expected (sorts ...)"),
         ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (sorts 0) (fun nil () list))"},
          NORMALIZE_RULES, "nil uses the undeclared sort list"),
+        ({"h.sexp": "(hilbert-proof (line 01 (schema T) true))"}, ["check-hilbert", "h.sexp"],
+         "expected a line number, found 01"),
+        ({"h.sexp": "(hilbert-proof (line \u0661 (schema T) true))"}, ["check-hilbert", "h.sexp"],
+         "expected a line number, found \u0661"),
+        ({"r.rules": "(rules R (flags))", "r.rules.sig": "(signature (sorts 0 0))"}, NORMALIZE_RULES,
+         "duplicate sort declaration in signature"),
+        ({}, ["confluence", "--system", "nosuch"],
+         "unknown system 'nosuch' (builtins: empty, add, ho, ws, hha, hha-noind)"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
-         "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort"],
+         "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort",
+         "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)

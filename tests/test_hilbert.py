@@ -7,6 +7,7 @@ from demod.hilbert import (
     HypLine,
     Line,
     MpLine,
+    SCHEMATA,
     SchemaError,
     Template,
     check_hilbert,
@@ -17,8 +18,10 @@ from demod.hilbert import (
     mp,
     part,
     schema_line,
+    split_schema_id,
     zi_axiom_schemata,
 )
+from demod.nd import check_nd
 from demod.syntax import (
     Exists,
     FALSE,
@@ -30,7 +33,20 @@ from demod.syntax import (
     arith,
     iff,
 )
-from demod.theories import OrderConfig, ZERO, eq, mem, numeral, plus, s_, var0
+from demod.theories import (
+    OrderConfig,
+    ZERO,
+    build_HHA,
+    build_HO,
+    classes_signature,
+    eq,
+    mem,
+    numeral,
+    plus,
+    s_,
+    var0,
+)
+from demod.translate import hilbert_to_nd, zi_hilbert_to_fz_modulo, zi_nd_to_hha
 
 CAT2 = zi_axiom_schemata(OrderConfig(2))  # sorts 0, 1
 x, y = var0("x"), var0("y")
@@ -43,6 +59,19 @@ def test_catalogue_counts():
     intuitionistic = zi_axiom_schemata(OrderConfig(1), classical=False)
     assert "TND" not in intuitionistic.axiom_schema_ids()
     assert "TND" in zi_axiom_schemata(OrderConfig(1)).axiom_schema_ids()
+    # the ids and their order, as the catalogue gave them before its table
+    propositional = ("I", "K", "W", "C", "B", "proj-l", "proj-r", "pair", "inj-l", "inj-r", "case",
+                     "contradiction", "efsq", "T")
+    arithmetic = ("refl", "leibniz", "zero-ne-s", "inj-s", "onto-s", "plus-zero", "plus-s",
+                  "times-zero", "times-s", "ind")
+    quantifiers = {1: ("UI^0", "EI^0"), 2: ("UI^0", "EI^0", "UI^1", "EI^1"),
+                   3: ("UI^0", "EI^0", "UI^1", "EI^1", "UI^2", "EI^2")}
+    comprehension = {1: (), 2: ("comp^0",), 3: ("comp^0", "comp^1")}
+    for i in (1, 2, 3):
+        for classical in (True, False):
+            want = (propositional + ("TND",) * classical + quantifiers[i] + arithmetic
+                    + comprehension[i])
+            assert zi_axiom_schemata(OrderConfig(i), classical).axiom_schema_ids() == want
 
 
 def test_instantiate_k():
@@ -72,39 +101,60 @@ def test_instantiate_ind_example():
     assert alpha_equal(got, want)
 
 
-def test_every_schema_generates_a_checkable_one_line_proof():
-    cat = zi_axiom_schemata(OrderConfig(2))
-    h0 = var0("h")
-    h1 = Var("h", arith(1))
+def _one_line_proofs(cat: Catalogue):
+    """Each schema id of ``cat`` with a one-line proof of an instance drawn
+    from the table entry's arities and sorts; metavariables keep their defaults."""
+    closed = {"A": TRUE, "B": FALSE, "C": eq(ZERO, ZERO)}
     for name in cat.axiom_schema_ids():
-        if name.startswith("UI^") or name.startswith("EI^"):
-            j = int(name[3:])
-            hj = Var("h", arith(j))
-            inst = instance(
-                name,
-                templates=[("A", Template((hj,), eq(ZERO, ZERO)))],
-                terms=[("tau", Var("w", arith(j)))],
-            )
-        elif name == "leibniz" or name == "ind":
-            inst = instance(name, templates=[("A", Template((h0,), eq(h0, ZERO)))])
-        elif name.startswith("comp^"):
-            j = int(name[5:])
-            hj = Var("h", arith(j))
-            body = eq(ZERO, ZERO) if j > 0 else eq(hj, hj)
-            inst = instance(name, templates=[("A", Template((hj,), body))])
-        elif name in ("I", "TND"):
-            inst = instance(name, templates=[("A", TRUE)])
-        elif name in ("K", "W", "proj-l", "proj-r", "inj-l", "inj-r", "efsq", "contradiction"):
-            inst = instance(name, templates=[("A", TRUE), ("B", FALSE)])
-        elif name in ("C", "B", "pair", "case"):
-            inst = instance(name, templates=[("A", TRUE), ("B", FALSE), ("C", eq(ZERO, ZERO))])
-        else:
-            inst = instance(name)
-        prop = cat.instantiate(inst)
-        proof = HilbertProof((schema_line(inst, prop),))
+        family, j = split_schema_id(name)
+        schema = SCHEMATA[family]
+        templates = []
+        for var, arity in schema.props:
+            params = tuple(Var(f"h{n}", arith(j + k)) for n, k in enumerate(arity))
+            body = eq(params[0], ZERO) if params and params[0].sort == arith(0) else closed[var]
+            templates.append((var, Template(params, body)))
+        terms = [(var, Var("w", arith(j + k))) for var, k in schema.terms]
+        inst = instance(name, templates=templates, terms=terms)
+        yield name, HilbertProof((schema_line(inst, cat.instantiate(inst)),))
+
+
+def test_every_schema_generates_a_checkable_one_line_proof():
+    # each one-line proof checks, and so does each of its translations: to
+    # natural deduction, to FZ modulo the class system under HO1 and HO2,
+    # and on to the axiom-free HHA2
+    cat = zi_axiom_schemata(OrderConfig(2))
+    ho = [build_HO(OrderConfig(i)) for i in (1, 2)]
+    hha = build_HHA(OrderConfig(2))
+    names = []
+    for name, proof in _one_line_proofs(cat):
         verdict = check_hilbert(proof, cat)
-        assert verdict.ok, f"{name}: {verdict.error}"
-        assert verdict.length == 1
+        assert (verdict.ok, verdict.length) == (True, 1), f"{name}: {verdict.error}"
+        nd = hilbert_to_nd(proof, cat)
+        verdict = check_nd(nd.proof, assumptions=nd.assumption_dict())
+        assert verdict.ok, f"{name} to ND: {verdict.error}"
+        fz = zi_hilbert_to_fz_modulo(proof, cat)
+        for system in ho:
+            verdict = check_nd(fz.proof, assumptions=fz.assumption_dict(), system=system)
+            assert verdict.ok, f"{name} to FZ under {system.name}: {verdict.error}"
+        verdict = check_nd(zi_nd_to_hha(nd.proof, dict(nd.instances)), system=hha, mode="mixed")
+        assert verdict.ok, f"{name} to HHA2: {verdict.error}"
+        names.append(name)
+    assert len(names) == 30
+
+
+def test_metavariable_sorts_are_checked():
+    # comp^0 binds alpha at sort 1: at sort 0 it once built the ill-sorted
+    # ex a:0. all b:0. (in^0(b, a) <> b = 0), and a one-line proof of it checked
+    h, a, b = var0("h"), var0("a"), var0("b")
+    inst = instance("comp^0", templates=[("A", Template((h,), eq(h, ZERO)))],
+                    metavars=[("alpha", a), ("beta", b)])
+    with pytest.raises(SchemaError) as err:
+        CAT2.instantiate(inst)
+    assert str(err.value) == "comp^0: metavariable alpha has sort 0, wants 1"
+    ill_sorted = Exists(a, Forall(b, iff(mem(0, b, a), eq(b, ZERO))))
+    assert not classes_signature(2, True).well_sorted(ill_sorted)
+    verdict = check_hilbert(HilbertProof((schema_line(inst, ill_sorted),)), CAT2)
+    assert (verdict.ok, verdict.error) == (False, "line 1: comp^0: metavariable alpha has sort 0, wants 1")
 
 
 def test_one_line_proofs():
