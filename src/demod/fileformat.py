@@ -259,7 +259,7 @@ def parse_sort(atom: str) -> Sort:
         return LIST
     if atom == "class":
         return CLASS
-    if isinstance(atom, str) and atom.isdecimal():
+    if _canonical(atom):
         return arith(int(atom))
     raise FormatError(f"not a sort: {atom!r}")
 
@@ -281,12 +281,16 @@ def _label(sx: Sx, sig=None) -> str:
     return sx
 
 
+def _canonical(sx: Sx) -> bool:
+    """Whether ``sx`` is ASCII digits without a leading zero: a number that reprints as it reads."""
+    return isinstance(sx, str) and sx.isascii() and sx.isdecimal() and (sx[0] != "0" or sx == "0")
+
+
 def _number(what: str) -> Callable:
     """The reader of a decimal atom, the ``what`` of its form."""
 
     def read(sx: Sx, sig=None) -> int:
-        # ASCII digits without a leading zero: the number reprints as it reads
-        if not (isinstance(sx, str) and sx.isascii() and sx.isdecimal() and (sx[0] != "0" or sx == "0")):
+        if not _canonical(sx):
             raise FormatError(f"expected {what}, found {show(sx)}")
         return int(sx)
     return read

@@ -715,7 +715,10 @@ _HHA_BY_FAMILY: Mapping[str, Callable[[int, Template], Fragment]] = {
 
 def _fragment(library: Mapping[str, Callable[[int, Template], Fragment]], label: str, name: str,
               template: Optional[Template]) -> Fragment:
-    family, j = split_schema_id(name)
+    try:
+        family, j = split_schema_id(name)
+    except ValueError:  # a level that is not a number
+        family = None
     if family not in library:
         raise KeyError(f"no {label} fragment named {name!r}")
     return library[family](j, template or DEFAULT_TEMPLATE)

@@ -15,7 +15,9 @@ Each rule is compiled once (``Compiled``, shared by equal rules through one
 table): a matcher written out for its left side, and a builder for each side
 that puts the matched images in without capture checks unless the side binds.
 Matching (``match`` included), ``normalize``, the redex listing,
-``longest_derivation`` and trace replay all run these compiled forms.
+``longest_derivation`` and trace replay all run these compiled forms; a
+system keeps each rule's form beside it, by name, and trace replay checks a
+forward step by the rule's matcher, without building its left side.
 """
 
 from __future__ import annotations
@@ -129,14 +131,15 @@ class RewriteSystem:
             raise RuleError(f"{self.name}: duplicate rule name {duplicate}")
 
     def rule(self, name: str) -> Rule:
-        got = self._by_name.get(name)
+        got = self._named.get(name)
         if got is None:
             raise KeyError(f"{self.name} has no rule {name!r}")
-        return got
+        return got[0]
 
     @cached_property
-    def _by_name(self) -> dict[str, Rule]:
-        return {r.name: r for r in self.rules}
+    def _named(self) -> dict[str, tuple[Rule, "Compiled"]]:
+        """Each rule by name, beside its compiled form, looked up in ``_COMPILED`` once."""
+        return {r.name: (r, compiled(r.lhs, r.rhs)) for r in self.rules}
 
     @cached_property
     def reach(self) -> Optional[int]:
@@ -188,7 +191,7 @@ class RewriteSystem:
         got = self._by_shape.get((head, args))
         if got is None:
             got = self._by_shape[head, args] = tuple(
-                (r, compiled(r.lhs, r.rhs))
+                self._named[r.name]
                 for r, want in rules
                 if len(want) == len(args) and all(w is None or w == a for w, a in zip(want, args))
             )
@@ -613,15 +616,20 @@ def verify_trace(p: Obj, q: Obj, trace: Trace, system: RewriteSystem) -> bool:
 
     The replay walks a cursor as ``normalize`` does: each step climbs to the
     common prefix of the last step's position and its own, then descends.
+    A forward step is checked by its rule's matcher: the images the step's
+    bindings give, sort-checked first, must be the ones the matcher reads off
+    the focus, so the left side is never built.  Like ``normalize``, this does
+    not compare the sorts annotated on the left side's applications.
     """
+    named = system._named
     spine: list[tuple[Obj, list[Obj]]] = []
     path: Position = ()
     focus = p
     for step in trace.steps:
-        try:
-            rule = system.rule(step.rule)
-        except KeyError:
+        got = named.get(step.rule)
+        if got is None:
             return False
+        form = got[1]
         pos = step.position
         while pos[: len(path)] != path:
             focus = _leave(*spine.pop(), path[-1], focus)
@@ -633,9 +641,10 @@ def verify_trace(p: Obj, q: Obj, trace: Trace, system: RewriteSystem) -> bool:
             spine.append((focus, list(kids)))
             focus = kids[idx - 1]
         path = pos
-        form, sigma = compiled(rule.lhs, rule.rhs), step.substitution()
+        sigma = step.substitution()
         if step.forward:
-            if focus != form.lhs_under(sigma):
+            images = _images(form.variables, sigma, form.variables)
+            if form.match(focus) != images:
                 return False
             focus = form.rhs_under(sigma)
         else:

@@ -20,6 +20,12 @@ constructor, which computes the hash and whether the node is ground once,
 when the node is built.  Substitution, free variables and alpha equivalence
 skip ground subterms.  Every traversal keeps its own stack, so none is limited
 by the interpreter's recursion depth.
+
+Variables are interned: ``Var(name, sort)`` returns the one object for that
+pair, so equal variables are identical and a lookup keyed by a variable stops
+at identity.  Pickling and copying rebuild through the constructor and so
+give back that object.  The table keeps every distinct variable made, for the
+life of the process; other nodes are not interned.
 """
 
 from __future__ import annotations
@@ -155,7 +161,8 @@ def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Call
     cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
                          init=False, repr=False, slots=True, namespace={"__module__": __name__})
     cls.shape = SHAPES[cls] = Shape(layout, text)
-    cls.__init__ = _constructor(cls, layout)
+    make = _constructor(cls, layout)
+    setattr(cls, make.__name__, make)
     return cls
 
 
@@ -163,10 +170,25 @@ def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
     """The kind's ``__init__``, written out once: it sets each field through
     its slot, then the hash with the ground bit in one pass over the children.
     A variable, and a node binding one, is never ground; a child that is not
-    a node makes its parent not ground, so the walks reach it and reject it."""
+    a node makes its parent not ground, so the walks reach it and reject it.
+
+    A variable's kind gets a ``__new__`` instead, which returns the one object
+    for its fields from a table it keeps (interning, after Filliâtre and
+    Conchon, "Type-safe modular hash-consing", ML 2006).  The table holds one
+    entry per distinct ``(name, sort)`` made and never frees them; the hash
+    stays that of the pair, so set orders and printed output do not depend
+    on the table."""
     names = [field for field, _ in layout]
     env = {f"set_{field}": getattr(cls, field).__set__ for field in names}
     env["set_hash"] = Node._hash.__set__
+    if any(role == "variable" for _, role in layout):
+        env.update(table={}, new=object.__new__)
+        key = "".join(f + ", " for f in names)
+        body = ["try:", f"    return table[{key}]", "except KeyError:", "    pass", "self = new(cls)",
+                *(f"set_{field}(self, {field})" for field in names),
+                f"set_hash(self, hash(({key})) & -2)", f"table[{key}] = self", "return self"]
+        exec(f"def __new__(cls, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
+        return env["__new__"]
     ground = {"prop": "g &= {}._hash", "args": "for a in {}: g &= a._hash"}
     kids = [ground[role].format(field) for field, role in layout if role in ground]
     body = [f"set_{field}(self, {field})" for field in names]

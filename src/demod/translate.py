@@ -777,7 +777,10 @@ def zi_nd_to_hha(proof: Proof, instances: Mapping[str, SchemaInstance]) -> Proof
         if inst is None:
             raise TranslationError(f"assumption {p.name!r} is not in the fragment library")
         name = inst.schema
-        frag = hha_fragment(name, None if name in HHA_FIXED else inst.template("A"))
+        try:
+            frag = hha_fragment(name, None if name in HHA_FIXED else inst.template("A"))
+        except KeyError as exc:
+            raise TranslationError(exc.args[0]) from None
         if not alpha_equal(conclusion_of(frag.proof), p.conclusion):
             raise TranslationError(f"fragment for {name} proves a different instance")
         return frag.proof

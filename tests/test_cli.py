@@ -96,6 +96,7 @@ def test_malformed_proof_exits_2(tmp_path, capsys, text):
 
 ADD_SIG = "(signature (sorts 0) (fun 0 () 0) (fun s (0) 0) (pred Add (0 0 0)))"
 TOP_PROOF = "(nd-proof (top-i true))"
+ASSUME_PROOF = "(nd-proof (assume a true))"
 CHECK_AXIOMS = ["check-nd", "p.sexp", "--system", "add", "--axioms", "a.sexp"]
 NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
 
@@ -138,11 +139,20 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "duplicate sort declaration in signature"),
         ({}, ["confluence", "--system", "nosuch"],
          "unknown system 'nosuch' (builtins: empty, add, ho, ws, hha, hha-noind)"),
+        ({"r.rules": "(rules R (flags) (rule r (s x.01) x.01))", "r.rules.sig": ADD_SIG}, NORMALIZE_RULES,
+         "not a sort: '01'"),
+        ({"r.rules": "(rules R (flags) (rule r (s x.\u0661) x.\u0661))", "r.rules.sig": ADD_SIG},
+         NORMALIZE_RULES, "not a sort: '\u0661'"),
+        ({"p.sexp": ASSUME_PROOF, "i.sexp": "(instances (a (schema UI^0 (prop A (template () true)))))"},
+         ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'UI^0'"),
+        ({"p.sexp": ASSUME_PROOF, "i.sexp": "(instances (a (schema comp^x (prop A (template () true)))))"},
+         ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'comp^x'"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
          "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort",
-         "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system"],
+         "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system", "sort-leading-zero",
+         "sort-non-ascii-digit", "no-hha-fragment", "schema-level"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)

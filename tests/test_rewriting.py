@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -560,6 +561,32 @@ def _mutated(trace, rng):
     return Trace(tuple(steps))
 
 
+def _equivalence_cases():
+    """Each congruence obligation of the HHA and FZ fragment libraries that
+    normalization joins, with its connecting trace and system: the cases of
+    ``test_verify_trace_matches_replaying_from_the_root``."""
+    from demod.fragments import FZ_LIBRARY, HHA_LIBRARY, fz_fragment, hha_fragment
+    from demod.nd import fold_proof, obligations
+    from demod.theories import OrderConfig, build_HHA, build_HO
+
+    cfg = OrderConfig(1)
+    proofs = [(build_HHA(cfg), hha_fragment(name).proof) for name in HHA_LIBRARY]
+    proofs += [(build_HO(cfg), fz_fragment(name).proof) for name in FZ_LIBRARY]
+    cases = []
+    for system, proof in proofs:
+        nodes = []
+        fold_proof(proof, lambda node, _: nodes.append(node))
+        for node in nodes:
+            for left, right, _ in obligations(node):
+                if not alpha_equal(left, right):
+                    try:
+                        trace = connecting_trace(left, right, system)
+                    except (CongruenceError, FuelExhausted):
+                        continue
+                    cases.append((left, right, trace, system))
+    return tuple(cases)
+
+
 def test_verify_trace_matches_replaying_from_the_root():
     from demod.fragments import FZ_LIBRARY, HHA_LIBRARY, fz_fragment, hha_fragment
     from demod.nd import fold_proof, obligations
@@ -589,6 +616,107 @@ def test_verify_trace_matches_replaying_from_the_root():
             assert got is _reference_verify_trace(left, right, t, system), (left, right, t)
             verdicts.append(got)
     assert verdicts.count(True) > 50 and verdicts.count(False) > 200
+
+
+def _build_and_compare_verify_trace(p, q, trace, system):
+    """``verify_trace`` as it was before forward steps were checked by the
+    matcher: each builds its rule's left side under the step's bindings and
+    compares it with the focus."""
+    from demod.rewriting import _leave, compiled
+    from demod.syntax import children
+
+    spine = []
+    path = ()
+    focus = p
+    for step in trace.steps:
+        try:
+            rule = system.rule(step.rule)
+        except KeyError:
+            return False
+        pos = step.position
+        while pos[: len(path)] != path:
+            focus = _leave(*spine.pop(), path[-1], focus)
+            path = path[:-1]
+        for idx in pos[len(path) :]:
+            kids = children(focus)
+            if not 1 <= idx <= len(kids):
+                return False
+            spine.append((focus, list(kids)))
+            focus = kids[idx - 1]
+        path = pos
+        form, sigma = compiled(rule.lhs, rule.rhs), step.substitution()
+        if step.forward:
+            if focus != form.lhs_under(sigma):
+                return False
+            focus = form.rhs_under(sigma)
+        else:
+            if not alpha_equal(focus, form.rhs_under(sigma)):
+                return False
+            focus = form.lhs_under(sigma)
+    for (node, kids), idx in zip(reversed(spine), reversed(path)):
+        focus = _leave(node, kids, idx, focus)
+    return alpha_equal(focus, q)
+
+
+def _replayed(replay, *args):
+    """A replay's verdict, or the text of the SortError it raised."""
+    from demod.syntax import SortError
+
+    try:
+        return replay(*args)
+    except SortError as exc:
+        return f"SortError: {exc}"
+
+
+def _corrupted(trace, rng):
+    """The trace with one forward step that has bindings corrupted in each of
+    four ways: a wrong image, a variable left unbound, an extra binding and a
+    binding of the wrong sort, the last also at the root, where the rule does
+    not match.  None if no forward step has bindings."""
+    from demod.syntax import LIST
+
+    ks = [k for k, s in enumerate(trace.steps) if s.forward and s.subst]
+    if not ks:
+        return None
+    k = rng.choice(ks)
+    s = trace.steps[k]
+    j = rng.randrange(len(s.subst))
+    v, image = s.subst[j]
+    other = Var(image.name + "'" if type(image) is Var else v.name + "'", v.sort)
+    mis_sorted = Var(v.name, LIST if v.sort != LIST else arith(0))
+    extra = (Var("extra", v.sort), image)
+    wrong_sort = s.subst[:j] + ((v, mis_sorted),) + s.subst[j + 1 :]
+    steps = (
+        (s.position, s.subst[:j] + ((v, other),) + s.subst[j + 1 :]),
+        (s.position, s.subst[:j] + s.subst[j + 1 :]),
+        (s.position, s.subst + (extra,)),
+        (s.position, wrong_sort),
+        ((), wrong_sort),
+    )
+    return [
+        Trace(trace.steps[:k] + (RewriteStep(pos, s.rule, subst, s.forward),) + trace.steps[k + 1 :])
+        for pos, subst in steps
+    ]
+
+
+def test_forward_replay_by_the_matcher_agrees_with_building_the_left_side():
+    # every trace of the equivalence cases, and each with one forward step
+    # corrupted four ways: the verdict, or the SortError's text, is the same
+    # as building the left side under the step's bindings and comparing
+    rng = random.Random(19)
+    seen = collections.Counter()
+    for left, right, trace, system in _equivalence_cases():
+        corrupted = _corrupted(trace, rng)
+        got = {}
+        hows = ("as is", "wrong image", "unbound", "extra", "wrong sort", "wrong sort at the root")
+        for how, t in zip(hows, [trace, *(corrupted or ())]):
+            got[how] = _replayed(verify_trace, left, right, t, system)
+            assert got[how] == _replayed(_build_and_compare_verify_trace, left, right, t, system), (how, t)
+            seen[how, got[how] if type(got[how]) is bool else "SortError"] += 1
+        assert got.get("extra", got["as is"]) == got["as is"]  # an extra binding is ignored
+    assert seen["as is", True] > 100
+    assert seen["wrong image", False] == seen["unbound", False] == seen["wrong sort", "SortError"] > 100
+    assert seen["wrong sort at the root", "SortError"] == seen["wrong sort", "SortError"]
 
 
 def _reference_match(pattern, subject):

@@ -788,9 +788,9 @@ def test_parsing_shares_equal_sub_forms():
 
 
 def test_equal_terms_of_a_document_read_as_one_node():
-    # every application term, proposition and proof node equal to another of
-    # the same document is the same object; variables are read as terms and
-    # as bound variables, by two field kinds, so equal ones may be two objects
+    # every term, proposition and proof node equal to another of the same
+    # document is the same object, a variable read as a bound variable and
+    # as a term included
     from demod import nd
     from demod.bench import gen_add_axiomatic_proof
     from demod.syntax import App, Proposition
@@ -803,14 +803,33 @@ def test_equal_terms_of_a_document_read_as_one_node():
         x = stack.pop()
         if type(x) in nd.KINDS:
             stack += [getattr(x, name) for name in vars(x)]
-        elif isinstance(x, (App, Proposition)):
+        elif isinstance(x, (Var, App, Proposition)):
             stack += x.shape.children(x)
+            if x.shape.binder:
+                stack.append(getattr(x, x.shape.binder))
         else:
             continue
         nodes += 1
         ids.setdefault(x, set()).add(id(x))
     assert all(len(found) == 1 for found in ids.values())
     assert len(ids) < nodes / 10
+    assert sum(type(x) is Var for x in ids) >= 3
+
+
+def test_variables_are_interned_through_pickle_and_copy():
+    import copy
+    import pickle
+
+    v = Var("x", arith(0))
+    assert Var("x", arith(0)) is v and Var("x", arith(1)) is not v and Var("y", arith(0)) is not v
+    t = plus(v, s_(v))
+    p = Forall(v, eq(t, v))
+    for clone in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))):
+        assert clone(v) is v
+        got = clone(t)
+        assert got == t and got.args[0] is v and got.args[1].args[0] is v
+        got = clone(p)
+        assert got == p and got.var is v and got.body.args[1] is v
 
 
 def test_a_witnessed_document_read_again_and_again_is_one_proof():
