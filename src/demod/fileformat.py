@@ -28,7 +28,7 @@ from .rewriting import RewriteStep, Rule, RuleError, RewriteSystem, Trace
 from .sexpr import Sx, parse, show, show_pretty
 from .syntax import (
     App, And, Atom, CLASS, Exists, FALSE, Falsum, Forall, FunDecl, Imp, LIST, Or, PredDecl, Proposition,
-    Signature, Sort, TRUE, Term, Var, Verum, arith, iff, neg,
+    Signature, Sort, TRUE, Term, Var, Verum, arith, canonical_number, iff, neg,
 )
 from .theories import Presentation
 
@@ -259,7 +259,7 @@ def parse_sort(atom: str) -> Sort:
         return LIST
     if atom == "class":
         return CLASS
-    if _canonical(atom):
+    if canonical_number(atom):
         return arith(int(atom))
     raise FormatError(f"not a sort: {atom!r}")
 
@@ -281,16 +281,11 @@ def _label(sx: Sx, sig=None) -> str:
     return sx
 
 
-def _canonical(sx: Sx) -> bool:
-    """Whether ``sx`` is ASCII digits without a leading zero: a number that reprints as it reads."""
-    return isinstance(sx, str) and sx.isascii() and sx.isdecimal() and (sx[0] != "0" or sx == "0")
-
-
 def _number(what: str) -> Callable:
     """The reader of a decimal atom, the ``what`` of its form."""
 
     def read(sx: Sx, sig=None) -> int:
-        if not _canonical(sx):
+        if not canonical_number(sx):
             raise FormatError(f"expected {what}, found {show(sx)}")
         return int(sx)
     return read

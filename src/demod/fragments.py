@@ -717,7 +717,7 @@ def _fragment(library: Mapping[str, Callable[[int, Template], Fragment]], label:
               template: Optional[Template]) -> Fragment:
     try:
         family, j = split_schema_id(name)
-    except ValueError:  # a level that is not a number
+    except ValueError:  # a level that is not a number as sorts are written
         family = None
     if family not in library:
         raise KeyError(f"no {label} fragment named {name!r}")

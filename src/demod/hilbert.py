@@ -33,6 +33,7 @@ from .syntax import (
     And,
     apply_substitution,
     arith,
+    canonical_number,
     free_variables,
     freely_substitutable,
     iff,
@@ -222,9 +223,12 @@ def schema_id(family: str, j: int) -> str:
 
 def split_schema_id(name: str) -> tuple[str, int]:
     """The family and level of a schema id: ``comp^1`` is ``("comp", 1)``;
-    an id without a level, ``K`` say, is its family at level 0."""
-    family, _, level = name.partition("^")
-    return family, int(level) if level else 0
+    an id without a level, ``K`` say, is its family at level 0.  A level is
+    written as sorts are, so ``comp^01`` raises ValueError."""
+    family, caret, level = name.partition("^")
+    if caret and not canonical_number(level):
+        raise ValueError(f"schema {name!r} has no level {level!r}")
+    return family, int(level) if caret else 0
 
 
 @cache  # shared by equal catalogues: every `demod check-hilbert` builds its own

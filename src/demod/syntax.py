@@ -79,6 +79,12 @@ LIST = Sort("list")
 CLASS = Sort("class")
 
 
+def canonical_number(text: object) -> bool:
+    """Whether ``text`` is ASCII digits without a leading zero: a number, a
+    sort level say, that reprints as it reads."""
+    return isinstance(text, str) and text.isascii() and text.isdecimal() and (text[0] != "0" or text == "0")
+
+
 # ---------------------------------------------------------------------------
 # Terms and propositions, each kind described once by its shape
 

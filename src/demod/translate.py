@@ -2,10 +2,13 @@
 the modulo presentations.
 
 The schematic-to-natural-deduction direction replaces every inference by a
-fixed tree; premises referenced by modus ponens are inlined, and the
-generalization/particularization rules inline a copy of their premise
-derivation with the eigenvariable renamed fresh, which keeps all
-eigenvariable conditions checkable.  The reverse direction is the familiar
+fixed tree.  It is one forward pass: the lines the conclusion reaches are
+built once each, in line order, from the proofs of the lines they cite, and
+every later use shares that proof, so the output is a DAG.  Generalization
+and particularization close over the line's own eigenvariable; the
+eigenvariable conditions are local to each node, as a checked line holds its
+eigenvariable free only in its premise and the premise's proof is closed but
+for its axiom instances, which are tested.  The reverse direction is the familiar
 bracket-abstraction construction: an abstraction pass over proof trees,
 falling back to a line-level deduction-theorem pass after an implication
 introduction, with two pinned propositional lemmas for abstracting over the
@@ -29,6 +32,7 @@ from .hilbert import (
     GenLine,
     HilbertProof,
     HypLine,
+    JUSTIFICATIONS,
     Line,
     MpLine,
     PartLine,
@@ -321,39 +325,15 @@ _PROP_TEMPLATES: dict[str, Callable[..., Proof]] = {
 # Schematic system to natural deduction
 
 
-def _rename_lines(lines: tuple[Line, ...], old: Var, new: Var) -> tuple[Line, ...]:
-    sub = {old: new}
-
-    def fix_inst(inst: SchemaInstance) -> SchemaInstance:
-        templates = tuple(
-            (
-                n,
-                t
-                if old in t.params
-                else Template(t.params, apply_substitution(t.body, sub)),
-            )
-            for n, t in inst.templates
-        )
-        terms = tuple((n, apply_substitution(t, sub)) for n, t in inst.terms)
-        return SchemaInstance(inst.schema, templates, terms, inst.metavars)
-
-    out = []
-    for line in lines:
-        j = line.just
-        if isinstance(j, SchemaLine):
-            j = SchemaLine(fix_inst(j.instance))
-        elif isinstance(j, (GenLine, PartLine)) and j.eigen == old:
-            j = type(j)(j.ref, new)
-        out.append(Line(j, apply_substitution(line.prop, sub)))
-    return tuple(out)
-
-
 def _check_eigen_clear(prem: Proof, eigen: Var) -> None:
     """An eigenvariable free in an axiom instance of the premise derivation
     cannot be generalized while keeping instances as assumptions."""
-    stack = [prem]
+    stack, seen = [prem], set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:  # a shared subproof is looked at once
+            continue
+        seen.add(id(node))
         if isinstance(node, Assume) and eigen in free_variables(node.conclusion):
             raise TranslationError(
                 f"generalized variable occurs in the axiom instance {node.name!r}"
@@ -366,49 +346,58 @@ def _hilbert_to_nd_engine(
     cat: Catalogue,
     leaf_handler: Callable[[SchemaInstance, Proposition], Proof],
 ) -> Proof:
+    """One pass over the lines: the lines the conclusion reaches are marked
+    backwards, then each is built once, in order, from its premises' proofs,
+    which later uses share."""
     verdict = check_hilbert(proof, cat)
     if not verdict.ok:
         raise TranslationError(f"input does not check: {verdict.error}")
+    lines = proof.lines
+    reached = [False] * len(lines)
+    reached[-1] = True
+    for k in range(len(lines) - 1, -1, -1):
+        if reached[k]:
+            j = lines[k].just
+            for field, kind in JUSTIFICATIONS[type(j)].layout:
+                if kind == "line":
+                    reached[getattr(j, field) - 1] = True
     lab = _Gensym("g")
-    fresh_count = itertools.count(1)
-
-    def tree(lines: tuple[Line, ...], k: int) -> Proof:
-        line = lines[k]
+    built: list[Optional[Proof]] = [None] * len(lines)
+    for k, line in enumerate(lines):
+        if not reached[k]:
+            continue
         j = line.just
         if isinstance(j, SchemaLine):
-            classical = _classical_proof(j.instance, cat, lab)
-            if classical is not None:
-                if not alpha_equal(conclusion_of(classical), line.prop):
-                    raise TranslationError(
-                        f"template for {j.instance.schema} concludes "
-                        f"{conclusion_of(classical)}, line says {line.prop}"
-                    )
-                return classical
-            return leaf_handler(j.instance, line.prop)
-        if isinstance(j, MpLine):
-            return ImpE(line.prop, minor=tree(lines, j.minor - 1), major=tree(lines, j.major - 1))
-        if isinstance(j, (GenLine, PartLine)):
+            out = _classical_proof(j.instance, cat, lab)
+            if out is None:
+                out = leaf_handler(j.instance, line.prop)
+            elif not alpha_equal(conclusion_of(out), line.prop):
+                raise TranslationError(
+                    f"template for {j.instance.schema} concludes {conclusion_of(out)}, line says {line.prop}"
+                )
+        elif isinstance(j, MpLine):
+            out = ImpE(line.prop, minor=built[j.minor - 1], major=built[j.major - 1])
+        elif isinstance(j, (GenLine, PartLine)):
             rule = QUANTIFIER_RULES[type(j)]
             shape = line.prop
             q = getattr(shape, rule.side)
-            fresh = Var(f"e{next(fresh_count)}", j.eigen.sort)
-            renamed = _rename_lines(lines[: j.ref], j.eigen, fresh)
-            prem = tree(renamed, j.ref - 1)
-            _check_eigen_clear(prem, fresh)
-            x_y = rule.premise(shape, fresh)  # the premise, applied to a hypothesis of its left side
+            prem = built[j.ref - 1]
+            _check_eigen_clear(prem, j.eigen)
+            x_y = rule.premise(shape, j.eigen)  # the premise, applied to a hypothesis of its left side
             l = lab()
             if rule.binder is Forall:
                 e1 = ImpE(x_y.right, minor=Hyp(l, x_y.left), major=prem)
-                e2 = ForallI(shape.right, var=q.var, body=q.body, eigen=fresh, sub=e1)
+                e2 = ForallI(shape.right, var=q.var, body=q.body, eigen=j.eigen, sub=e1)
             else:
                 lw = lab()
                 e1 = ImpE(x_y.right, minor=Hyp(lw, x_y.left), major=prem)
-                e2 = ExistsE(shape.right, var=q.var, body=q.body, eigen=fresh, label=lw,
+                e2 = ExistsE(shape.right, var=q.var, body=q.body, eigen=j.eigen, label=lw,
                              major=Hyp(l, shape.left), sub=e1)
-            return ImpI(shape, hyp=shape.left, label=l, sub=e2)
-        raise TranslationError(f"cannot translate line justification {j!r}")
-
-    return tree(proof.lines, len(proof.lines) - 1)
+            out = ImpI(shape, hyp=shape.left, label=l, sub=e2)
+        else:
+            raise TranslationError(f"cannot translate line justification {j!r}")
+        built[k] = out
+    return built[-1]
 
 
 def hilbert_to_nd(proof: HilbertProof, cat: Catalogue) -> NDTranslation:
@@ -831,15 +820,21 @@ def verify_certificate(cert: CompatibilityCertificate, fuel: Optional[int] = Non
     return True
 
 
+def _iff_sides(e: Proof, x: Proposition, y: Proposition) -> tuple[Proof, Proof]:
+    """From e : x <=> y, the two directions x > y and y > x."""
+    fwd = AndE(Imp(x, y), other=Imp(y, x), side="left", sub=e)
+    bwd = AndE(Imp(y, x), other=Imp(x, y), side="right", sub=e)
+    return fwd, bwd
+
+
 def _iff_sym(e: Proof, x: Proposition, y: Proposition) -> Proof:
-    fwd = AndE(Imp(y, x), other=Imp(x, y), side="right", sub=e)
-    bwd = AndE(Imp(x, y), other=Imp(y, x), side="left", sub=e)
-    return AndI(And(Imp(y, x), Imp(x, y)), fwd, bwd)
+    exy, eyx = _iff_sides(e, x, y)
+    return AndI(And(Imp(y, x), Imp(x, y)), eyx, exy)
 
 
 def _iff_trans(e1: Proof, e2: Proof, x: Proposition, y: Proposition, z: Proposition, lab: _Gensym) -> Proof:
-    exy = AndE(Imp(x, y), other=Imp(y, x), side="left", sub=e1)
-    eyz = AndE(Imp(y, z), other=Imp(z, y), side="left", sub=e2)
+    exy, eyx = _iff_sides(e1, x, y)
+    eyz, ezy = _iff_sides(e2, y, z)
     l1 = lab()
     fwd = ImpI(
         Imp(x, z),
@@ -847,8 +842,6 @@ def _iff_trans(e1: Proof, e2: Proof, x: Proposition, y: Proposition, z: Proposit
         label=l1,
         sub=ImpE(z, minor=ImpE(y, minor=Hyp(l1, x), major=exy), major=eyz),
     )
-    eyx = AndE(Imp(y, x), other=Imp(x, y), side="right", sub=e1)
-    ezy = AndE(Imp(z, y), other=Imp(y, z), side="right", sub=e2)
     l2 = lab()
     bwd = ImpI(
         Imp(z, x),
@@ -857,13 +850,6 @@ def _iff_trans(e1: Proof, e2: Proof, x: Proposition, y: Proposition, z: Proposit
         sub=ImpE(x, minor=ImpE(y, minor=Hyp(l2, z), major=ezy), major=eyx),
     )
     return AndI(And(Imp(x, z), Imp(z, x)), fwd, bwd)
-
-
-def _iff_sides(e: Proof, x: Proposition, y: Proposition) -> tuple[Proof, Proof]:
-    """From e : x <=> y, the two directions x > y and y > x."""
-    fwd = AndE(Imp(x, y), other=Imp(y, x), side="left", sub=e)
-    bwd = AndE(Imp(y, x), other=Imp(x, y), side="right", sub=e)
-    return fwd, bwd
 
 
 def _lift_one(
@@ -876,23 +862,19 @@ def _lift_one(
         # src > dst where dst replaces a by b at the layer, given use : a > b
         l = lab()
         h = Hyp(l, src)
-        if isinstance(parent, And):
-            if idx == 1:
-                body = AndI(dst, ImpE(b, minor=AndE(a, other=src.right, side="left", sub=h), major=use),
-                            AndE(src.right, other=a, side="right", sub=h))
+        if isinstance(parent, (And, Or)):
+            side, kept = ("left", "right") if idx == 1 else ("right", "left")
+            other = getattr(src, kept)  # the operand the layer keeps
+            if isinstance(parent, And):
+                parts = {side: ImpE(b, minor=AndE(a, other=other, side=side, sub=h), major=use),
+                         kept: AndE(other, other=a, side=kept, sub=h)}
+                body = AndI(dst, parts["left"], parts["right"])
             else:
-                body = AndI(dst, AndE(src.left, other=a, side="left", sub=h),
-                            ImpE(b, minor=AndE(a, other=src.left, side="right", sub=h), major=use))
-        elif isinstance(parent, Or):
-            la, lb = lab(), lab()
-            if idx == 1:
-                sub_a = OrI(dst, other=src.right, side="left", sub=ImpE(b, Hyp(la, a), use))
-                sub_b = OrI(dst, other=b, side="right", sub=Hyp(lb, src.right))
-                body = OrE(dst, a, src.right, la, lb, h, sub_a, sub_b)
-            else:
-                sub_a = OrI(dst, other=b, side="left", sub=Hyp(la, src.left))
-                sub_b = OrI(dst, other=src.left, side="right", sub=ImpE(b, Hyp(lb, a), use))
-                body = OrE(dst, src.left, a, la, lb, h, sub_a, sub_b)
+                labels = {"left": lab(), "right": lab()}
+                parts = {side: OrI(dst, other=other, side=side, sub=ImpE(b, Hyp(labels[side], a), use)),
+                         kept: OrI(dst, other=b, side=kept, sub=Hyp(labels[kept], other))}
+                body = OrE(dst, src.left, src.right, labels["left"], labels["right"], h,
+                           parts["left"], parts["right"])
         elif isinstance(parent, Imp):
             if idx == 1:
                 # contravariant: use must be dst.left > src.left
@@ -1010,15 +992,13 @@ def expand_congruences(proof: Proof, cert: CompatibilityCertificate, lab: Option
                     node = _dc_replace(node, **{slot: None})
                     continue
                 trace = getattr(node, slot) or connecting_trace(left, right, cert.system)
-                eq_pf = _equivalence_proof(trace, left, cert, lab)
+                to_right, to_left = _iff_sides(_equivalence_proof(trace, left, cert, lab), left, right)
                 if premise_side:
-                    bridge = AndE(Imp(left, right), other=Imp(right, left), side="left", sub=eq_pf)
-                    fixed = ImpE(right, minor=getattr(node, ob.left), major=bridge)
+                    fixed = ImpE(right, minor=getattr(node, ob.left), major=to_right)
                     node = _dc_replace(node, **{ob.left: fixed, slot: None})
                 else:
                     exact = _dc_replace(node, conclusion=right, **{slot: None})
-                    bridge = AndE(Imp(right, left), other=Imp(left, right), side="right", sub=eq_pf)
-                    return ImpE(left, minor=exact, major=bridge)
+                    return ImpE(left, minor=exact, major=to_left)
         return node
 
     return map_proof(proof, convert)

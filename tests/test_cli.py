@@ -147,12 +147,14 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'UI^0'"),
         ({"p.sexp": ASSUME_PROOF, "i.sexp": "(instances (a (schema comp^x (prop A (template () true)))))"},
          ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'comp^x'"),
+        ({"p.sexp": ASSUME_PROOF, "i.sexp": "(instances (a (schema comp^01 (prop A (template () true)))))"},
+         ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'comp^01'"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
          "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort",
          "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system", "sort-leading-zero",
-         "sort-non-ascii-digit", "no-hha-fragment", "schema-level"],
+         "sort-non-ascii-digit", "no-hha-fragment", "schema-level", "schema-level-leading-zero"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)

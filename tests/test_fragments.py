@@ -157,3 +157,13 @@ def test_comp_fragment_higher_sort():
     frag2 = fz_fragment("comp^1", tmpl)
     v2 = check_nd(frag2.proof, assumptions=FZ, system=ho2)
     assert v2.ok, v2.error
+
+
+@pytest.mark.parametrize("name", ["comp^01", "comp^ 1", "comp^١", "comp^+1", "comp^1_0"])
+def test_fragment_levels_are_written_as_sorts_are(name):
+    # int() reads each of these as a level; none is one as a sort is written
+    hole = Var("hole", arith(1))
+    with pytest.raises(KeyError, match="no HHA fragment named"):
+        hha_fragment(name, Template((hole,), mem(0, ZERO, hole)))
+    with pytest.raises(KeyError, match="no FZ fragment named"):
+        fz_fragment(name, Template((hole,), mem(0, ZERO, hole)))

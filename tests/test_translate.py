@@ -593,3 +593,105 @@ def test_eliminate_axioms_reaches_induction_premises():
     assert left == []
     with pytest.raises(TranslationError):
         expand_congruences(proof, CERT_STD_TO_EQ)
+
+
+# ---------------------------------------------------------------------------
+# The forward pass: each used line built once, with its own eigenvariable
+
+
+def test_gen_keeps_its_eigenvariable_beside_a_variable_named_e1():
+    # the eigenvariable b used to be renamed e1, the name of a variable the
+    # line's own hypothesis holds free
+    b, a, e1 = var0("b"), var0("a"), var0("e1")
+    refl_i = instance("refl")
+    refl_prop = CAT.instantiate(refl_i)
+    ui_inst = instance("UI^0", templates=[("A", Template((a,), eq(a, a)))], terms=[("tau", b)])
+    k_inst = instance("K", templates=[("A", eq(b, b)), ("B", eq(e1, e1))])
+    proof = HilbertProof((
+        schema_line(refl_i, refl_prop),
+        schema_line(ui_inst, Imp(refl_prop, eq(b, b))),
+        mp(1, 2, eq(b, b)),
+        schema_line(k_inst, Imp(eq(b, b), Imp(eq(e1, e1), eq(b, b)))),
+        mp(3, 4, Imp(eq(e1, e1), eq(b, b))),
+        gen(5, b, Imp(eq(e1, e1), Forall(a, eq(a, a)))),
+    ))
+    assert check_hilbert(proof, CAT_Z1).ok
+    out = hilbert_to_nd(proof, CAT_Z1)
+    verdict = check_nd(out.proof, assumptions=out.assumption_dict())
+    assert verdict.ok, verdict.error
+    fz = zi_hilbert_to_fz_modulo(proof, CAT_Z1)
+    verdict = check_nd(fz.proof, assumptions=fz.assumption_dict(), system=HO)
+    assert verdict.ok, verdict.error
+
+
+def _chain(length: int) -> HilbertProof:
+    """T, K(T, T), then modus ponens lines that alternate T > T and T, each
+    citing the line before it once: a derivation ``length`` lines deep."""
+    k_inst = instance("K", templates=[("A", TRUE), ("B", TRUE)])
+    lines = [schema_line(instance("T"), TRUE), schema_line(k_inst, Imp(TRUE, Imp(TRUE, TRUE))),
+             mp(1, 2, Imp(TRUE, TRUE))]
+    while len(lines) < length:
+        k = len(lines)
+        lines.append(mp(k, 2, Imp(TRUE, TRUE)) if lines[-1].prop == TRUE else mp(1, k, TRUE))
+    return HilbertProof(tuple(lines))
+
+
+def test_a_4001_line_chain_translates_and_checks(tmp_path, capsys):
+    from demod.cli import main
+    from demod.fileformat import dumps, hilbert_to_sx
+
+    proof = _chain(4001)
+    assert len(proof.lines) == 4001 and check_hilbert(proof, CAT_Z1).ok
+    for translate in (hilbert_to_nd, zi_hilbert_to_fz_modulo):
+        out = translate(proof, CAT_Z1)
+        verdict = check_nd(out.proof, assumptions=out.assumption_dict())
+        assert verdict.ok, verdict.error
+    path = tmp_path / "chain.sexp"
+    path.write_text(dumps(hilbert_to_sx(proof)))
+    assert main(["translate", "hilbert-nd", str(path), "--order", "1", "--out", str(tmp_path / "nd.sexp")]) == 0
+    capsys.readouterr()
+
+
+def _distinct_nodes(proof) -> int:
+    from demod.nd import premises
+
+    seen, stack = set(), [proof]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(premises(node))
+    return len(seen)
+
+
+def test_a_line_used_twice_is_built_once():
+    # T, then per round K(T, T), T > T and T, where the round's T is cited twice:
+    # walked as a tree, the output doubles each round; it is built from at most
+    # C = 2 proof objects per line
+    rounds = 13
+    k_inst = instance("K", templates=[("A", TRUE), ("B", TRUE)])
+    lines, last = [schema_line(instance("T"), TRUE)], 1
+    for _ in range(rounds):
+        lines.append(schema_line(k_inst, Imp(TRUE, Imp(TRUE, TRUE))))
+        lines.append(mp(last, len(lines), Imp(TRUE, TRUE)))
+        lines.append(mp(last, len(lines), TRUE))
+        last = len(lines)
+    proof = HilbertProof(tuple(lines))
+    for translate in (hilbert_to_nd, zi_hilbert_to_fz_modulo):
+        out = translate(proof, CAT_Z1)
+        assert _distinct_nodes(out.proof) <= 2 * len(lines)
+        assert nd_length(out.proof) == 40956
+        assert check_nd(out.proof, assumptions=out.assumption_dict()).ok
+
+
+def test_translation_lengths_on_a_seeded_corpus_are_pinned():
+    from demod.bench import random_hilbert_corpus
+
+    corpus = random_hilbert_corpus(60, 2024)
+    to_nd = [nd_length(hilbert_to_nd(p, CAT_Z1).proof) for p in corpus]
+    to_fz = [nd_length(zi_hilbert_to_fz_modulo(p, CAT_Z1).proof) for p in corpus]
+    assert to_nd == [7, 7, 0, 7, 0, 9, 0, 0, 7, 9, 7, 9, 7, 7, 2, 0, 9, 0, 7, 0, 9, 0, 2, 9, 0, 7, 0, 7, 4, 4,
+                     4, 0, 4, 9, 10, 8, 2, 0, 0, 9, 0, 9, 4, 3, 0, 0, 7, 9, 5, 0, 5, 10, 0, 2, 9, 2, 2, 0, 7, 5]
+    assert to_fz == [7, 7, 5, 7, 5, 9, 1, 5, 7, 9, 7, 9, 7, 7, 2, 5, 9, 5, 7, 1, 9, 1, 2, 9, 5, 7, 1, 7, 4, 4,
+                     4, 5, 4, 9, 10, 8, 2, 5, 1, 9, 5, 9, 4, 4, 1, 5, 7, 9, 5, 5, 5, 10, 5, 2, 9, 2, 2, 1, 7, 5]
+    assert (sum(to_nd), sum(to_fz)) == (261, 329)
