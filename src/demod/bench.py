@@ -22,6 +22,7 @@ from .hilbert import (
     GenLine as HGenLine,
     PartLine as HPartLine,
     HilbertProof,
+    QUANTIFIER_RULES,
     Template,
     check_hilbert,
     hilbert_length,
@@ -61,7 +62,9 @@ from .syntax import (
     TRUE,
     Term,
     Var,
+    apply_substitution,
     arith,
+    free_variables,
     size,
 )
 from .theories import (
@@ -439,6 +442,88 @@ def _random_hilbert_proof(rng: random.Random, cat) -> HilbertProof:
                 HPartLine(r3, b),
                 Imp(Exists(a_var, eq(a_var, a_var)), TRUE),
             )
+    proof = HilbertProof(tuple(lines))
+    verdict = check_hilbert(proof, cat)
+    if not verdict.ok:
+        raise RuntimeError(f"generated proof does not check: {verdict.error}")
+    return proof
+
+
+def random_shared_hilbert_corpus(count: int, seed: int, order: int = 2) -> list[HilbertProof]:
+    """Schematic-system proofs whose lines are cited many times over.
+
+    Each move cites lines drawn from all the earlier ones.  A gen or part
+    line takes as eigenvariable a variable free in its premise, and that
+    premise is cited once more, so the translations meet lemmas that hold a
+    dependent eigenvariable free.
+    """
+    rng = random.Random(seed)
+    cat = zi_axiom_schemata(OrderConfig(order))
+    return [_random_shared_proof(rng, cat) for _ in range(count)]
+
+
+def _random_shared_proof(rng: random.Random, cat) -> HilbertProof:
+    from .hilbert import Line, MpLine, SchemaLine
+
+    lines: list[Line] = []
+    cited: set[int] = set()
+
+    def add(just, prop):
+        lines.append(Line(just, prop))
+        return len(lines)
+
+    def prop(k: int) -> Proposition:
+        return lines[k - 1].prop
+
+    def schema(inst):
+        return add(SchemaLine(inst), cat.instantiate(inst))
+
+    def mp(minor: int, major: int) -> int:
+        cited.update((minor, major))
+        return add(MpLine(minor, major), prop(major).right)
+
+    def weaken(f: int, z: Proposition) -> int:  # z > P_f, from P_f
+        return mp(f, schema(instance("K", templates=[("A", prop(f)), ("B", z)])))
+
+    def quantify(k: int, just: type) -> None:
+        """gen or part on line k over a variable free on the quantified side only."""
+        rule, shape = QUANTIFIER_RULES[just], prop(k)
+        if not isinstance(shape, Imp):
+            return
+        inner, outer = (shape.right, shape.left) if rule.side == "right" else (shape.left, shape.right)
+        eigens = sorted(free_variables(inner) - free_variables(outer), key=str)
+        if not eigens:
+            return
+        v, bound = rng.choice(eigens), var0(f"a{len(lines)}")
+        q = rule.binder(bound, apply_substitution(inner, {v: bound}))
+        cited.add(k)
+        line = add(just(k, v), Imp(outer, q) if rule.side == "right" else Imp(q, outer))
+        pool.extend((line, weaken(k, TRUE)))  # the premise is cited again: a shared lemma
+
+    h, names = var0("h"), [var0("b"), var0("c"), var0("d")]
+    refl = schema(instance("refl"))
+    pool = [schema(instance("T"))]
+    for _ in range(rng.randrange(6, 16)):
+        kind = rng.randrange(5)
+        if kind == 0:  # v = v, the fact that gen and part close over
+            v = rng.choice(names)
+            ui = instance("UI^0", templates=[("A", Template((h,), eq(h, h)))], terms=[("tau", v)])
+            pool.append(mp(refl, schema(ui)))
+        elif kind == 1:  # P_z > P_f, then sometimes P_f again through it
+            f, z = rng.choice(pool), rng.choice(pool)
+            w = weaken(f, prop(z))
+            pool.append(mp(z, w) if rng.random() < 0.5 else w)
+        elif kind == 2:
+            quantify(rng.choice(pool), HGenLine)
+        elif kind == 3:
+            quantify(rng.choice(pool), HPartLine)
+        else:  # v = v > P_x: a premise for part
+            v = rng.choice(names)
+            pool.append(weaken(rng.choice(pool), eq(v, v)))
+    tips = [k for k in range(1, len(lines) + 1) if k not in cited]
+    last = tips.pop()
+    for k in tips:  # P_k > P_last, then P_last again: every uncited line is reached
+        last = mp(k, weaken(last, prop(k)))
     proof = HilbertProof(tuple(lines))
     verdict = check_hilbert(proof, cat)
     if not verdict.ok:

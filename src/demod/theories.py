@@ -12,6 +12,7 @@ comprehension witness, and ``eps`` the decoding membership predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 from .rewriting import Rule, RewriteSystem
@@ -337,11 +338,13 @@ def _comp_rules(top: int) -> list[Rule]:
     return out
 
 
+@cache  # one system per order: its rules compile once, whoever asks for it
 def build_WS(cfg: OrderConfig) -> RewriteSystem:
     """HO_i without the comprehension rule: weak substitution only."""
     return RewriteSystem("WS", tuple(_ws_rules(cfg.i)), terminating=True, confluent=True)
 
 
+@cache
 def build_HO(cfg: OrderConfig) -> RewriteSystem:
     rules = tuple(_ws_rules(cfg.i) + _comp_rules(cfg.i))
     return RewriteSystem("HO", rules, terminating=True, confluent=True)
@@ -394,6 +397,7 @@ def _hha_subst_rules() -> list[Rule]:
     ]
 
 
+@cache
 def build_HHA(cfg: OrderConfig) -> RewriteSystem:
     """The axiom-free presentation of order-i Heyting arithmetic.
 
@@ -530,6 +534,7 @@ def ind_ax() -> Proposition:
     )
 
 
+@cache  # a constant: every translation into FZ reads it
 def fz_axioms() -> Presentation:
     return Presentation(
         "FZ",

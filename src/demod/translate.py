@@ -3,12 +3,15 @@ the modulo presentations.
 
 The schematic-to-natural-deduction direction replaces every inference by a
 fixed tree.  It is one forward pass: the lines the conclusion reaches are
-built once each, in line order, from the proofs of the lines they cite, and
-every later use shares that proof, so the output is a DAG.  Generalization
-and particularization close over the line's own eigenvariable; the
-eigenvariable conditions are local to each node, as a checked line holds its
-eigenvariable free only in its premise and the premise's proof is closed but
-for its axiom instances, which are tested.  The reverse direction is the familiar
+built once each, in line order, from the proofs of the lines they cite.  A
+line cited more than once is a lemma, proved once and cut in at the root, and
+each use is a hypothesis, so the output is a tree whose length is linear in
+the lines.  Generalization and particularization close over the line's own
+eigenvariable; the eigenvariable conditions are local to each node, as a
+checked line holds its eigenvariable free only in its premise, the premise's
+proof is closed but for its axiom instances, which are tested, and for the
+lemma hypotheses, each closed over the dependent eigenvariables it holds
+free.  The reverse direction is the familiar
 bracket-abstraction construction: an abstraction pass over proof trees,
 falling back to a line-level deduction-theorem pass after an implication
 introduction, with two pinned propositional lemmas for abstracting over the
@@ -325,7 +328,7 @@ _PROP_TEMPLATES: dict[str, Callable[..., Proof]] = {
 # Schematic system to natural deduction
 
 
-def _check_eigen_clear(prem: Proof, eigen: Var) -> None:
+def _check_eigen_clear(prem: Proof, eigens: frozenset[Var]) -> None:
     """An eigenvariable free in an axiom instance of the premise derivation
     cannot be generalized while keeping instances as assumptions."""
     stack, seen = [prem], set()
@@ -334,11 +337,25 @@ def _check_eigen_clear(prem: Proof, eigen: Var) -> None:
         if id(node) in seen:  # a shared subproof is looked at once
             continue
         seen.add(id(node))
-        if isinstance(node, Assume) and eigen in free_variables(node.conclusion):
+        if isinstance(node, Assume) and not eigens.isdisjoint(free_variables(node.conclusion)):
             raise TranslationError(
                 f"generalized variable occurs in the axiom instance {node.name!r}"
             )
         stack.extend(premises(node))
+
+
+def _lemma(label: str, prop: Proposition, proof: Proof, over: list[Var]) -> tuple[Proof, Proof, Proposition]:
+    """A line proved once and cited by hypothesis: its proof closed over the
+    variables ``over`` by universal introduction, the closed statement, and
+    the proof of the line at each use (the hypothesis, instantiated back)."""
+    stated, closed = prop, proof
+    for var in reversed(over):
+        closed = ForallI(Forall(var, stated), var=var, body=stated, eigen=var, sub=closed)
+        stated = Forall(var, stated)
+    use = Hyp(label, stated)
+    for var in over:
+        use = ForallE(use.conclusion.body, var=var, body=use.conclusion.body, term=var, sub=use)
+    return closed, use, stated
 
 
 def _hilbert_to_nd_engine(
@@ -346,25 +363,37 @@ def _hilbert_to_nd_engine(
     cat: Catalogue,
     leaf_handler: Callable[[SchemaInstance, Proposition], Proof],
 ) -> Proof:
-    """One pass over the lines: the lines the conclusion reaches are marked
-    backwards, then each is built once, in order, from its premises' proofs,
-    which later uses share."""
+    """One pass over the lines.  Backwards, count the citations of each line
+    the conclusion reaches and collect the eigenvariables of the gen/part
+    lines that depend on it; then build each reached line once, in order,
+    from its premises' proofs.  A line cited more than once is a lemma: each
+    use cites it by hypothesis, and the conclusion is wrapped in one cut per
+    lemma, the last innermost, so a lemma's proof may cite the lemmas before
+    it.  A lemma is closed over the dependent eigenvariables it holds free, so
+    the hypothesis is clear of them wherever it is open."""
     verdict = check_hilbert(proof, cat)
     if not verdict.ok:
         raise TranslationError(f"input does not check: {verdict.error}")
     lines = proof.lines
-    reached = [False] * len(lines)
-    reached[-1] = True
+    uses = [0] * len(lines)
+    uses[-1] = 1  # the conclusion is reached; no line cites it
+    above: list[frozenset[Var]] = [frozenset()] * len(lines)
     for k in range(len(lines) - 1, -1, -1):
-        if reached[k]:
-            j = lines[k].just
-            for field, kind in JUSTIFICATIONS[type(j)].layout:
-                if kind == "line":
-                    reached[getattr(j, field) - 1] = True
+        if not uses[k]:
+            continue
+        j = lines[k].just
+        own = above[k] | {j.eigen} if isinstance(j, (GenLine, PartLine)) else above[k]
+        for field, kind in JUSTIFICATIONS[type(j)].layout:
+            if kind == "line":
+                ref = getattr(j, field) - 1
+                uses[ref] += 1
+                if not own <= above[ref]:
+                    above[ref] = above[ref] | own if above[ref] else own
     lab = _Gensym("g")
     built: list[Optional[Proof]] = [None] * len(lines)
+    cuts: list[tuple[str, Proposition, Proof]] = []
     for k, line in enumerate(lines):
-        if not reached[k]:
+        if not uses[k]:
             continue
         j = line.just
         if isinstance(j, SchemaLine):
@@ -382,7 +411,7 @@ def _hilbert_to_nd_engine(
             shape = line.prop
             q = getattr(shape, rule.side)
             prem = built[j.ref - 1]
-            _check_eigen_clear(prem, j.eigen)
+            _check_eigen_clear(prem, frozenset((j.eigen,)))
             x_y = rule.premise(shape, j.eigen)  # the premise, applied to a hypothesis of its left side
             l = lab()
             if rule.binder is Forall:
@@ -396,8 +425,16 @@ def _hilbert_to_nd_engine(
             out = ImpI(shape, hyp=shape.left, label=l, sub=e2)
         else:
             raise TranslationError(f"cannot translate line justification {j!r}")
+        if uses[k] > 1:
+            _check_eigen_clear(out, above[k])  # the dependent gen/part lines see only the hypothesis
+            label, over = lab(), sorted(above[k] & free_variables(line.prop), key=str)
+            closed, out, stated = _lemma(label, line.prop, out, over)
+            cuts.append((label, stated, closed))
         built[k] = out
-    return built[-1]
+    root, goal = built[-1], lines[-1].prop
+    for label, stated, closed in reversed(cuts):
+        root = ImpE(goal, minor=closed, major=ImpI(Imp(stated, goal), hyp=stated, label=label, sub=root))
+    return root
 
 
 def hilbert_to_nd(proof: HilbertProof, cat: Catalogue) -> NDTranslation:

@@ -279,6 +279,36 @@ def test_translate_cli(tmp_path, capsys):
     assert report == {"input_length": 1, "output_length": 2, "assumptions": []}
 
 
+def test_a_builtin_system_is_resolved_to_one_object():
+    assert cli._resolve_system("hha", 1)[0] is cli._resolve_system("hha", 1)[0]
+
+
+def test_translated_reuse_proof_files_check_in_linear_length(tmp_path, capsys):
+    # 37 lines, each round's T cited twice: copying shared lines would write
+    # about 20,000 inference nodes; cuts keep the files within criterion 7's
+    # C * lines, C = 6 (pure ND) and 8 (FZ modulo)
+    from demod.hilbert import mp
+    from demod.syntax import TRUE, Imp
+
+    k_inst = instance("K", templates=[("A", TRUE), ("B", TRUE)])
+    lines, last = [schema_line(instance("T"), TRUE)], 1
+    for _ in range(12):
+        lines.append(schema_line(k_inst, Imp(TRUE, Imp(TRUE, TRUE))))
+        lines.append(mp(last, len(lines), Imp(TRUE, TRUE)))
+        lines.append(mp(last, len(lines), TRUE))
+        last = len(lines)
+    assert len(lines) == 37
+    path = tmp_path / "reuse.sexp"
+    path.write_text(dumps(hilbert_to_sx(HilbertProof(tuple(lines)))))
+    for direction, system, bound in (("hilbert-nd", [], 6), ("hilbert-fz", ["--system", "ho"], 8)):
+        out = tmp_path / f"{direction}.sexp"
+        assert main(["translate", direction, str(path), "--order", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check-nd", str(out), "--order", "1", *system]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["ok"] and verdict["length"] <= bound * 37
+
+
 def test_probe_cli(capsys):
     assert main(["probe", "--system", "ws", "--exhaustive", "--max-size", "6"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -327,6 +327,13 @@ def test_fz_well_sorted_under_classes_signature():
         assert not free_variables(prop), name
 
 
+def test_the_fz_presentation_and_the_builtin_systems_are_built_once():
+    assert fz_axioms() is fz_axioms()
+    for build in (build_WS, build_HO, build_HHA):
+        assert build(OrderConfig(2)) is build(OrderConfig(2))
+        assert build(OrderConfig(1)) is not build(OrderConfig(2))
+
+
 def test_induction_unfolding_shape():
     x, p = var0("x"), Var("p", classes_signature(1).funs["empty"].result)
     u = induction_unfolding(x, p)

@@ -44,6 +44,7 @@ from demod.syntax import (
     TRUE,
     Var,
     alpha_equal,
+    apply_substitution,
     arith,
     iff,
 )
@@ -652,23 +653,9 @@ def test_a_4001_line_chain_translates_and_checks(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _distinct_nodes(proof) -> int:
-    from demod.nd import premises
-
-    seen, stack = set(), [proof]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(premises(node))
-    return len(seen)
-
-
-def test_a_line_used_twice_is_built_once():
-    # T, then per round K(T, T), T > T and T, where the round's T is cited twice:
-    # walked as a tree, the output doubles each round; it is built from at most
-    # C = 2 proof objects per line
-    rounds = 13
+def _reuse_proof(rounds: int) -> HilbertProof:
+    """T, then per round K(T, T), T > T and T, where the round's T is cited
+    twice: 1 + 3 * rounds lines."""
     k_inst = instance("K", templates=[("A", TRUE), ("B", TRUE)])
     lines, last = [schema_line(instance("T"), TRUE)], 1
     for _ in range(rounds):
@@ -676,12 +663,84 @@ def test_a_line_used_twice_is_built_once():
         lines.append(mp(last, len(lines), Imp(TRUE, TRUE)))
         lines.append(mp(last, len(lines), TRUE))
         last = len(lines)
-    proof = HilbertProof(tuple(lines))
-    for translate in (hilbert_to_nd, zi_hilbert_to_fz_modulo):
+    return HilbertProof(tuple(lines))
+
+
+def _length_within(proof, budget: int) -> int:
+    """``nd_length(proof)``, or ``budget + 1`` as soon as the walk passes the
+    budget: a translation that copies shared lines stops here, not after 2^r nodes."""
+    from demod.nd import LEAVES, premises
+
+    count, stack = 0, [proof]
+    while stack and count <= budget:
+        node = stack.pop()
+        count += not isinstance(node, LEAVES)
+        stack.extend(premises(node))
+    return count
+
+
+# criterion 7's constants, not raised for shared lines
+C_HILBERT_TO_ND, C_ZI_TO_FZ = 6, 8
+TRANSLATIONS = ((hilbert_to_nd, None, C_HILBERT_TO_ND), (zi_hilbert_to_fz_modulo, HO, C_ZI_TO_FZ))
+
+
+def _assert_linear(proof: HilbertProof) -> None:
+    n = len(proof.lines)
+    for translate, system, bound in TRANSLATIONS:
         out = translate(proof, CAT_Z1)
-        assert _distinct_nodes(out.proof) <= 2 * len(lines)
-        assert nd_length(out.proof) == 40956
-        assert check_nd(out.proof, assumptions=out.assumption_dict()).ok
+        length = _length_within(out.proof, bound * n)  # a local, so a failure does not print the proof
+        assert length <= bound * n, (translate.__name__, n)
+        verdict = check_nd(out.proof, assumptions=out.assumption_dict(), system=system)
+        assert verdict.ok, verdict.error
+        assert alpha_equal(conclusion_of(out.proof), proof.conclusion())
+
+
+def test_a_line_used_twice_is_built_once():
+    # each round's T is cited twice: copied at each use, the output would
+    # double every round (2^r); proved once and cut, it stays within
+    # C * lines, with C = 6 (pure ND) and 8 (FZ modulo), up to 3,001 lines
+    for rounds in (*range(31), 1000):
+        _assert_linear(_reuse_proof(rounds))
+
+
+def _cuts(proof):
+    """The lemmas a translation cut in at the root, outermost first, as the
+    proofs that stand for their hypotheses."""
+    while (isinstance(proof, ImpE) and isinstance(proof.major, ImpI)
+           and proof.major.conclusion.right == proof.conclusion):
+        yield proof.minor
+        proof = proof.major.sub
+
+
+def test_shared_lemmas_closed_over_eigenvariables_stay_linear():
+    from demod.bench import random_shared_hilbert_corpus
+
+    closed = 0
+    for proof in random_shared_hilbert_corpus(80, 21):
+        _assert_linear(proof)
+        closed += sum(isinstance(p, ForallI) for p in _cuts(hilbert_to_nd(proof, CAT_Z1).proof))
+    assert closed > 0  # some lemma held a dependent eigenvariable free
+
+
+def test_a_shared_lemma_still_keeps_its_axiom_instances_clear_of_the_eigenvariable():
+    # line 1, a Leibniz instance with c free, is cited by lines 3 and 7; the
+    # gen line 4 over c depends on it, so c cannot be generalized
+    c, h, w = var0("c"), var0("h"), var0("w")
+    leib = instance("leibniz", templates=[("A", Template((h,), eq(h, c)))])
+    p = CAT_Z1.instantiate(leib)
+    top = Imp(TRUE, Forall(w, apply_substitution(p, {c: w})))
+    proof = HilbertProof((
+        schema_line(leib, p),
+        schema_line(instance("K", templates=[("A", p), ("B", TRUE)]), Imp(p, Imp(TRUE, p))),
+        mp(1, 2, Imp(TRUE, p)),
+        gen(3, c, top),
+        schema_line(instance("K", templates=[("A", top), ("B", p)]), Imp(top, Imp(p, top))),
+        mp(4, 5, Imp(p, top)),
+        mp(1, 6, top),
+    ))
+    assert check_hilbert(proof, CAT_Z1).ok
+    with pytest.raises(TranslationError, match="generalized variable"):
+        hilbert_to_nd(proof, CAT_Z1)
 
 
 def test_translation_lengths_on_a_seeded_corpus_are_pinned():
