@@ -449,7 +449,7 @@ def _random_hilbert_proof(rng: random.Random, cat) -> HilbertProof:
     return proof
 
 
-def random_shared_hilbert_corpus(count: int, seed: int, order: int = 2) -> list[HilbertProof]:
+def random_shared_hilbert_corpus(count: int, seed: int) -> list[HilbertProof]:
     """Schematic-system proofs whose lines are cited many times over.
 
     Each move cites lines drawn from all the earlier ones.  A gen or part
@@ -458,7 +458,7 @@ def random_shared_hilbert_corpus(count: int, seed: int, order: int = 2) -> list[
     dependent eigenvariable free.
     """
     rng = random.Random(seed)
-    cat = zi_axiom_schemata(OrderConfig(order))
+    cat = zi_axiom_schemata(OrderConfig(2))
     return [_random_shared_proof(rng, cat) for _ in range(count)]
 
 

@@ -387,8 +387,7 @@ def _hilbert_to_nd_engine(
             if kind == "line":
                 ref = getattr(j, field) - 1
                 uses[ref] += 1
-                if not own <= above[ref]:
-                    above[ref] = above[ref] | own if above[ref] else own
+                above[ref] |= own
     lab = _Gensym("g")
     built: list[Optional[Proof]] = [None] * len(lines)
     cuts: list[tuple[str, Proposition, Proof]] = []
@@ -426,7 +425,8 @@ def _hilbert_to_nd_engine(
         else:
             raise TranslationError(f"cannot translate line justification {j!r}")
         if uses[k] > 1:
-            _check_eigen_clear(out, above[k])  # the dependent gen/part lines see only the hypothesis
+            if above[k]:  # the dependent gen/part lines see only the hypothesis
+                _check_eigen_clear(out, above[k])
             label, over = lab(), sorted(above[k] & free_variables(line.prop), key=str)
             closed, out, stated = _lemma(label, line.prop, out, over)
             cuts.append((label, stated, closed))

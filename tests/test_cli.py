@@ -287,19 +287,12 @@ def test_translated_reuse_proof_files_check_in_linear_length(tmp_path, capsys):
     # 37 lines, each round's T cited twice: copying shared lines would write
     # about 20,000 inference nodes; cuts keep the files within criterion 7's
     # C * lines, C = 6 (pure ND) and 8 (FZ modulo)
-    from demod.hilbert import mp
-    from demod.syntax import TRUE, Imp
+    from test_translate import _reuse_proof
 
-    k_inst = instance("K", templates=[("A", TRUE), ("B", TRUE)])
-    lines, last = [schema_line(instance("T"), TRUE)], 1
-    for _ in range(12):
-        lines.append(schema_line(k_inst, Imp(TRUE, Imp(TRUE, TRUE))))
-        lines.append(mp(last, len(lines), Imp(TRUE, TRUE)))
-        lines.append(mp(last, len(lines), TRUE))
-        last = len(lines)
-    assert len(lines) == 37
+    proof = _reuse_proof(12)
+    assert len(proof.lines) == 37
     path = tmp_path / "reuse.sexp"
-    path.write_text(dumps(hilbert_to_sx(HilbertProof(tuple(lines)))))
+    path.write_text(dumps(hilbert_to_sx(proof)))
     for direction, system, bound in (("hilbert-nd", [], 6), ("hilbert-fz", ["--system", "ho"], 8)):
         out = tmp_path / f"{direction}.sexp"
         assert main(["translate", direction, str(path), "--order", "1", "--out", str(out)]) == 0
