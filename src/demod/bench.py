@@ -770,35 +770,46 @@ def enumerate_probe_terms(max_size: int) -> Iterable[tuple[Term, bool, bool]]:
     term it is applied to; decoding an encoded proposition never produces
     that shape.
     """
-    for _, bucket in _probe_terms_by_size(max_size):
-        yield from bucket
+    for _, (terms, has, nested) in _probe_terms_by_size(max_size):
+        yield from zip(terms, map(bool, has), map(bool, nested))
 
 
-def _probe_terms_by_size(max_size: int) -> Iterable[tuple[int, list[tuple[Term, bool, bool]]]]:
-    """The terms of ``enumerate_probe_terms`` in buckets of one size and sort."""
-    by_key: dict[tuple[str, int], list[tuple[Term, bool, bool]]] = {}
+ProbeBucket = tuple[list[Term], bytearray, bytearray]
+
+
+def _probe_terms_by_size(max_size: int) -> Iterable[tuple[int, ProbeBucket]]:
+    """The terms of ``enumerate_probe_terms`` in buckets of one size and sort:
+    the terms, and for each one byte saying whether it has a substitution
+    node and one whether it has nested substitutions, so a bucket holds no
+    object per term besides the term."""
+    by_key: dict[tuple[str, int], ProbeBucket] = {}
+    none: ProbeBucket = ([], bytearray(), bytearray())
     for k in range(1, max_size + 1):
         for sort in ("0", "list"):
-            bucket: list[tuple[Term, bool, bool]] = []
+            terms, has, nested = bucket = ([], bytearray(), bytearray())
             for fn, args, result in PROBE_FUNS:
                 if str(result) != sort:
                     continue
                 if len(args) == 0:
                     if k == 1:
-                        bucket.append((App(fn, (), result), False, False))
+                        terms.append(App(fn, (), result))
+                        has.append(0)
+                        nested.append(0)
                 elif len(args) == 1:
-                    for t, has, nested in by_key.get((str(args[0]), k - 1), ()):
-                        bucket.append((App(fn, (t,), result), has, nested))
+                    subs, sub_has, sub_nested = by_key.get((str(args[0]), k - 1), none)
+                    terms += [App(fn, (t,), result) for t in subs]
+                    has += sub_has
+                    nested += sub_nested
                 else:
+                    is_sub = fn == "sub^0"
                     for i in range(1, k - 1):
-                        j = k - 1 - i
-                        for t1, h1, n1 in by_key.get((str(args[0]), i), ()):
-                            for t2, h2, n2 in by_key.get((str(args[1]), j), ()):
-                                is_sub = fn == "sub^0"
-                                nested = n1 or n2 or (is_sub and h1)
-                                bucket.append(
-                                    (App(fn, (t1, t2), result), h1 or h2 or is_sub, nested)
-                                )
+                        lefts, has1, nested1 = by_key.get((str(args[0]), i), none)
+                        rights, has2, nested2 = by_key.get((str(args[1]), k - 1 - i), none)
+                        ones = b"\1" * len(rights)
+                        for t1, h1, n1 in zip(lefts, has1, nested1):
+                            terms += [App(fn, (t1, t2), result) for t2 in rights]
+                            has += ones if h1 or is_sub else has2
+                            nested += ones if n1 or (is_sub and h1) else nested2
             by_key[(sort, k)] = bucket
             yield k, bucket
 
@@ -819,7 +830,7 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
     # were probed before it; a term of the largest size is never one of
     # those, so it is not kept.
     known: dict[Term, int] = {}
-    sized = ((n, *entry) for n, bucket in _probe_terms_by_size(max_size) for entry in bucket)
+    sized = ((n, *entry) for n, bucket in _probe_terms_by_size(max_size) for entry in zip(*bucket))
     for n, term, has_redex, nested in sized:
         if nested and not include_nested:
             continue

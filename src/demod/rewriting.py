@@ -821,4 +821,9 @@ def longest_derivation(
         memo[t] = best
         return best
 
-    return split(x)
+    try:
+        return split(x)
+    finally:
+        # split and search refer to each other; unlinking them frees the memo
+        # and ``known`` now, not at the next collection of the oldest generation
+        del search

@@ -12,8 +12,8 @@ Each kind of node is described once, in ``SHAPES``: its fields in order, each
 marked as data (a name, a sort or the bound variable) or as children (one
 subproposition, or a tuple of argument terms), and its printed text.  The
 node classes are declared from that table, each carrying its entry as the
-class attribute ``shape``, the one place every walk reads it.  Equality,
-hashing, printing (``str`` and the dataclass-style ``repr``), ``children``,
+class attribute ``shape``, the one place every walk reads it.  Hashing,
+printing (``str`` and the dataclass-style ``repr``), ``children``,
 size, positions, free variables, substitution, alpha equivalence and the
 structural walk of the sort check are derived from it, and so is each kind's
 constructor, which computes the hash and whether the node is ground once,
@@ -21,11 +21,12 @@ when the node is built.  Substitution, free variables and alpha equivalence
 skip ground subterms.  Every traversal keeps its own stack, so none is limited
 by the interpreter's recursion depth.
 
-Variables are interned: ``Var(name, sort)`` returns the one object for that
-pair, so equal variables are identical and a lookup keyed by a variable stops
-at identity.  Pickling and copying rebuild through the constructor and so
-give back that object.  The table keeps every distinct variable made, for the
-life of the process; other nodes are not interned.
+Every node is interned (hash-consed): a constructor returns the one object
+with its fields, so structurally equal terms and propositions are identical,
+``==`` is ``is`` and a lookup keyed by a node stops at identity.  Rebuilding,
+substituting, grafting, pickling and copying all go through the constructors
+and so give back that object.  The tables keep every distinct node made, for
+the life of the process.
 """
 
 from __future__ import annotations
@@ -90,21 +91,18 @@ def canonical_number(text: object) -> bool:
 
 
 class Node:
-    """A term or proposition.  Equality, hashing and printing read the node's
-    shape.  The hash is computed once, when the node is built, and its lowest
-    bit says whether the node is ground: no variable, free or bound, occurs
-    anywhere in it.  Keeping the bit there costs no slot of its own."""
+    """A term or proposition, interned by its kind's constructor: one object
+    per distinct node, so equality is the inherited identity.  Hashing and
+    printing read the node's shape.  The hash is computed once, when the node
+    is built, and its lowest bit says whether the node is ground: no
+    variable, free or bound, occurs anywhere in it.  Keeping the bit there
+    costs no slot of its own."""
 
     __slots__ = ("_hash",)
     shape: Shape  # the kind's entry in SHAPES
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is type(self) and self._hash == other._hash and _equal(self, other)
-        )
 
     def __str__(self) -> str:
         return _show(self, lambda x: x.shape.text(x))
@@ -167,46 +165,52 @@ def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Call
     cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
                          init=False, repr=False, slots=True, namespace={"__module__": __name__})
     cls.shape = SHAPES[cls] = Shape(layout, text)
-    make = _constructor(cls, layout)
-    setattr(cls, make.__name__, make)
+    cls.__new__ = _constructor(cls, layout)
     return cls
 
 
 def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
-    """The kind's ``__init__``, written out once: it sets each field through
-    its slot, then the hash with the ground bit in one pass over the children.
-    A variable, and a node binding one, is never ground; a child that is not
-    a node makes its parent not ground, so the walks reach it and reject it.
+    """The kind's ``__new__``, written out once.  It returns the one node with
+    these fields from a table it keeps (hash-consing, after Filliâtre and
+    Conchon, "Type-safe modular hash-consing", ML 2006), so that structurally
+    equal nodes are one object.  A node not yet in the table gets each field
+    set through its slot, then the hash with the ground bit in one pass over
+    the children.  A variable, and a node binding one, is never ground; a
+    child that is not a node makes its parent not ground, so the walks reach
+    it and reject it.
 
-    A variable's kind gets a ``__new__`` instead, which returns the one object
-    for its fields from a table it keeps (interning, after Filliâtre and
-    Conchon, "Type-safe modular hash-consing", ML 2006).  The table holds one
-    entry per distinct ``(name, sort)`` made and never frees them; the hash
-    stays that of the pair, so set orders and printed output do not depend
-    on the table."""
+    The table is keyed by the tuple of the fields; a kind with a tuple of
+    arguments is keyed by its other fields, then by that tuple, which the node
+    holds anyway.  It keeps every distinct node made for the life of the
+    process.  The hash stays that of the fields, so set orders and printed
+    output do not depend on the table."""
     names = [field for field, _ in layout]
     env = {f"set_{field}": getattr(cls, field).__set__ for field in names}
-    env["set_hash"] = Node._hash.__set__
-    if any(role == "variable" for _, role in layout):
-        env.update(table={}, new=object.__new__)
-        key = "".join(f + ", " for f in names)
-        body = ["try:", f"    return table[{key}]", "except KeyError:", "    pass", "self = new(cls)",
-                *(f"set_{field}(self, {field})" for field in names),
-                f"set_hash(self, hash(({key})) & -2)", f"table[{key}] = self", "return self"]
-        exec(f"def __new__(cls, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
-        return env["__new__"]
+    table: dict = {}
+    env.update(set_hash=Node._hash.__set__, table=table, get=table.get, new=object.__new__)
+    fields = "".join(f + ", " for f in names)  # ``(fields)`` is their tuple
+    args = next((field for field, role in layout if role == "args"), None)
+    if args is None:
+        find, whole = [f"key = ({fields})", "self = get(key)"], "key"
+        store = "table[key] = self"
+    else:
+        outer = ", ".join(field for field in names if field != args)
+        find = [f"inner = get(({outer}))", "if inner is None:", f"    inner = table[{outer}] = {{}}",
+                f"self = inner.get({args})"]
+        store, whole = f"inner[{args}] = self", f"({fields})"
     ground = {"prop": "g &= {}._hash", "args": "for a in {}: g &= a._hash"}
     kids = [ground[role].format(field) for field, role in layout if role in ground]
-    body = [f"set_{field}(self, {field})" for field in names]
+    body = [*find, "if self is not None:", "    return self", "self = new(cls)",
+            *(f"set_{field}(self, {field})" for field in names)]
     if any(role in ("variable", "binder") for _, role in layout):
         body.append("g = 0")
     elif kids:
         body += ["g = 1", "try:", *(f"    {line}" for line in kids), "except AttributeError:", "    g = 0"]
     else:
         body.append("g = 1")
-    body.append(f"set_hash(self, hash(({''.join(f + ', ' for f in names)})) & -2 | g)")
-    exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
-    return env["__init__"]
+    body += [f"set_hash(self, hash({whole}) & -2 | g)", store, "return self"]
+    exec(f"def __new__(cls, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
+    return env["__new__"]
 
 
 _BINARY = (("left", "prop"), ("right", "prop"))
@@ -229,31 +233,6 @@ Term = Union[Var, App]
 Obj = Union[Term, Proposition]
 FALSE = Falsum()
 TRUE = Verum()
-
-
-def _equal(a: Obj, b: Obj) -> bool:
-    """Whether two nodes of one type and hash are equal.  Leaves are compared
-    where they are met; pairs of inner nodes wait on a stack."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        shape = a.shape
-        if shape.data is not None and shape.data(a) != shape.data(b):
-            return False
-        left, right = shape.children(a), shape.children(b)
-        if len(left) != len(right):
-            return False
-        for x, y in zip(left, right):
-            if x is y:
-                continue
-            kind = x.shape
-            if kind is not y.shape or x._hash != y._hash:
-                return False
-            if kind.slots:
-                stack.append((x, y))
-            elif kind.data is not None and kind.data(x) != kind.data(y):
-                return False
-    return True
 
 
 def _show(x: Obj, text: Callable[[Obj], tuple[str, str, str]]) -> str:
@@ -596,15 +575,15 @@ def alpha_equal(p: Obj, q: Obj) -> bool:
     stack: list[tuple] = [(p, q, {}, {}, 0)]
     while stack:
         a, b, lenv, renv, depth = stack.pop()
-        ground = a._hash & b._hash & 1  # no variables below: alpha equality is equality
-        if (ground or not depth) and a == b:
+        ground = a._hash & b._hash & 1  # no variables below: alpha equality is identity
+        if (ground or not depth) and a is b:
             continue  # syntactic equality implies alpha equality
         if ground or type(a) is not type(b):
             return False
         if isinstance(a, Var):
             li, ri = lenv.get(a), renv.get(b)
             if li is None and ri is None:
-                if a != b:
+                if a is not b:
                     return False
             elif li != ri or a.sort != b.sort:
                 return False

@@ -254,6 +254,30 @@ def _longest_reference(x, system):
     return go(x)
 
 
+def test_longest_derivation_frees_its_tables_on_return():
+    # The search's two helpers refer to each other.  Left linked, they kept
+    # the memo and ``known`` alive until a collection of the oldest
+    # generation, which with interned nodes came rarely enough that the
+    # exhaustive probe's resident memory grew by 0.3 MB a round.
+    import gc
+    import weakref
+
+    class Known(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    known = Known()
+    gone = weakref.ref(known)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert longest_derivation(add_atom(numeral(3), numeral(3), numeral(6)), ADD, known=known) == 4
+        del known
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_longest_derivation_agrees_with_plain_search():
     from demod.bench import enumerate_probe_terms
     from demod.syntax import And, Forall

@@ -520,7 +520,7 @@ def _deep_chain(leaf, binder_name="v"):
 @pytest.mark.parametrize("build", [_deep_numeral, _deep_chain], ids=["numeral", "chain"])
 def test_deep_input_needs_no_recursion(build):
     (obj, before, after), (copy, _, _), (other, _, _) = build(x), build(x), build(zero)
-    assert obj is not copy and obj == copy and hash(obj) == hash(copy) and obj != other
+    assert obj is copy and hash(obj) == hash(copy) and obj is not other
     n = size(obj)
     assert n == _flat_size(obj)
     assert free_variables(obj) == {x}
@@ -688,3 +688,84 @@ def test_each_node_kind_has_its_fields_and_one_cached_slot():
     for cls, shape in SHAPES.items():
         assert cls.__slots__ == tuple(shape.names)
         assert cls.__basicsize__ == object.__basicsize__ + word * (len(shape.names) + 1)
+
+
+# -- interning -----------------------------------------------------------------
+
+
+def recipes():
+    """Descriptions of terms and propositions as nested tuples, so that one
+    can be built twice with nothing shared between the two builds."""
+    names = st.sampled_from(["x", "y", "w'"])
+    terms = st.recursive(
+        st.one_of(names.map(lambda n: ("var", n)), st.just(("0",))),
+        lambda sub: st.one_of(sub.map(lambda t: ("s", t)), st.tuples(st.just("+"), sub, sub)),
+        max_leaves=5,
+    )
+    leaves = st.one_of(terms.map(lambda t: ("P", t)), st.tuples(st.just("="), terms, terms),
+                       st.sampled_from([("false",), ("true",)]))
+    props = st.recursive(
+        leaves,
+        lambda sub: st.one_of(st.tuples(st.sampled_from(["and", "or", "imp"]), sub, sub),
+                              st.tuples(st.sampled_from(["all", "ex"]), names, sub)),
+        max_leaves=6,
+    )
+    return st.one_of(terms, props)
+
+
+def _build(recipe):
+    """The node a recipe describes, each part built anew by its constructor."""
+    head, *rest = recipe
+    sort = Sort("arith", 0)  # equal to S0, but not the same object
+    if head == "var":
+        return Var("".join(rest[0]), sort)
+    if head in ("0", "s", "+"):
+        return App(head, tuple(map(_build, rest)), sort)
+    if head in ("P", "="):
+        return Atom(head, tuple(map(_build, rest)))
+    if head in ("false", "true"):
+        return Falsum() if head == "false" else Verum()
+    if head in ("all", "ex"):
+        return (Forall if head == "all" else Exists)(_build(("var", rest[0])), _build(rest[1]))
+    return {"and": And, "or": Or, "imp": Imp}[head](*map(_build, rest))
+
+
+@given(recipes())
+@settings(max_examples=300, deadline=None)
+def test_equal_nodes_built_apart_are_one_object(recipe):
+    from dataclasses import fields, replace
+    from demod.fileformat import dumps, loads, term_or_prop_from_sx, term_to_sx
+
+    obj, again = _build(recipe), _build(recipe)
+    assert obj is again and _recipe(obj) == recipe
+    w = Var("w", S0)  # never in a recipe, so renaming x to w and back is the identity
+    assert apply_substitution(apply_substitution(obj, {x: w}), {w: x}) is obj
+    for other in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)), replace(obj),
+                  replace(obj, **{f.name: getattr(again, f.name) for f in fields(obj)}),
+                  term_or_prop_from_sx(loads(dumps(term_to_sx(obj))), SIG)):
+        assert other is obj
+    for pos, part in positions(obj):
+        shape = part.shape
+        # the hash is the fields' hash, with the lowest bit the ground bit
+        assert hash(part) == hash(shape.values(part)) & -2 | _ref_ground(part)
+        assert shape.rebuild(part, [_build_like(c) for c in shape.children(part)]) is part
+        if shape.binder:
+            assert shape.rebuild(part, shape.children(part), Var(part.var.name, Sort("arith", 0))) is part
+        assert replace_at(again, _build_like(part), pos) is obj
+
+
+def _build_like(node):
+    """``node`` built anew, from a recipe read off it."""
+    return _build(_recipe(node))
+
+
+def _recipe(node):
+    if isinstance(node, Var):
+        return ("var", node.name)
+    if isinstance(node, (App, Atom)):
+        return (node.fn if isinstance(node, App) else node.pred, *map(_recipe, node.args))
+    if isinstance(node, (Falsum, Verum)):
+        return ("false",) if isinstance(node, Falsum) else ("true",)
+    if isinstance(node, (Forall, Exists)):
+        return ("all" if isinstance(node, Forall) else "ex", node.var.name, _recipe(node.body))
+    return ({And: "and", Or: "or", Imp: "imp"}[type(node)], _recipe(node.left), _recipe(node.right))
