@@ -191,8 +191,8 @@ def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
     fields = "".join(f + ", " for f in names)  # ``(fields)`` is their tuple
     args = next((field for field, role in layout if role == "args"), None)
     if args is None:
-        find, whole = [f"key = ({fields})", "self = get(key)"], "key"
-        store = "table[key] = self"
+        find = [f"key = ({fields})", "self = get(key)"]
+        store, whole = "table[key] = self", "key"
     else:
         outer = ", ".join(field for field in names if field != args)
         find = [f"inner = get(({outer}))", "if inner is None:", f"    inner = table[{outer}] = {{}}",
