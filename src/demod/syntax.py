@@ -17,9 +17,13 @@ printing (``str`` and the dataclass-style ``repr``), ``children``,
 size, positions, free variables, substitution, alpha equivalence and the
 structural walk of the sort check are derived from it, and so is each kind's
 constructor, which computes the hash and whether the node is ground once,
-when the node is built.  Substitution, free variables and alpha equivalence
-skip ground subterms.  Every traversal keeps its own stack, so none is limited
-by the interpreter's recursion depth.
+when the node is built, and its ``rebuild`` from new children.  Substitution,
+free variables and alpha equivalence skip ground subterms.  Substitution
+and free variables also visit a subterm shared in the input once: once per
+scope, through a memo kept for the call, and once per set of enclosing
+binders.  Substitution checks for capture only at a binder whose name
+occurs free in a substituted term.  Every traversal keeps its own stack, so
+none is limited by the interpreter's recursion depth.
 
 Every node is interned (hash-consed): a constructor returns the one object
 with its fields, so structurally equal terms and propositions are identical,
@@ -34,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, make_dataclass
 from functools import cache, cached_property
 from operator import attrgetter, is_not
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 
 class SortError(Exception):
@@ -131,7 +135,9 @@ class Shape:
     ``variable`` (a variable's own name), ``sort`` or ``binder`` (data,
     compared by value) or ``prop`` (one child) or ``args`` (a tuple of
     argument terms, the children), and its printed text, a function from the
-    node to the texts before, between and after its children."""
+    node to the texts before, between and after its children.  Its
+    ``rebuild(x, parts, binder=None)``, generated per kind, is ``x`` with
+    children ``parts`` and, if given, bound variable ``binder``."""
 
     def __init__(self, layout: tuple[tuple[str, str], ...], text: Callable[[Obj], tuple[str, str, str]]):
         self.text = text
@@ -146,26 +152,21 @@ class Shape:
         kids = [self.names[i] for i in self.slots]
         self.children = attrgetter(*kids) if self.variadic else _fields(kids)
 
-    def rebuild(self, x: Obj, parts: Sequence[Obj], binder: Optional[Var] = None) -> Obj:
-        """``x`` with children ``parts`` and, if given, bound variable ``binder``."""
-        values = list(self.values(x))
-        for slot, part in zip(self.slots, (tuple(parts),) if self.variadic else parts):
-            values[slot] = part
-        if binder is not None:
-            values[self.names.index(self.binder)] = binder
-        return type(x)(*values)
+    rebuild: Callable[..., Obj]  # set by _kind, from _rebuilder
 
 
 SHAPES: dict[type, Shape] = {}
 
 
 def _kind(name: str, base: type, layout: tuple[tuple[str, str], ...], text: Callable) -> type:
-    """A frozen node class with the fields of ``layout``; its shape is recorded in SHAPES
-    and carried by the class as ``shape``."""
+    """A frozen node class with the fields of ``layout``, its generated
+    constructor and rebuild; its shape is recorded in SHAPES and carried by
+    the class as ``shape``."""
     cls = make_dataclass(name, [field for field, _ in layout], bases=(base,), frozen=True, eq=False,
                          init=False, repr=False, slots=True, namespace={"__module__": __name__})
     cls.shape = SHAPES[cls] = Shape(layout, text)
     cls.__new__ = _constructor(cls, layout)
+    cls.shape.rebuild = _rebuilder(cls, layout)
     return cls
 
 
@@ -211,6 +212,27 @@ def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
     body += [f"set_hash(self, hash({whole}) & -2 | g)", store, "return self"]
     exec(f"def __new__(cls, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
     return env["__new__"]
+
+
+def _rebuilder(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
+    """The kind's ``rebuild``, written out once: its constructor called with
+    ``x``'s data fields, the children ``parts`` in field order (a tuple of
+    them for a kind with arguments), and ``binder`` in place of the bound
+    variable when one is given."""
+    values, kid = [], 0
+    for field, role in layout:
+        if role == "prop":
+            values.append(f"parts[{kid}]")
+            kid += 1
+        elif role == "args":
+            values.append("tuple(parts)")
+        elif role == "binder":
+            values.append(f"x.{field} if binder is None else binder")
+        else:
+            values.append(f"x.{field}")
+    env = {"cls": cls, "new": cls.__new__}
+    exec(f"def rebuild(x, parts, binder=None):\n    return new(cls, {', '.join(values)})\n", env)
+    return env["rebuild"]
 
 
 _BINARY = (("left", "prop"), ("right", "prop"))
@@ -473,23 +495,31 @@ def replace_at(x: Obj, s: Obj, pos: Position) -> Obj:
 
 
 def free_variables(x: Obj) -> frozenset[Var]:
+    """The variables with a free occurrence in ``x``.
+
+    Each node is remembered with the variables bound above it at its first
+    visit; met again under those or more, it has nothing new below it.  So
+    shared input costs one visit per distinct node and set of binders."""
     free: set[Var] = set()
-    bound: dict[Var, int] = {}  # how many enclosing binders bind each variable
+    bound: frozenset[Var] = frozenset()  # the variables bound above the node visited
+    seen: dict[Obj, frozenset[Var]] = {}
     stack: list = [x]
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # leaving the scope of the binder node[0]
-            bound[node[0]] -= 1
+        if type(node) is tuple:  # leaving a binder's scope: node[0] was bound above it
+            bound = node[0]
         elif isinstance(node, Var):
-            if not bound.get(node):
+            if node not in bound:
                 free.add(node)
         elif not node._hash & 1:  # a ground node has no variables below it
-            shape = node.shape
-            if shape.binder:
-                var = getattr(node, shape.binder)
-                bound[var] = bound.get(var, 0) + 1
-                stack.append((var,))
-            stack.extend(shape.children(node))
+            before = seen.get(node)
+            if before is None or not before <= bound:
+                seen[node] = bound
+                shape = node.shape
+                if shape.binder:
+                    stack.append((bound,))
+                    bound = bound | {getattr(node, shape.binder)}
+                stack.extend(shape.children(node))
     return frozenset(free)
 
 
@@ -502,71 +532,136 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 Substitution = Mapping[Var, Term]
 
-# The substitution walk's steps besides visiting a node.
-_BUILD, _THEN = object(), object()
+# The substitution walk's step that substitutes into the last result.
+_THEN = object()
 
 
 def apply_substitution(x: Obj, sub: Substitution) -> Obj:
     """Apply ``sub`` to free occurrences only, renaming binders to avoid capture.
 
     A binder is renamed when a substituted term has a free variable of its
-    name: the body is first renamed, then substituted."""
+    name: the body is first renamed, then substituted.  Capture is checked
+    only where it can happen: the free-variable names of the images are
+    gathered at the first binder, and a binder whose name is not among them
+    is crossed at once.  Only a binder whose name is among them has its
+    body's free variables computed, to find the images that reach it.
+
+    One walk with its own stacks.  Ground subterms are skipped, and an
+    application or atom whose arguments are variables or ground terms is
+    built on the spot.  Each scope of the walk, the substitution as it
+    stands under some binders, keeps a memo from each node it has rebuilt to
+    the result, so a subterm shared in the input is substituted once per
+    scope.  The memos live for this call only."""
     if not sub:
         return x
     done: list[Obj] = []
-    # (node, sub) visits a node; (_BUILD, (node, binder)) rebuilds a node from
+    # (node, scope) visits a node, (node, (binder, scope)) rebuilds it from
     # its children's results, with a new bound variable if one is given, and
-    # (_THEN, sub) substitutes into the last result.
-    todo: list[tuple] = [(x, sub)]
+    # (_THEN, scope) substitutes into the last result.  A scope is a list:
+    # the substitution; the free-variable names of its images, or None until
+    # a binder asks; its memo, or None until a node is rebuilt; and the
+    # scopes under a binder of a substituted variable, by that variable.
+    todo: list[tuple] = [(x, [sub, None, None, None])]
     while todo:
-        node, arg = todo.pop()
-        if node is _BUILD:
-            node, binder = arg
-            subs = node.shape.children(node)
+        node, scope = todo.pop()
+        if type(scope) is tuple:
+            binder, scope = scope
+            shape = node.shape
+            subs = shape.children(node)
             cut = len(done) - len(subs)
             parts = done[cut:]
             del done[cut:]
-            if binder is not None or any(map(is_not, parts, subs)):
-                node = node.shape.rebuild(node, parts, binder)
-            done.append(node)
+            new = shape.rebuild(node, parts, binder) if binder is not None or any(map(is_not, parts, subs)) else node
+            done.append(new)
+            if todo:  # the root's result is never looked up
+                if scope[2] is None:
+                    scope[2] = {}
+                scope[2][node] = new
             continue
         if node is _THEN:
-            todo.append((done.pop(), arg))
+            todo.append((done.pop(), scope))
             continue
-        if type(node) is Var:
-            img = arg.get(node, node)
-            if sort_of(img) != node.sort:
-                raise SortError(f"substitution maps {node} to {img} of sort {sort_of(img)}")
-            done.append(img)
+        kind = type(node)
+        if kind is Var:
+            done.append(_image(node, scope[0]))
             continue
-        shape = getattr(type(node), "shape", None)
+        shape = getattr(kind, "shape", None)
         if shape is None:
             raise SortError(f"not a term or proposition: {node!r}")
         if node._hash & 1:  # ground: nothing below to substitute
             done.append(node)
             continue
-        subs = shape.children(node)
-        if shape.binder:
-            var, body = getattr(node, shape.binder), subs[0]
-            body_free = free_variables(body)
-            live = {v: t for v, t in arg.items() if v != var and v in body_free}
-            if not live:
-                done.append(node)
+        if scope[2] is not None:
+            seen = scope[2].get(node)
+            if seen is not None:
+                done.append(seen)
                 continue
-            clash = {w.name for t in live.values() for w in free_variables(t)}
-            if var.name in clash:
-                taken = clash | {w.name for w in body_free} | {v.name for v in live}
-                fresh = Var(fresh_name(var.name, taken), var.sort)
-                todo += [(_BUILD, (node, fresh)), (_THEN, live), (body, {var: fresh})]
-            else:
-                todo += [(_BUILD, (node, var)), (body, live)]
-        elif subs:
-            todo.append((_BUILD, (node, None)))
-            for child in reversed(subs):
-                todo.append((child, arg))
-        else:
-            done.append(node)
+        subs = shape.children(node)
+        if shape.variadic:
+            images = []
+            for arg in subs:
+                if type(arg) is Var:
+                    images.append(_image(arg, scope[0]))
+                elif type(arg) is App and arg._hash & 1:
+                    images.append(arg)
+                else:
+                    break
+            else:  # every argument a variable or ground: built on the spot
+                done.append(shape.rebuild(node, images) if any(map(is_not, images, subs)) else node)
+                continue
+        elif shape.binder:
+            var, body = getattr(node, shape.binder), subs[0]
+            inner = scope
+            if var in scope[0]:  # shadowed below: the body has a scope without it
+                if scope[3] is None:
+                    scope[3] = {}
+                inner = scope[3].get(var)
+                if inner is None:
+                    rest = {v: t for v, t in scope[0].items() if v is not var}
+                    inner = scope[3][var] = [rest, None, None, None]
+                if not inner[0]:
+                    done.append(node)
+                    continue
+            if inner[1] is None:
+                inner[1] = _free_names(inner[0].values())
+            if var.name in inner[1]:  # capture is possible: find the images that reach the body
+                body_free = free_variables(body)
+                live = {v: t for v, t in inner[0].items() if v in body_free}
+                if not live:
+                    done.append(node)
+                    continue
+                clash = _free_names(live.values())
+                if var.name in clash:
+                    taken = clash | {w.name for w in body_free} | {v.name for v in live}
+                    fresh = Var(fresh_name(var.name, taken), var.sort)
+                    todo += [(node, (fresh, scope)), (_THEN, [live, clash, None, None]),
+                             (body, [{var: fresh}, {fresh.name}, None, None])]
+                    continue
+            todo += [(node, (None, scope)), (body, inner)]
+            continue
+        todo.append((node, (None, scope)))
+        for child in reversed(subs):
+            todo.append((child, scope))
     return done[0]
+
+
+def _image(v: Var, sub: Substitution) -> Term:
+    """The image of ``v`` under ``sub``, which must have ``v``'s sort."""
+    img = sub.get(v, v)
+    if img is not v and img.sort is not v.sort and img.sort != v.sort:
+        raise SortError(f"substitution maps {v} to {img} of sort {sort_of(img)}")
+    return img
+
+
+def _free_names(terms) -> set[str]:
+    """The names of the free variables of ``terms``."""
+    names: set[str] = set()
+    for t in terms:
+        if type(t) is Var:
+            names.add(t.name)
+        elif not t._hash & 1:
+            names.update(w.name for w in free_variables(t))
+    return names
 
 
 def alpha_equal(p: Obj, q: Obj) -> bool:

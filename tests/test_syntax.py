@@ -33,6 +33,7 @@ from demod.syntax import (
     free_variables,
     freely_substitutable,
     fresh_name,
+    iff,
     positions,
     replace_at,
     size,
@@ -255,11 +256,14 @@ def _is_free_occurrence(p, pos):
     return True
 
 
+# a node of every kind, some ground, some with variables
+SAMPLES = [x, plus(x, zero), FALSE, TRUE, P(x), And(P(x), FALSE), Or(P(x), TRUE),
+           Imp(P(zero), P(x)), Forall(x, P(x)), Exists(y, Imp(P(y), P(x))), s(zero), P(zero)]
+
+
 def test_copy_and_pickle_keep_equality_and_hash():
-    samples = [x, plus(x, zero), FALSE, TRUE, P(x), And(P(x), FALSE), Or(P(x), TRUE),
-               Imp(P(zero), P(x)), Forall(x, P(x)), Exists(y, Imp(P(y), P(x))), s(zero), P(zero)]
-    assert {type(q) for q in samples} == set(SHAPES)
-    for q in samples:
+    assert {type(q) for q in SAMPLES} == set(SHAPES)
+    for q in SAMPLES:
         for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
             assert other == q and q == other and hash(other) == hash(q)
             assert _ground(other) == _ground(q) == _ref_ground(q)
@@ -430,6 +434,16 @@ def clash_terms():
     )
 
 
+def shared(sub, binders):
+    """Propositions with a shared subproposition: ``iff``, whose sides each
+    occur twice, and one subproposition under two binders of different names."""
+    return st.one_of(
+        st.tuples(sub, sub).map(lambda ab: iff(*ab)),
+        st.tuples(st.permutations(binders), sub)
+        .map(lambda vb: And(Forall(vb[0][0], vb[1]), Exists(vb[0][1], vb[1]))),
+    )
+
+
 def clash_props(binders=CLASH_VARS):
     leaves = st.one_of(clash_terms().map(P), st.tuples(clash_terms(), clash_terms()).map(lambda ab: Atom("=", ab)),
                        st.just(FALSE))
@@ -442,6 +456,7 @@ def clash_props(binders=CLASH_VARS):
             st.tuples(sub, sub).map(lambda ab: Imp(*ab)),
             st.tuples(binder, sub).map(lambda vb: Forall(*vb)),
             st.tuples(binder, sub).map(lambda vb: Exists(*vb)),
+            shared(sub, binders),
         ),
         max_leaves=8,
     )
@@ -449,8 +464,9 @@ def clash_props(binders=CLASH_VARS):
 
 def clash_cases():
     """An object and a substitution: some substitutions map a variable to one
-    of another sort, so that errors are compared too; in the last kind x stays
-    free under binders whose names its image mentions, so binders are renamed."""
+    of another sort, so that errors are compared too; in the third kind x
+    stays free under binders whose names its image mentions, so binders are
+    renamed."""
     return st.one_of(
         st.tuples(st.one_of(clash_props(), clash_terms()),
                   st.dictionaries(st.sampled_from(CLASH_VARS), clash_terms(), max_size=3)),
@@ -459,6 +475,10 @@ def clash_cases():
                                   min_size=1, max_size=2)),
         st.tuples(st.tuples(st.sampled_from(CLASH_VARS[1:]), clash_props(CLASH_VARS[1:])).map(lambda vb: Forall(*vb)),
                   st.tuples(clash_terms(), st.sampled_from(CLASH_VARS[1:])).map(lambda tv: {x: plus(*tv)})),
+        # one subproposition under two binders, at least one of them likely
+        # on a substituted variable, so the walk meets it in two scopes
+        st.tuples(shared(clash_props(), CLASH_VARS),
+                  st.dictionaries(st.sampled_from(CLASH_VARS), clash_terms(), min_size=2, max_size=3)),
     )
 
 
@@ -623,6 +643,7 @@ def ground_props():
             st.tuples(sub, sub).map(lambda ab: Imp(*ab)),
             st.tuples(st.sampled_from(CLASH_VARS), sub).map(lambda vb: Forall(*vb)),
             st.tuples(st.sampled_from(CLASH_VARS), sub).map(lambda vb: Exists(*vb)),
+            shared(sub, CLASH_VARS),
         ),
         max_leaves=8,
     )
@@ -675,6 +696,99 @@ def test_ground_skipping_makes_substitution_linear_in_the_open_part():
     assert _ground(big) and not _ground(p)
     q = apply_substitution(p, {x: zero})
     assert q.body.args[0] is big and q == Forall(y, Atom("=", (big, zero)))
+
+
+def _iff_nest(depth, leaf, binder):
+    """``iff(p, p)`` nested ``depth`` deep over ``leaf``, every third level
+    under a Forall on ``binder``: a tree of more than 4 ** depth nodes, with
+    a few distinct nodes per level."""
+    p = leaf
+    for level in range(1, depth + 1):
+        p = iff(p, p)
+        if level % 3 == 0:
+            p = Forall(binder, p)
+    return p
+
+
+def _distinct_and_tree_size(obj):
+    """How many distinct nodes ``obj`` has, and how many as a tree."""
+    tree = {}
+
+    def walk(node):
+        if node not in tree:
+            tree[node] = 1 + sum(map(walk, node.shape.children(node)))
+        return tree[node]
+
+    whole = walk(obj)
+    return len(tree), whole
+
+
+def _calls_at_most(monkeypatch, method, limit):
+    """Count the calls of every kind's ``method`` ("rebuild" or "children"),
+    failing at the first beyond ``limit``."""
+    calls = [0]
+    for shape in SHAPES.values():
+        def counted(*args, method=getattr(shape, method)):
+            calls[0] += 1
+            if calls[0] > limit:
+                monkeypatch.undo()  # so that the report can print nodes
+                pytest.fail(f"more than {limit} calls")
+            return method(*args)
+        monkeypatch.setattr(shape, method, counted)
+    return calls
+
+
+# Each distinct node is rebuilt at most once per scope of the walk, and
+# here a node lies in at most two scopes: the substitution's and, below a
+# renamed binder, the renaming's.  An atom whose arguments are variables is
+# rebuilt on the spot at each visit, so once per parent.  Two rebuilds per
+# distinct node bound both cases; a walk over the tree makes one per
+# occurrence, more than 4 ** depth.
+REBUILDS_PER_DISTINCT_NODE = 2
+
+
+def test_substitution_on_shared_input_is_linear_in_distinct_nodes(monkeypatch):
+    depth, ground, y1 = 8, s(zero), Var("y'", S0)
+    p = _iff_nest(depth, Atom("=", (x, y)), y)
+    distinct, tree = _distinct_and_tree_size(p)
+    assert tree > 4 ** depth and distinct < 25
+    # a ground image: every binder is crossed without a capture check
+    calls = _calls_at_most(monkeypatch, "rebuild", REBUILDS_PER_DISTINCT_NODE * distinct)
+    assert apply_substitution(p, {x: ground}) is _iff_nest(depth, Atom("=", (ground, y)), y)
+    # the image is the binders' variable: every binder is renamed to y'
+    calls[0] = 0
+    assert apply_substitution(p, {x: y}) is _iff_nest(depth, Atom("=", (y, y1)), y1)
+    monkeypatch.undo()
+    deep = _iff_nest(40, Atom("=", (x, y)), y)
+    assert _distinct_and_tree_size(deep)[1] > 4 ** 40
+    assert apply_substitution(deep, {x: ground}) is _iff_nest(40, Atom("=", (ground, y)), y)
+    assert apply_substitution(deep, {x: y}) is _iff_nest(40, Atom("=", (y, y1)), y1)
+
+
+def test_free_variables_of_shared_input_visit_each_distinct_node_once(monkeypatch):
+    # every binder here binds y, so each node is met under one set of binders
+    p = _iff_nest(8, Atom("=", (x, y)), y)
+    distinct, _ = _distinct_and_tree_size(p)
+    _calls_at_most(monkeypatch, "children", distinct)
+    assert free_variables(p) == {x}
+
+
+def test_generated_rebuild_of_every_kind_is_its_constructor():
+    swap = {x: zero, zero: y, FALSE: TRUE, P(x): P(z), P(zero): FALSE, Imp(P(y), P(x)): P(y)}  # new children
+    for q in SAMPLES:
+        shape = q.shape
+        kids = shape.children(q)
+        assert shape.rebuild(q, kids) is q and shape.rebuild(q, list(kids)) is q
+        new = [swap.get(k, k) for k in kids]
+        assert new != list(kids) or not kids
+        # the constructor called with q's fields, the children's replaced
+        fields = dict(zip(shape.names, shape.values(q)))
+        for slot, part in zip(shape.slots, (tuple(new),) if shape.variadic else new):
+            fields[shape.names[slot]] = part
+        assert shape.rebuild(q, new) is type(q)(*fields.values())
+        if shape.binder:
+            assert shape.rebuild(q, new, z) is type(q)(z, *new)
+            assert shape.rebuild(q, kids, q.var) is q
 
 
 def test_each_node_kind_has_its_fields_and_one_cached_slot():
