@@ -32,7 +32,7 @@ from demod.nd import (
     conclusion_of,
     nd_length,
 )
-from demod.rewriting import RewriteSystem
+from demod.rewriting import RewriteSystem, Rule
 from demod.syntax import (
     And,
     Atom,
@@ -594,6 +594,105 @@ def test_eliminate_axioms_reaches_induction_premises():
     assert left == []
     with pytest.raises(TranslationError):
         expand_congruences(proof, CERT_STD_TO_EQ)
+
+
+# ---------------------------------------------------------------------------
+# Congruence expansion: linear in steps and depth, and certificates that fit it
+
+ADD_ONLY = CompatibilityCertificate(ADD, Presentation("none", ()), GAMMA_STD, (), _rules_from_std())
+
+
+def _closure_free_base():
+    # the add-base equivalence of _rules_from_std without its closing quantifier: y stays free
+    (_, base), step = _rules_from_std()
+    return (("add-base", base.sub), step)
+
+
+@pytest.mark.parametrize("equivalences", [
+    (("add-base", TopI(TRUE)), ("add-step", TopI(TRUE))),
+    _closure_free_base(),
+], ids=["proves-true", "not-closed"])
+def test_a_rule_equivalence_must_state_the_rule_closed_over_its_left_side(equivalences):
+    for _, proof in equivalences:
+        assert check_nd(proof, assumptions=GAMMA_STD.as_dict()).ok
+    cert = CompatibilityCertificate(ADD, Presentation("none", ()), GAMMA_STD, (), equivalences)
+    assert not verify_certificate(cert)
+    with pytest.raises(TranslationError, match="add-base"):
+        expand_congruences(TopI(add_atom(ZERO, ZERO, ZERO)), cert)
+
+
+def test_expanded_add_proofs_are_linear_in_n():
+    from demod.bench import gen_add_modulo_proof
+
+    # 7n + 10 inferences: one trace step per unfolding, and one cut
+    axioms = GAMMA_STD.as_dict()
+    for n in (0, 1, 2, 3, 5, 10, 50, 100, 200):
+        pure = expand_congruences(gen_add_modulo_proof(n), ADD_ONLY)
+        assert nd_length(pure) <= 10 * (n + 1)
+        v = check_nd(pure, assumptions=axioms)
+        assert v.ok, v.error
+        assert conclusion_of(pure) == add_atom(numeral(n), numeral(n), numeral(2 * n))
+
+
+def _under(layers, hole):
+    """``hole`` under ``layers``, innermost first; the quantifiers bind y, a
+    name the add rules use too."""
+    y, other = var0("y"), eq(ZERO, ZERO)
+    wrap = {"and-left": lambda p: And(p, other), "and-right": lambda p: And(other, p),
+            "or-left": lambda p: Or(p, other), "or-right": lambda p: Or(other, p),
+            "imp-left": lambda p: Imp(p, other), "imp-right": lambda p: Imp(other, p),
+            "forall": lambda p: Forall(y, p), "exists": lambda p: Exists(y, p)}
+    for layer in layers:
+        hole = wrap[layer](hole)
+    return hole
+
+
+def _unfolding(k):
+    """Add(s^k(y), 0, s^k(y)), which the add rules take to Add(y, 0, y) in k steps."""
+    t = var0("y")
+    for _ in range(k):
+        t = s_(t)
+    return add_atom(t, ZERO, t)
+
+
+def test_each_step_costs_at_most_eight_inferences_per_layer():
+    import random
+
+    from demod.rewriting import connecting_trace
+
+    # a > b proved modulo by its hypothesis leaves one obligation, (a > b) against (a > a), whose
+    # trace runs through the common normal form, so it has backward steps.  With k steps at depth
+    # d, the expansion has at most C k (d + 1) inferences, C = 8.  The first context puts the
+    # backward steps under an implication's premise and a quantifier; the others are random.
+    rng = random.Random(24)
+    kinds = ("and-left", "and-right", "or-left", "or-right", "imp-left", "imp-right", "forall", "exists")
+    contexts = [("forall", "imp-left")]
+    contexts += [[rng.choice(kinds) for _ in range(depth)] for depth in (0, 1, 2, 3, 5, 8, 13, 21, 34, 50)]
+    for layers in contexts:
+        start, end = _under(layers, _unfolding(3)), _under(layers, _unfolding(2))
+        for a, b in ((start, end), (end, start)):
+            proof = ImpI(Imp(a, b), hyp=a, label="h", sub=Hyp("h", a))
+            assert check_nd(proof, system=ADD, mode="mixed").ok
+            trace = connecting_trace(Imp(a, b), Imp(a, a), ADD)
+            assert not all(step.forward for step in trace.steps)
+            pure = expand_congruences(proof, ADD_ONLY)
+            depth = len(layers) + 1  # of the rewritten atoms in a > b
+            assert nd_length(pure) <= 8 * len(trace) * (depth + 1)
+            v = check_nd(pure, assumptions=GAMMA_STD.as_dict())
+            assert v.ok, v.error
+            assert conclusion_of(pure) == Imp(a, b)
+
+
+def test_a_rewrite_at_a_term_position_is_refused():
+    x = var0("x")
+    system = RewriteSystem("plus-zero", (Rule("plus-zero", plus(ZERO, x), x),), terminating=True, confluent=True)
+    cert = CompatibilityCertificate(system, Presentation("none", ()), Presentation("none", ()), (),
+                                    (("plus-zero", TopI(TRUE)),))
+    a, b = eq(plus(ZERO, ZERO), ZERO), eq(ZERO, ZERO)
+    proof = ImpI(Imp(a, b), hyp=a, label="h", sub=Hyp("h", a))
+    assert check_nd(proof, system=system, mode="mixed").ok
+    with pytest.raises(TranslationError, match="term position"):
+        expand_congruences(proof, cert)
 
 
 # ---------------------------------------------------------------------------
