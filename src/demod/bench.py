@@ -823,44 +823,51 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
     substitution redex parts.
     """
     ws = build_WS(OrderConfig(1))
+    heads = ws._by_head
     report = BenchReport("ws-linearity")
-    per_size: dict[int, dict] = {}
     worst_nested = None
     # The loop runs by size, so a term's children, and its smaller reducts,
-    # were probed before it; a term of the largest size is never one of
+    # were probed before it and are in ``known``, a term with no
+    # substitution node at 0; a term of the largest size is never one of
     # those, so it is not kept.
     known: dict[Term, int] = {}
-    sized = ((n, *entry) for n, bucket in _probe_terms_by_size(max_size) for entry in zip(*bucket))
-    for n, term, has_redex, nested in sized:
-        if nested and not include_nested:
-            continue
-        row = per_size.setdefault(
-            n,
+    for n, buckets in itertools.groupby(_probe_terms_by_size(max_size), key=lambda entry: entry[0]):
+        keep = n < max_size
+        count = max_derivation = flat_violations = nested_over_size = 0
+        for _, bucket in buckets:
+            for term, has_redex, nested in zip(*bucket):
+                if nested and not include_nested:
+                    continue
+                count += 1
+                if not has_redex:
+                    if keep:
+                        known[term] = 0
+                    continue
+                if term.fn in heads:
+                    longest = longest_derivation(term, ws, known=known)
+                else:  # no rule for the head: the children's derivations do not interact
+                    longest = sum([known[arg] for arg in term.args])
+                if keep:
+                    known[term] = longest
+                max_derivation = max(max_derivation, longest)
+                if longest > n:
+                    if nested:
+                        nested_over_size += 1
+                        if worst_nested is None or longest - n > worst_nested[2] - worst_nested[1]:
+                            worst_nested = (str(term), n, longest)
+                        if longest > _stacked_bound(term):
+                            flat_violations += 1  # even the finer bound failed
+                    else:
+                        flat_violations += 1
+        report.rows.append(
             {
                 "size": n,
-                "count": 0,
-                "max_derivation": 0,
-                "flat_violations": 0,
-                "nested_over_size": 0,
-            },
+                "count": count,
+                "max_derivation": max_derivation,
+                "flat_violations": flat_violations,
+                "nested_over_size": nested_over_size,
+            }
         )
-        row["count"] += 1
-        if not has_redex:
-            continue
-        longest = longest_derivation(term, ws, known=known)
-        if n < max_size:
-            known[term] = longest
-        row["max_derivation"] = max(row["max_derivation"], longest)
-        if longest > n:
-            if nested:
-                row["nested_over_size"] += 1
-                if worst_nested is None or longest - n > worst_nested[2] - worst_nested[1]:
-                    worst_nested = (str(term), n, longest)
-                if longest > _stacked_bound(term):
-                    row["flat_violations"] += 1  # even the finer bound failed
-            else:
-                row["flat_violations"] += 1
-    report.rows = [per_size[k] for k in sorted(per_size)]
     report.summary = {
         "total_terms": sum(r["count"] for r in report.rows),
         "flat_within_size": all(r["flat_violations"] == 0 for r in report.rows),

@@ -162,6 +162,10 @@ def cmd_confluence(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    for flag, value in (("--max-size", args.max_size), ("--samples", args.samples)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     if args.system == "ws" and args.exhaustive:
         report = bench.probe_ws_exhaustive(args.max_size)
         ok = report.summary["flat_within_size"]

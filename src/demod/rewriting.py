@@ -453,21 +453,15 @@ def match(pattern: Obj, subject: Obj) -> Optional[dict[Var, Term]]:
 Redex = tuple[Position, Rule, dict[Var, Term]]
 
 
-def _redexes(x: Obj, system: RewriteSystem) -> list[tuple[Position, Rule, Compiled, tuple]]:
-    """Every redex with its rule's compiled form and images, leftmost-outermost first."""
+def rewrite_redexes(x: Obj, system: RewriteSystem) -> list[Redex]:
+    """All redexes, leftmost-outermost first; rule order breaks ties."""
     out = []
     for pos, sub in positions(x):
         for rule, form in system._candidate_forms(sub):
             images = form.match(sub)
             if images is not None:
-                out.append((pos, rule, form, images))
+                out.append((pos, rule, dict(zip(form.variables, images))))
     return out
-
-
-def rewrite_redexes(x: Obj, system: RewriteSystem) -> list[Redex]:
-    """All redexes, leftmost-outermost first; rule order breaks ties."""
-    redexes = _redexes(x, system)
-    return [(pos, rule, dict(zip(form.variables, images))) for pos, rule, form, images in redexes]
 
 
 def apply_redex(x: Obj, redex: Redex) -> Obj:
@@ -782,6 +776,12 @@ def longest_derivation(
     the head symbol alone: rewriting a child can change its head, so the
     argument shapes ``candidates`` filters on are not stable under search.
 
+    Each searched term spends one unit of ``fuel`` per one-step reduct, a
+    reduct counted once for each redex that gives it.  The search is one
+    depth-first walk with its own stack, so neither the depth of a term nor
+    the length of a derivation is bounded by the interpreter's recursion
+    limit.
+
     ``known`` maps objects to their exact longest derivations under this
     same system, as earlier calls returned them; it is only read.  Every
     subterm and every reduct the search meets is looked up in it before it
@@ -789,41 +789,94 @@ def longest_derivation(
     any of ``fuel``, so with ``known`` a search may finish where it would
     otherwise exhaust its budget.  A wrong entry gives a wrong result.
     """
-    memo: dict[Obj, int] = {}
-    budget = [fuel]
     heads = system._by_head
     done = known if known is not None else {}
-
-    def split(t: Obj) -> int:
-        total = 0
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            got = done.get(u)
-            if got is not None:
-                total += got
-            elif _head(u) in heads:
-                total += search(u)
+    memo: dict[Obj, int] = {}  # searched term -> its longest derivation
+    table: dict[Obj, tuple[Obj, ...]] = {}  # subterm -> its one-step reducts
+    budget = fuel
+    # A frame is [term, its reducts, index of the reduct being split, best so
+    # far, the known part of that reduct's sum, its parts still to search].
+    # The bottom frame stands for x itself, split as if it were a reduct.
+    total, todo = _split(x, done, heads)
+    frames: list[list] = [[x, (x,), 0, 0, total, todo]]
+    while True:
+        frame = frames[-1]
+        todo = frame[5]
+        while todo:
+            t = todo.pop()
+            got = memo.get(t)
+            if got is None:
+                break
+            frame[4] += got
+        else:
+            if len(frames) == 1:
+                return frame[4]
+            best = frame[3] = max(frame[3], 1 + frame[4])
+            i = frame[2] = frame[2] + 1
+            if i < len(frame[1]):
+                frame[4], frame[5] = _split(frame[1][i], done, heads)
             else:
-                stack.extend(children(u))
-        return total
+                frames.pop()
+                memo[frame[0]] = best
+                frames[-1][4] += best
+            continue
+        reducts = _reducts(t, system, done, table)
+        budget -= len(reducts)
+        if budget < 0:
+            raise FuelExhausted("longest_derivation search budget exhausted")
+        if reducts:
+            frames.append([t, reducts, 0, 0, *_split(reducts[0], done, heads)])
+        else:
+            memo[t] = 0
 
-    def search(t: Obj) -> int:
-        got = memo.get(t)
+
+def _split(x: Obj, known: Mapping[Obj, int], heads: Mapping) -> tuple[int, list[Obj]]:
+    """``x`` cut at the nodes that are known or have a head some rule has:
+    the sum of the known parts' longest derivations, and the other parts."""
+    total = 0
+    todo: list[Obj] = []
+    stack = [x]
+    while stack:
+        u = stack.pop()
+        got = known.get(u)
         if got is not None:
-            return got
-        best = 0
-        for pos, _, form, images in _redexes(t, system):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise FuelExhausted("longest_derivation search budget exhausted")
-            best = max(best, 1 + split(replace_at(t, form.build_rhs(images), pos)))
-        memo[t] = best
-        return best
+            total += got
+        elif _head(u) in heads:
+            todo.append(u)
+        else:
+            stack.extend(children(u))
+    return total, todo
 
-    try:
-        return split(x)
-    finally:
-        # split and search refer to each other; unlinking them frees the memo
-        # and ``known`` now, not at the next collection of the oldest generation
-        del search
+
+def _reducts(
+    x: Obj, system: RewriteSystem, known: Mapping[Obj, int], table: dict[Obj, tuple[Obj, ...]]
+) -> tuple[Obj, ...]:
+    """The one-step reducts of ``x``, leftmost-outermost first and in rule
+    order at one node, one per redex: the right sides of the redexes at the
+    root, then each child's reducts put in its place.  A child ``known`` to
+    have no derivation has no reducts and is not walked.  Each subterm's
+    reducts are entered in ``table``, which later calls of one search reuse."""
+    stack = [x]
+    while stack:
+        node = stack[-1]
+        if node in table:
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if k not in table and known.get(k) != 0]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        out = []
+        for _, form in system._candidate_forms(node):
+            images = form.match(node)
+            if images is not None:
+                out.append(form.build_rhs(images))
+        for idx, kid in enumerate(kids):
+            for r in table.get(kid, ()):
+                parts = list(kids)
+                parts[idx] = r
+                out.append(node.shape.rebuild(node, parts))
+        table[node] = tuple(out)
+    return table[x]

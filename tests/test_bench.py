@@ -175,6 +175,22 @@ def test_ws_probe_matches_per_term_search(monkeypatch, include_nested):
         assert report == probe_ws_exhaustive(max_size, include_nested).to_json()
 
 
+@pytest.mark.parametrize(
+    "include_nested, digest",
+    [
+        (True, "1a9271557c5f58fe32d89656d4c99eb3eaa26fd4aacdd9917156ab2c8f4a8687"),
+        (False, "39308178c9d4683321c7728bd3a5fad5ec9b38ef08517a8870bde09fa91c7be7"),
+    ],
+)
+def test_ws_probe_report_is_pinned(include_nested, digest):
+    # the size-9 report, byte for byte, as the search over every position of
+    # every probe term wrote it
+    import hashlib
+
+    text = probe_ws_exhaustive(9, include_nested).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_probe_sampled_ho():
     ho = build_HO(OrderConfig(1))
     report = probe_sampled(ho, samples=40, seed=5)

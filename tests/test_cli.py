@@ -149,12 +149,19 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'comp^x'"),
         ({"p.sexp": ASSUME_PROOF, "i.sexp": "(instances (a (schema comp^01 (prop A (template () true)))))"},
          ["translate", "nd-hha", "p.sexp", "--instances", "i.sexp"], "no HHA fragment named 'comp^01'"),
+        ({}, ["probe", "--system", "ws", "--exhaustive", "--max-size", "0"],
+         "--max-size must be at least 1, got 0"),
+        ({}, ["probe", "--system", "ws", "--exhaustive", "--max-size", "-1"],
+         "--max-size must be at least 1, got -1"),
+        ({}, ["probe", "--system", "ws", "--samples", "0"], "--samples must be at least 1, got 0"),
+        ({}, ["probe", "--system", "ho", "--samples", "-3"], "--samples must be at least 1, got -3"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
          "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort",
          "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system", "sort-leading-zero",
-         "sort-non-ascii-digit", "no-hha-fragment", "schema-level", "schema-level-leading-zero"],
+         "sort-non-ascii-digit", "no-hha-fragment", "schema-level", "schema-level-leading-zero",
+         "probe-size-zero", "probe-size-negative", "probe-no-samples", "probe-negative-samples"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -306,3 +313,18 @@ def test_probe_cli(capsys):
     assert main(["probe", "--system", "ws", "--exhaustive", "--max-size", "6"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["summary"]["flat_within_size"]
+
+
+def test_python_m_demod_runs_the_command_line(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import demod
+
+    env = {**os.environ, "PYTHONPATH": str(Path(demod.__file__).parent.parent)}
+    argv = [sys.executable, "-m", "demod", "normalize", "(Add (s 0) 0 (s 0))", "--system", "add"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"ok": True, "normal_form": "true", "steps": 2}

@@ -349,6 +349,63 @@ def test_known_results_do_not_change_the_longest_derivation():
     assert longest_derivation(App("S^0", (slow,), arith(0)), ws, fuel=0, known=known) == known[slow]
 
 
+def test_longest_derivation_outlasts_the_recursion_limit():
+    # 3,000 steps in a row, each with its redex a level deeper than the last
+    # (WS) or the same atom a level shallower (Add); the recursive search ran
+    # out of stack at about 600
+    from demod.syntax import LIST
+    from demod.theories import OrderConfig, build_WS
+
+    ws = build_WS(OrderConfig(1))
+    deep = App("sub^0", (numeral(3000), App("nil", (), LIST)), arith(0))
+    assert longest_derivation(deep, ws) == 3001
+    assert longest_derivation(add_atom(numeral(3000), ZERO, numeral(3000)), ADD) == 3001
+
+
+# The least fuel at which each search succeeds, as the recursive search over
+# every position spent it: one unit per searched term and redex of that term.
+SEARCH_FUEL = [
+    ("(sub^0 (s 0) nil)", 2, 3),
+    ("(sub^0 1^0 (cons^0 0 nil))", 1, 1),
+    ("(S^0 (sub^0 (+ 1^0 1^0) (cons^0 (s 0) nil)))", 3, 2),
+    ("(sub^0 (sub^0 (s (s (s (s 0)))) nil) nil)", 10, 59),
+    ("(+ (sub^0 1^0 (cons^0 0 nil)) (sub^0 (S^0 1^0) (cons^0 0 nil)))", 3, 3),
+    ("(sub^0 (+ (s 1^0) (S^0 1^0)) (cons^0 0 nil))", 5, 5),
+    ("(sub^0 (S^0 (S^0 1^0)) (cons^0 (s 0) (cons^0 0 nil)))", 3, 3),
+    ("(sub^0 (sub^0 1^0 (cons^0 1^0 nil)) (cons^0 (s 0) nil))", 2, 2),
+    ("(s (sub^0 (sub^0 (+ 1^0 0) nil) (cons^0 0 nil)))", 5, 13),
+    ("(sub^0 (S^0 (sub^0 1^0 (cons^0 1^0 nil))) (cons^0 0 nil))", 3, 7),
+    ((0, 0, 0), 1, 1),
+    ((1, 0, 1), 2, 2),
+    ((3, 3, 6), 4, 4),
+    ((4, 2, 6), 5, 5),
+    ((5, 0, 5), 6, 6),
+    ((2, 2, 3), 2, 2),
+    (((1, 0, 1), (2, 2, 4)), 5, 5),
+    (((2, 0, 2), (s_(x), y, s_(z))), 4, 4),
+]
+
+
+@pytest.mark.parametrize("case, longest, fuel", SEARCH_FUEL)
+def test_longest_derivation_spends_the_pinned_fuel(case, longest, fuel):
+    from demod import fileformat as ff
+    from demod.syntax import And
+    from demod.theories import OrderConfig, build_WS, classes_signature
+
+    if isinstance(case, str):
+        start = ff.term_or_prop_from_sx(ff.loads(case), classes_signature(1))
+        system = build_WS(OrderConfig(1))
+    elif isinstance(case[0], int):
+        start, system = add_atom(*map(numeral, case)), ADD
+    else:
+        atoms = [add_atom(*(numeral(a) if isinstance(a, int) else a for a in args)) for args in case]
+        start, system = And(*atoms), ADD
+    assert longest_derivation(start, system, fuel=fuel) == longest
+    with pytest.raises(FuelExhausted) as exc:
+        longest_derivation(start, system, fuel=fuel - 1)
+    assert str(exc.value) == "longest_derivation search budget exhausted"
+
+
 def test_candidates_keep_every_matching_rule_in_order():
     import random as _r
 
