@@ -416,7 +416,7 @@ def _builder_lines(
             stack.pop()
         elif type(node) is Var:
             built[node] = f"i{index[node]}"
-        elif node._hash & 1:  # ground: reused as it is
+        elif node._ground:  # ground: reused as it is
             built[node] = const(node)
         elif node.shape.binder:
             return None
@@ -797,7 +797,7 @@ def longest_derivation(
     # A frame is [term, its reducts, index of the reduct being split, best so
     # far, the known part of that reduct's sum, its parts still to search].
     # The bottom frame stands for x itself, split as if it were a reduct.
-    total, todo = _split(x, done, heads)
+    total, todo = _split(x, done, heads, table)
     frames: list[list] = [[x, (x,), 0, 0, total, todo]]
     while True:
         frame = frames[-1]
@@ -814,7 +814,7 @@ def longest_derivation(
             best = frame[3] = max(frame[3], 1 + frame[4])
             i = frame[2] = frame[2] + 1
             if i < len(frame[1]):
-                frame[4], frame[5] = _split(frame[1][i], done, heads)
+                frame[4], frame[5] = _split(frame[1][i], done, heads, table)
             else:
                 frames.pop()
                 memo[frame[0]] = best
@@ -825,14 +825,19 @@ def longest_derivation(
         if budget < 0:
             raise FuelExhausted("longest_derivation search budget exhausted")
         if reducts:
-            frames.append([t, reducts, 0, 0, *_split(reducts[0], done, heads)])
+            frames.append([t, reducts, 0, 0, *_split(reducts[0], done, heads, table)])
         else:
             memo[t] = 0
 
 
-def _split(x: Obj, known: Mapping[Obj, int], heads: Mapping) -> tuple[int, list[Obj]]:
+def _split(
+    x: Obj, known: Mapping[Obj, int], heads: Mapping, table: Mapping[Obj, tuple[Obj, ...]]
+) -> tuple[int, list[Obj]]:
     """``x`` cut at the nodes that are known or have a head some rule has:
-    the sum of the known parts' longest derivations, and the other parts."""
+    the sum of the known parts' longest derivations, and the other parts.
+    A headless node that ``table`` gives no reducts is a normal form: it
+    adds 0 and is not walked, so a chain of reducts that each hold the last
+    one's normal prefix walks each node of the prefix once."""
     total = 0
     todo: list[Obj] = []
     stack = [x]
@@ -843,7 +848,7 @@ def _split(x: Obj, known: Mapping[Obj, int], heads: Mapping) -> tuple[int, list[
             total += got
         elif _head(u) in heads:
             todo.append(u)
-        else:
+        elif table.get(u, True):  # not a known normal form
             stack.extend(children(u))
     return total, todo
 

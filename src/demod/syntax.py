@@ -12,33 +12,37 @@ Each kind of node is described once, in ``SHAPES``: its fields in order, each
 marked as data (a name, a sort or the bound variable) or as children (one
 subproposition, or a tuple of argument terms), and its printed text.  The
 node classes are declared from that table, each carrying its entry as the
-class attribute ``shape``, the one place every walk reads it.  Hashing,
-printing (``str`` and the dataclass-style ``repr``), ``children``,
-size, positions, free variables, substitution, alpha equivalence and the
-structural walk of the sort check are derived from it, and so is each kind's
-constructor, which computes the hash and whether the node is ground once,
-when the node is built, and its ``rebuild`` from new children.  Substitution,
-free variables and alpha equivalence skip ground subterms.  Substitution
-and free variables also visit a subterm shared in the input once: once per
-scope, through a memo kept for the call, and once per set of enclosing
-binders.  Substitution checks for capture only at a binder whose name
-occurs free in a substituted term.  Every traversal keeps its own stack, so
-none is limited by the interpreter's recursion depth.
+class attribute ``shape``, the one place every walk reads it.  Printing
+(``str`` and the dataclass-style ``repr``), ``children``, size, positions,
+free variables, substitution, alpha equivalence and the structural walk of
+the sort check are derived from it, and so is each kind's constructor,
+which finds whether the node is ground once, when the node is built, and
+its ``rebuild`` from new children.  Substitution, free variables and alpha
+equivalence skip ground subterms.  Substitution and free variables also
+visit a subterm shared in the input once: once per scope, through a memo
+kept for the call, and once per set of enclosing binders.  Substitution
+checks for capture only at a binder whose name occurs free in a substituted
+term.  Every traversal keeps its own stack, so none is limited by the
+interpreter's recursion depth.
 
 Every node is interned (hash-consed): a constructor returns the one object
 with its fields, so structurally equal terms and propositions are identical,
-``==`` is ``is`` and a lookup keyed by a node stops at identity.  Rebuilding,
-substituting, grafting, pickling and copying all go through the constructors
-and so give back that object.  The tables keep every distinct node made, for
-the life of the process.
+``==`` is ``is``.  A node's hash is therefore its identity, the inherited
+``object.__hash__``, so every lookup keyed by a node hashes and compares in
+C.  Rebuilding, substituting, grafting, pickling and copying all go through
+the constructors and so give back that object.  The tables keep every
+distinct node made, for the life of the process.  Identity hashes follow
+memory addresses, so the order of a set of nodes differs between runs:
+nothing that is printed or returned may follow it, and the program only
+tests membership in such sets or sorts them first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import cache, cached_property
 from operator import attrgetter, is_not
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 class SortError(Exception):
@@ -53,21 +57,9 @@ class PositionError(Exception):
 # Sorts
 
 
-@dataclass(frozen=True, order=True)
-class Sort:
+class Sort(NamedTuple):  # hashed, compared, ordered and pickled as the tuple, in C
     kind: str  # "arith" | "list" | "class"
     level: int = 0
-    # hashed once, when the sort is made: every node built hashes its sort
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.level)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Sort, (self.kind, self.level)  # rebuilt, so the hash is this process's
 
     def __str__(self) -> str:
         return str(self.level) if self.kind == "arith" else self.kind
@@ -96,17 +88,13 @@ def canonical_number(text: object) -> bool:
 
 class Node:
     """A term or proposition, interned by its kind's constructor: one object
-    per distinct node, so equality is the inherited identity.  Hashing and
-    printing read the node's shape.  The hash is computed once, when the node
-    is built, and its lowest bit says whether the node is ground: no
-    variable, free or bound, occurs anywhere in it.  Keeping the bit there
-    costs no slot of its own."""
+    per distinct node, so equality and the hash are the inherited identity
+    ones.  Printing reads the node's shape.  Its one slot, ``_ground``, set
+    when the node is built, is 1 when the node is ground (no variable, free
+    or bound, occurs anywhere in it) and 0 otherwise."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_ground",)
     shape: Shape  # the kind's entry in SHAPES
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return _show(self, lambda x: x.shape.text(x))
@@ -115,7 +103,7 @@ class Node:
         return _show(self, _repr_text)
 
     def __reduce__(self):
-        return type(self), self.shape.values(self)  # rebuilt through the constructor, which sets the hash
+        return type(self), self.shape.values(self)  # rebuilt through the constructor: the one object
 
 
 class Proposition(Node):
@@ -147,7 +135,7 @@ class Shape:
         self.variadic = any(role == "args" for _, role in layout)
         self.connective = any(role == "prop" for _, role in layout)
         self.binder = next((name for name, role in layout if role == "binder"), None)
-        self.values = _fields(self.names)  # the hash is taken of all fields
+        self.values = _fields(self.names)
         self.data = attrgetter(*data) if data else None
         kids = [self.names[i] for i in self.slots]
         self.children = attrgetter(*kids) if self.variadic else _fields(kids)
@@ -175,31 +163,30 @@ def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
     these fields from a table it keeps (hash-consing, after Filliâtre and
     Conchon, "Type-safe modular hash-consing", ML 2006), so that structurally
     equal nodes are one object.  A node not yet in the table gets each field
-    set through its slot, then the hash with the ground bit in one pass over
-    the children.  A variable, and a node binding one, is never ground; a
-    child that is not a node makes its parent not ground, so the walks reach
-    it and reject it.
+    set through its slot, then its ground bit in one pass over the children.
+    A variable, and a node binding one, is never ground; a child that is not
+    a node makes its parent not ground, so the walks reach it and reject it.
 
-    The table is keyed by the tuple of the fields; a kind with a tuple of
+    The table is keyed by the tuple of the fields, whose child nodes hash by
+    identity, so a lookup hashes each field once, in C; a kind with a tuple of
     arguments is keyed by its other fields, then by that tuple, which the node
     holds anyway.  It keeps every distinct node made for the life of the
-    process.  The hash stays that of the fields, so set orders and printed
-    output do not depend on the table."""
+    process."""
     names = [field for field, _ in layout]
     env = {f"set_{field}": getattr(cls, field).__set__ for field in names}
     table: dict = {}
-    env.update(set_hash=Node._hash.__set__, table=table, get=table.get, new=object.__new__)
+    env.update(set_ground=Node._ground.__set__, table=table, get=table.get, new=object.__new__)
     fields = "".join(f + ", " for f in names)  # ``(fields)`` is their tuple
     args = next((field for field, role in layout if role == "args"), None)
     if args is None:
         find = [f"key = ({fields})", "self = get(key)"]
-        store, whole = "table[key] = self", "key"
+        store = "table[key] = self"
     else:
         outer = ", ".join(field for field in names if field != args)
         find = [f"inner = get(({outer}))", "if inner is None:", f"    inner = table[{outer}] = {{}}",
                 f"self = inner.get({args})"]
-        store, whole = f"inner[{args}] = self", f"({fields})"
-    ground = {"prop": "g &= {}._hash", "args": "for a in {}: g &= a._hash"}
+        store = f"inner[{args}] = self"
+    ground = {"prop": "g &= {}._ground", "args": "for a in {}: g &= a._ground"}
     kids = [ground[role].format(field) for field, role in layout if role in ground]
     body = [*find, "if self is not None:", "    return self", "self = new(cls)",
             *(f"set_{field}(self, {field})" for field in names)]
@@ -209,7 +196,7 @@ def _constructor(cls: type, layout: tuple[tuple[str, str], ...]) -> Callable:
         body += ["g = 1", "try:", *(f"    {line}" for line in kids), "except AttributeError:", "    g = 0"]
     else:
         body.append("g = 1")
-    body += [f"set_hash(self, hash({whole}) & -2 | g)", store, "return self"]
+    body += ["set_ground(self, g)", store, "return self"]
     exec(f"def __new__(cls, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body), env)
     return env["__new__"]
 
@@ -511,7 +498,7 @@ def free_variables(x: Obj) -> frozenset[Var]:
         elif isinstance(node, Var):
             if node not in bound:
                 free.add(node)
-        elif not node._hash & 1:  # a ground node has no variables below it
+        elif not node._ground:  # a ground node has no variables below it
             before = seen.get(node)
             if before is None or not before <= bound:
                 seen[node] = bound
@@ -588,7 +575,7 @@ def apply_substitution(x: Obj, sub: Substitution) -> Obj:
         shape = getattr(kind, "shape", None)
         if shape is None:
             raise SortError(f"not a term or proposition: {node!r}")
-        if node._hash & 1:  # ground: nothing below to substitute
+        if node._ground:  # ground: nothing below to substitute
             done.append(node)
             continue
         if scope[2] is not None:
@@ -602,7 +589,7 @@ def apply_substitution(x: Obj, sub: Substitution) -> Obj:
             for arg in subs:
                 if type(arg) is Var:
                     images.append(_image(arg, scope[0]))
-                elif type(arg) is App and arg._hash & 1:
+                elif type(arg) is App and arg._ground:
                     images.append(arg)
                 else:
                     break
@@ -659,7 +646,7 @@ def _free_names(terms) -> set[str]:
     for t in terms:
         if type(t) is Var:
             names.add(t.name)
-        elif not t._hash & 1:
+        elif not t._ground:
             names.update(w.name for w in free_variables(t))
     return names
 
@@ -670,7 +657,7 @@ def alpha_equal(p: Obj, q: Obj) -> bool:
     stack: list[tuple] = [(p, q, {}, {}, 0)]
     while stack:
         a, b, lenv, renv, depth = stack.pop()
-        ground = a._hash & b._hash & 1  # no variables below: alpha equality is identity
+        ground = a._ground & b._ground  # no variables below: alpha equality is identity
         if (ground or not depth) and a is b:
             continue  # syntactic equality implies alpha equality
         if ground or type(a) is not type(b):
@@ -703,7 +690,7 @@ def freely_substitutable(t: Term, x: Var, p: Proposition) -> bool:
     stack = [p]
     while stack:
         q = stack.pop()
-        if q._hash & 1:
+        if q._ground:
             continue  # ground: no binder below
         shape = q.shape
         subs = shape.children(q)

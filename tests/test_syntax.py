@@ -271,8 +271,8 @@ def test_copy_and_pickle_keep_equality_and_hash():
 
 
 def test_equal_sorts_hash_alike():
-    # the hash is computed once per sort and not pickled, so a sort rebuilt
-    # by copy or pickle, or built apart from the cached arith(), hashes alike
+    # a sort is the tuple of its fields, so a sort rebuilt by copy or pickle,
+    # or built apart from the cached arith(), hashes alike
     sorts = [arith(0), arith(3), LIST, CLASS]
     for q in sorts:
         built = Sort(q.kind, q.level)
@@ -604,8 +604,8 @@ def test_repr_is_the_dataclass_form_at_any_depth():
 
 
 def _ground(obj):
-    """The bit each node stores in its cached hash."""
-    return bool(obj._hash & 1)
+    """The bit each node stores when it is built."""
+    return bool(obj._ground)
 
 
 def _ref_ground(obj):
@@ -792,16 +792,25 @@ def test_generated_rebuild_of_every_kind_is_its_constructor():
 
 
 def test_each_node_kind_has_its_fields_and_one_cached_slot():
-    # The ground bit lives in the lowest bit of the cached hash.  One more
-    # slot per node would grow an App from 64 to 80 bytes (pymalloc rounds to
-    # 16), which raised check-files' peak RSS by 5.3 %, past its 5 % bound.
+    # The ground bit is the one slot.  One more slot per node would grow an
+    # App from 64 to 80 bytes (pymalloc rounds to 16), which raised
+    # check-files' peak RSS by 5.3 %, past its 5 % bound.
     from demod.syntax import Node, Proposition
 
     word = struct.calcsize("P")
-    assert Node.__slots__ == ("_hash",) and Proposition.__slots__ == ()
+    assert Node.__slots__ == ("_ground",) and Proposition.__slots__ == ()
     for cls, shape in SHAPES.items():
         assert cls.__slots__ == tuple(shape.names)
         assert cls.__basicsize__ == object.__basicsize__ + word * (len(shape.names) + 1)
+
+
+def test_nodes_and_sorts_hash_in_c():
+    # An interned node's identity is its hash, so every node-keyed dict and
+    # set hashes without entering the interpreter; a Python-level __hash__
+    # would run once per lookup.
+    for cls in SHAPES:
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+    assert Sort.__hash__ is tuple.__hash__
 
 
 # -- interning -----------------------------------------------------------------
@@ -860,8 +869,7 @@ def test_equal_nodes_built_apart_are_one_object(recipe):
         assert other is obj
     for pos, part in positions(obj):
         shape = part.shape
-        # the hash is the fields' hash, with the lowest bit the ground bit
-        assert hash(part) == hash(shape.values(part)) & -2 | _ref_ground(part)
+        assert part._ground == _ref_ground(part)
         assert shape.rebuild(part, [_build_like(c) for c in shape.children(part)]) is part
         if shape.binder:
             assert shape.rebuild(part, shape.children(part), Var(part.var.name, Sort("arith", 0))) is part
