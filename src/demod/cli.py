@@ -311,6 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.order < 1:
         parser.error("argument --order: order parameter must be at least 1")
+    if args.fuel is not None and args.fuel < 1:
+        print(f"error: --fuel must be at least 1, got {args.fuel}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (SexprError, ff.FormatError, SortError, SchemaError, TranslationError) as exc:

@@ -354,21 +354,6 @@ def obligations(p: Proof) -> tuple[tuple[Proposition, Proposition, str], ...]:
     return tuple((ob.left_side(p), ob.right(p), ob.slot) for ob in KINDS[type(p)].obligations)
 
 
-def uses_hyp(p: Proof, label: str) -> bool:
-    """Whether a hypothesis leaf labelled ``label`` occurs free in ``p``."""
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Hyp):
-            if node.label == label:
-                return True
-            continue
-        kind = KINDS[type(node)]
-        bound = [b.scope for b in kind.binds if getattr(node, b.label) == label]
-        stack.extend(getattr(node, name) for name in kind.premises if name not in bound)
-    return False
-
-
 def fold_proof(p: Proof, fn: Callable[[Proof, list], object]):
     """Walk ``p`` bottom-up, giving each node's result as ``fn(node, results)``,
     where ``results`` are its premises' results in field order.  The walk

@@ -687,11 +687,12 @@ def alpha_equal(p: Obj, q: Obj) -> bool:
 def freely_substitutable(t: Term, x: Var, p: Proposition) -> bool:
     """True iff no free occurrence of ``x`` in ``p`` is under a binder catching a variable of ``t``."""
     tvars = free_variables(t)
-    stack = [p]
+    stack, seen = [p], set()
     while stack:
         q = stack.pop()
-        if q._ground:
-            continue  # ground: no binder below
+        if q._ground or q in seen:
+            continue  # ground: no binder below; seen: its verdict does not depend on the path
+        seen.add(q)
         shape = q.shape
         subs = shape.children(q)
         if shape.binder:

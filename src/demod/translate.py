@@ -11,11 +11,15 @@ eigenvariable; the eigenvariable conditions are local to each node, as a
 checked line holds its eigenvariable free only in its premise, the premise's
 proof is closed but for its axiom instances, which are tested, and for the
 lemma hypotheses, each closed over the dependent eigenvariables it holds
-free.  The reverse direction is the familiar
-bracket-abstraction construction: an abstraction pass over proof trees,
-falling back to a line-level deduction-theorem pass after an implication
-introduction, with two pinned propositional lemmas for abstracting over the
-quantifier rules.
+free.  The reverse direction is the p-simulation of natural deduction by a
+Frege system (Cook and Reckhow, JSL 1979): one walk, on its own stack,
+translates each node once, under the hypotheses open in its subtree.  With
+none open it writes the rule's own lines; otherwise it proves one line
+``G > A``, G the conjunction of those hypotheses, outermost binder first.  A
+premise with fewer hypotheses is weakened by a projection of G, a discharge
+curries with a pinned propositional lemma, and gen and part run under exactly
+the hypotheses the checker has found clear of the eigenvariable.  So a node
+costs O(h + 1) lines for h open hypotheses.
 
 Both directions read one table, ``ONE_PREMISE``, for the one-premise rules
 that are modus ponens with an axiom schema (and-elimination, or-introduction,
@@ -40,7 +44,6 @@ from .hilbert import (
     Catalogue,
     GenLine,
     HilbertProof,
-    HypLine,
     JUSTIFICATIONS,
     Line,
     MpLine,
@@ -79,7 +82,6 @@ from .nd import (
     map_proof,
     obligations,
     premises,
-    uses_hyp,
 )
 from .rewriting import RewriteSystem, Trace, connecting_trace
 from .syntax import (
@@ -161,13 +163,12 @@ def _quantifier_instance(family: str, p: Union[ForallE, ExistsI]) -> SchemaInsta
 class _OnePremise:
     """A one-premise rule paired with its axiom schema ``premise > conclusion``,
     used by modus ponens: the ``schemas`` (the quantifier ones by family, with
-    no level), a node's schema ``instance``, the ``premise`` that abstraction
-    composes with, and the ``node`` that an instance, whose proposition is
-    ``built``, yields over a leaf proving ``built.left``."""
+    no level), a node's schema ``instance``, and the ``node`` that an
+    instance, whose proposition is ``built``, yields over a leaf proving
+    ``built.left``."""
 
     schemas: tuple[str, ...]
     instance: Callable[[Proof], SchemaInstance]
-    premise: Callable[[Proof], Proposition]
     node: Callable[[SchemaInstance, Imp, Proof], Proof]
 
 
@@ -193,19 +194,16 @@ ONE_PREMISE: dict[type, _OnePremise] = {
     AndE: _OnePremise(
         ("proj-l", "proj-r"),
         lambda p: _sided_instance("proj", p, p.conclusion),
-        lambda p: conclusion_of(p.sub),
         _sided_node(AndE),
     ),
     OrI: _OnePremise(
         ("inj-l", "inj-r"),
         lambda p: _sided_instance("inj", p, conclusion_of(p.sub)),
-        lambda p: conclusion_of(p.sub),
         _sided_node(OrI),
     ),
     ForallE: _OnePremise(
         ("UI",),
         lambda p: _quantifier_instance("UI", p),
-        lambda p: Forall(p.var, p.body),
         lambda inst, built, leaf: ForallE(
             built.right, var=built.left.var, body=built.left.body, term=inst.term("tau"), sub=leaf
         ),
@@ -213,7 +211,6 @@ ONE_PREMISE: dict[type, _OnePremise] = {
     ExistsI: _OnePremise(
         ("EI",),
         lambda p: _quantifier_instance("EI", p),
-        lambda p: conclusion_of(p.sub),
         lambda inst, built, leaf: ExistsI(
             built.right, var=built.right.var, body=built.right.body, term=inst.term("tau"), sub=leaf
         ),
@@ -506,34 +503,6 @@ class _Buf:
         return self.lines[k - 1]
 
 
-def _pi1(buf: _Buf, a: Proposition, b: Proposition, c: Proposition) -> int:
-    """(a > b > c) > (a & b) > c from the propositional schemata; 17 lines."""
-    ab = And(a, b)
-    l1 = buf.schema("proj-l", [("A", a), ("B", b)])
-    l2 = buf.schema("proj-r", [("A", a), ("B", b)])
-    l3 = buf.schema("B", [("A", ab), ("B", a), ("C", Imp(b, c))])
-    l4 = buf.add(MpLine(l1, l3), Imp(Imp(a, Imp(b, c)), Imp(ab, Imp(b, c))))
-    l5 = buf.schema("C", [("A", ab), ("B", b), ("C", c)])
-    l6 = buf.schema("B", [("A", ab), ("B", b), ("C", Imp(ab, c))])
-    l7 = buf.add(MpLine(l2, l6), Imp(Imp(b, Imp(ab, c)), Imp(ab, Imp(ab, c))))
-    l8 = buf.schema("W", [("A", ab), ("B", c)])
-    l9 = buf.schema(
-        "B", [("A", Imp(a, Imp(b, c))), ("B", Imp(ab, Imp(b, c))), ("C", Imp(b, Imp(ab, c)))]
-    )
-    l10 = buf.add(MpLine(l4, l9), Imp(buf.line(l5).prop, Imp(Imp(a, Imp(b, c)), Imp(b, Imp(ab, c)))))
-    l11 = buf.add(MpLine(l5, l10), Imp(Imp(a, Imp(b, c)), Imp(b, Imp(ab, c))))
-    l12 = buf.schema(
-        "B", [("A", Imp(a, Imp(b, c))), ("B", Imp(b, Imp(ab, c))), ("C", Imp(ab, Imp(ab, c)))]
-    )
-    l13 = buf.add(MpLine(l11, l12), Imp(buf.line(l7).prop, Imp(Imp(a, Imp(b, c)), Imp(ab, Imp(ab, c)))))
-    l14 = buf.add(MpLine(l7, l13), Imp(Imp(a, Imp(b, c)), Imp(ab, Imp(ab, c))))
-    l15 = buf.schema(
-        "B", [("A", Imp(a, Imp(b, c))), ("B", Imp(ab, Imp(ab, c))), ("C", Imp(ab, c))]
-    )
-    l16 = buf.add(MpLine(l14, l15), Imp(buf.line(l8).prop, Imp(Imp(a, Imp(b, c)), Imp(ab, c))))
-    return buf.add(MpLine(l8, l16), Imp(Imp(a, Imp(b, c)), Imp(ab, c)))
-
-
 def _pi2(buf: _Buf, a: Proposition, b: Proposition, c: Proposition) -> int:
     """((a & b) > c) > a > b > c; 17 lines."""
     ab = And(a, b)
@@ -569,207 +538,218 @@ def _mp_abs_block(buf: _Buf, m_minor: int, m_major: int, a: Proposition, p: Prop
     return buf.add(MpLine(c5, c6), Imp(a, q))
 
 
-class _NdToHilbert:
+# A context is the hypotheses open in a subtree, as the sorted tuple of their
+# binders' serials, which grow with depth along a branch.  It stands for G,
+# the left-nested conjunction of its hypotheses, outermost first; so a
+# premise's context is a part of its node's, with the one it discharges last.
+Context = tuple[int, ...]
+
+
+def _union(a: Context, b: Context) -> Context:
+    return tuple(sorted(set(a).union(b))) if a and b and a != b else a or b
+
+
+class _Walk(_Buf):
+    """The lines of one translation, and the catalogue, named instances and
+    hypotheses (by serial) its nodes read.  A line under a context states
+    ``g > A`` for its conjunction g, or ``A`` under no hypotheses.  A
+    premise's result is its line (None for a hypothesis leaf, which is
+    stated where it is used) and its context."""
+
     def __init__(self, cat: Catalogue, instances: Mapping[str, SchemaInstance]):
+        super().__init__()
         self.cat = cat
         self.instances = instances
+        self.hyps: list[Proposition] = []
+        self.conjs: dict[Context, Optional[Proposition]] = {(): None}
 
-    # -- plain translation ---------------------------------------------------
+    def conj(self, ctx: Context) -> Optional[Proposition]:
+        g = self.conjs.get(ctx)
+        if g is None and ctx:
+            for k in ctx:
+                g = self.hyps[k] if g is None else And(g, self.hyps[k])
+            self.conjs[ctx] = g
+        return g
 
-    def tree(self, p: Proof, buf: _Buf) -> int:
-        if isinstance(p, Hyp):
-            return buf.add(HypLine(p.label), p.conclusion)
-        if isinstance(p, Assume):
-            inst = self.instances.get(p.name)
-            if inst is None:
-                raise TranslationError(f"assumption {p.name!r} has no schema instance")
-            return buf.add(SchemaLine(inst), p.conclusion)
-        if isinstance(p, TopI):
-            return buf.add(SchemaLine(instance("T")), TRUE)
-        if isinstance(p, Tnd):
-            return buf.add(
-                SchemaLine(instance("TND", templates=[("A", p.disjunct)])), p.conclusion
-            )
-        if isinstance(p, ImpI):
-            return self.abstract_tree(p.sub, p.hyp, p.label, buf)
-        rule = ONE_PREMISE.get(type(p))
-        if rule is not None:
-            m = self.tree(p.sub, buf)
-            inst = rule.instance(p)
-            k = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
-            return buf.add(MpLine(m, k), p.conclusion)
-        if isinstance(p, ImpE):
-            m1 = self.tree(p.minor, buf)
-            m2 = self.tree(p.major, buf)
-            return buf.add(MpLine(m1, m2), p.conclusion)
-        if isinstance(p, AndI):
-            a = conclusion_of(p.left)
-            b = conclusion_of(p.right)
-            m1 = self.tree(p.left, buf)
-            m2 = self.tree(p.right, buf)
-            k1 = buf.schema("K", [("A", b), ("B", a)])
-            k2 = buf.add(MpLine(m2, k1), Imp(a, b))
-            k3 = buf.schema("I", [("A", a)])
-            k4 = buf.schema("pair", [("A", a), ("B", a), ("C", b)])
-            k5 = buf.add(MpLine(k3, k4), Imp(Imp(a, b), Imp(a, And(a, b))))
-            k6 = buf.add(MpLine(k2, k5), Imp(a, And(a, b)))
-            return buf.add(MpLine(m1, k6), p.conclusion)
-        if isinstance(p, OrE):
-            m1 = self.tree(p.major, buf)
-            ml = self.abstract_tree(p.sub_left, p.left, p.label_left, buf)
-            mr = self.abstract_tree(p.sub_right, p.right, p.label_right, buf)
-            d = p.conclusion
-            k = buf.schema("case", [("A", p.left), ("B", p.right), ("C", d)])
-            k2 = buf.add(MpLine(ml, k), Imp(Imp(p.right, d), Imp(Or(p.left, p.right), d)))
-            k3 = buf.add(MpLine(mr, k2), Imp(Or(p.left, p.right), d))
-            return buf.add(MpLine(m1, k3), d)
-        if isinstance(p, ForallI):
-            m = self.tree(p.sub, buf)
-            prem = conclusion_of(p.sub)
-            k1 = buf.schema("K", [("A", prem), ("B", TRUE)])
-            k2 = buf.add(MpLine(m, k1), Imp(TRUE, prem))
-            k3 = buf.add(GenLine(k2, p.eigen), Imp(TRUE, p.conclusion))
-            k4 = buf.add(SchemaLine(instance("T")), TRUE)
-            return buf.add(MpLine(k4, k3), p.conclusion)
-        if isinstance(p, ExistsE):
-            m1 = self.tree(p.major, buf)
-            hyp_prop = apply_substitution(p.body, {p.var: p.eigen})
-            m2 = self.abstract_tree(p.sub, hyp_prop, p.label, buf)
-            k = buf.add(PartLine(m2, p.eigen), Imp(Exists(p.var, p.body), p.conclusion))
-            return buf.add(MpLine(m1, k), p.conclusion)
-        if isinstance(p, BotE):
-            m = self.tree(p.sub, buf)
-            a = p.conclusion
-            k1 = buf.schema("I", [("A", a)])
-            k2 = buf.schema("K", [("A", FALSE), ("B", Imp(a, a))])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(a, a), FALSE))
-            k4 = buf.schema("efsq", [("A", Imp(a, a)), ("B", a)])
-            k5 = buf.add(MpLine(k3, k4), Imp(Imp(a, a), a))
-            return buf.add(MpLine(k1, k5), a)
-        raise TranslationError(f"cannot translate node {type(p).__name__}")
+    def proves(self, res: tuple[Optional[int], Context]) -> Proposition:
+        """What a premise's result proves under its context."""
+        line, own = res
+        if line is None:
+            return self.hyps[own[0]]
+        return self.line(line).prop.right if own else self.line(line).prop
 
-    # -- abstraction over one hypothesis -------------------------------------
+    def compose(self, first: int, second: int) -> int:
+        """a > c from first : a > b and second : b > c; 3 lines."""
+        a, b = self.line(first).prop.left, self.line(first).prop.right
+        c = self.line(second).prop.right
+        k = self.schema("B", [("A", a), ("B", b), ("C", c)])
+        return self.add(MpLine(second, self.add(MpLine(first, k), Imp(Imp(b, c), Imp(a, c)))), Imp(a, c))
 
-    def abstract_tree(self, p: Proof, a: Proposition, label: str, buf: _Buf) -> int:
-        target = Imp(a, conclusion_of(p))
-        if not uses_hyp(p, label):
-            m = self.tree(p, buf)
-            prop = conclusion_of(p)
-            k = buf.schema("K", [("A", prop), ("B", a)])
-            return buf.add(MpLine(m, k), target)
-        if isinstance(p, Hyp) and p.label == label:
-            return buf.add(SchemaLine(instance("I", templates=[("A", a)])), Imp(a, p.conclusion))
-        if isinstance(p, ImpI):
-            inner = _Buf()
-            self.abstract_tree(p.sub, p.hyp, p.label, inner)
-            return self.abstract_lines(inner.lines, a, label, buf)
-        if isinstance(p, ImpE):
-            m1 = self.abstract_tree(p.minor, a, label, buf)
-            m2 = self.abstract_tree(p.major, a, label, buf)
-            return _mp_abs_block(buf, m1, m2, a, conclusion_of(p.minor), p.conclusion)
-        rule = ONE_PREMISE.get(type(p))
-        if rule is not None:
-            inst = rule.instance(p)
-            k1 = buf.add(SchemaLine(inst), self.cat.instantiate(inst))
-            prem = rule.premise(p)
-            m = self.abstract_tree(p.sub, a, label, buf)
-            k2 = buf.schema("B", [("A", a), ("B", prem), ("C", p.conclusion)])
-            k3 = buf.add(MpLine(m, k2), Imp(Imp(prem, p.conclusion), target))
-            return buf.add(MpLine(k1, k3), target)
-        if isinstance(p, AndI):
-            b, c = conclusion_of(p.left), conclusion_of(p.right)
-            m1 = self.abstract_tree(p.left, a, label, buf)
-            m2 = self.abstract_tree(p.right, a, label, buf)
-            k = buf.schema("pair", [("A", a), ("B", b), ("C", c)])
-            k2 = buf.add(MpLine(m1, k), Imp(Imp(a, c), Imp(a, And(b, c))))
-            return buf.add(MpLine(m2, k2), Imp(a, And(b, c)))
-        if isinstance(p, OrE):
-            d = p.conclusion
-            bufl = _Buf()
-            self.abstract_tree(p.sub_left, a, label, bufl)
-            ml = self.abstract_lines(bufl.lines, p.left, p.label_left, buf)
-            bufr = _Buf()
-            self.abstract_tree(p.sub_right, a, label, bufr)
-            mr = self.abstract_lines(bufr.lines, p.right, p.label_right, buf)
-            k = buf.schema("case", [("A", p.left), ("B", p.right), ("C", Imp(a, d))])
-            k2 = buf.add(
-                MpLine(ml, k),
-                Imp(Imp(p.right, Imp(a, d)), Imp(Or(p.left, p.right), Imp(a, d))),
-            )
-            k3 = buf.add(MpLine(mr, k2), Imp(Or(p.left, p.right), Imp(a, d)))
-            m1 = self.abstract_tree(p.major, a, label, buf)
-            k4 = buf.schema("B", [("A", a), ("B", Or(p.left, p.right)), ("C", Imp(a, d))])
-            k5 = buf.add(MpLine(m1, k4), Imp(Imp(Or(p.left, p.right), Imp(a, d)), Imp(a, Imp(a, d))))
-            k6 = buf.add(MpLine(k3, k5), Imp(a, Imp(a, d)))
-            k7 = buf.schema("W", [("A", a), ("B", d)])
-            return buf.add(MpLine(k6, k7), target)
-        if isinstance(p, ForallI):
-            m = self.abstract_tree(p.sub, a, label, buf)
-            return buf.add(GenLine(m, p.eigen), target)
-        if isinstance(p, ExistsE):
-            c = p.conclusion
-            hyp_prop = apply_substitution(p.body, {p.var: p.eigen})
-            bufs = _Buf()
-            self.abstract_tree(p.sub, a, label, bufs)
-            ms = self.abstract_lines(bufs.lines, hyp_prop, p.label, buf)
-            closure = Exists(p.var, p.body)
-            k1 = buf.add(PartLine(ms, p.eigen), Imp(closure, Imp(a, c)))
-            m1 = self.abstract_tree(p.major, a, label, buf)
-            k2 = buf.schema("B", [("A", a), ("B", closure), ("C", Imp(a, c))])
-            k3 = buf.add(MpLine(m1, k2), Imp(Imp(closure, Imp(a, c)), Imp(a, Imp(a, c))))
-            k4 = buf.add(MpLine(k1, k3), Imp(a, Imp(a, c)))
-            k5 = buf.schema("W", [("A", a), ("B", c)])
-            return buf.add(MpLine(k4, k5), target)
-        if isinstance(p, BotE):
-            m = self.abstract_tree(p.sub, a, label, buf)
-            k = buf.schema("efsq", [("A", a), ("B", p.conclusion)])
-            return buf.add(MpLine(m, k), target)
-        raise TranslationError(f"cannot abstract over node {type(p).__name__}")
+    def apply(self, g: Optional[Proposition], k: int, res: tuple, ctx: Context, y: Proposition) -> int:
+        """g > y from the closed line k : x > y and a premise's result proving x."""
+        if res[0] is None and res[1] == ctx:  # the premise is g itself
+            return k
+        m = self.weaken(res, ctx)
+        return self.add(MpLine(m, k), y) if g is None else self.compose(m, k)
 
-    # -- abstraction over finished line lists --------------------------------
+    def pair(self, left: int, right: int) -> int:
+        """g > (b & c) from left : g > b and right : g > c; 3 lines."""
+        g, b = self.line(left).prop.left, self.line(left).prop.right
+        c = self.line(right).prop.right
+        k = self.schema("pair", [("A", g), ("B", b), ("C", c)])
+        k2 = self.add(MpLine(left, k), Imp(Imp(g, c), Imp(g, And(b, c))))
+        return self.add(MpLine(right, k2), Imp(g, And(b, c)))
 
-    def abstract_lines(self, inner: list[Line], a: Proposition, label: str, buf: _Buf) -> int:
-        mapping: dict[int, int] = {}
-        for idx, line in enumerate(inner, start=1):
-            j = line.just
-            target = Imp(a, line.prop)
-            if isinstance(j, HypLine) and j.label == label:
-                mapping[idx] = buf.add(
-                    SchemaLine(instance("I", templates=[("A", line.prop)])), target
-                )
-            elif isinstance(j, MpLine):
-                p_prop = inner[j.minor - 1].prop
-                mapping[idx] = _mp_abs_block(
-                    buf, mapping[j.minor], mapping[j.major], a, p_prop, line.prop
-                )
-            elif isinstance(j, GenLine):
-                shape = line.prop
-                assert isinstance(shape, Imp) and isinstance(shape.right, Forall)
-                x_prop = shape.left
-                prem_prop = inner[j.ref - 1].prop
-                assert isinstance(prem_prop, Imp)
-                y_at = prem_prop.right
-                w1 = _pi1(buf, a, x_prop, y_at)
-                g1 = buf.add(MpLine(mapping[j.ref], w1), Imp(And(a, x_prop), y_at))
-                g2 = buf.add(GenLine(g1, j.eigen), Imp(And(a, x_prop), shape.right))
-                w2 = _pi2(buf, a, x_prop, shape.right)
-                mapping[idx] = buf.add(MpLine(g2, w2), target)
-            elif isinstance(j, PartLine):
-                shape = line.prop
-                assert isinstance(shape, Imp) and isinstance(shape.left, Exists)
-                prem_prop = inner[j.ref - 1].prop
-                assert isinstance(prem_prop, Imp)
-                b_at = prem_prop.left
-                c1 = buf.schema("C", [("A", a), ("B", b_at), ("C", shape.right)])
-                c2 = buf.add(MpLine(mapping[j.ref], c1), Imp(b_at, Imp(a, shape.right)))
-                c3 = buf.add(PartLine(c2, j.eigen), Imp(shape.left, Imp(a, shape.right)))
-                c4 = buf.schema("C", [("A", shape.left), ("B", a), ("C", shape.right)])
-                mapping[idx] = buf.add(MpLine(c3, c4), target)
-            else:
-                k0 = buf.add(j, line.prop)
-                k1 = buf.schema("K", [("A", line.prop), ("B", a)])
-                mapping[idx] = buf.add(MpLine(k0, k1), target)
-        return mapping[len(inner)]
+    def select(self, ctx: Context, sub: Context) -> Optional[int]:
+        """A line G(ctx) > G(sub), for sub a part of ctx, or None where the
+        two are one proposition.  Walking ctx's conjunction from the inside
+        out, each hypothesis costs at most 8 lines."""
+        i = len(sub) if ctx[:len(sub)] == sub else 0  # a shared prefix is kept as it stands
+        g = kept = self.conj(ctx[:i])  # kept : G of sub's part of g's hypotheses, None while empty
+        line, sub = None, set(sub[i:])  # line : g > kept, unless kept is g
+        for k in ctx[i:]:
+            h = self.hyps[k]
+            if g is None:
+                g, kept = h, (h if k in sub else None)
+                continue
+            prev, g = g, And(g, h)
+            if k in sub:
+                if kept is None:
+                    line, kept = self.schema("proj-r", [("A", prev), ("B", h)]), h
+                elif line is None:
+                    kept = g
+                else:
+                    left = self.compose(self.schema("proj-l", [("A", prev), ("B", h)]), line)
+                    right = self.schema("proj-r", [("A", prev), ("B", h)])
+                    line, kept = self.pair(left, right), And(kept, h)
+            elif kept is not None:
+                drop = self.schema("proj-l", [("A", prev), ("B", h)])
+                line = drop if line is None else self.compose(drop, line)
+        return line
+
+    def weaken(self, res: tuple[Optional[int], Context], ctx: Context) -> int:
+        """A premise's line restated under ctx, which holds its context."""
+        line, own = res
+        if line is None:  # a hypothesis: its projection from ctx
+            return self.select(ctx, own) or self.schema("I", [("A", self.hyps[own[0]])])
+        if own == ctx:
+            return line
+        prop = self.line(line).prop
+        if not own:
+            g = self.conj(ctx)
+            return self.add(MpLine(line, self.schema("K", [("A", prop), ("B", g)])), Imp(g, prop))
+        s = self.select(ctx, own)
+        return line if s is None else self.compose(s, line)
+
+    def curry(self, res: tuple[Optional[int], Context], hyp: int) -> tuple[int, Context]:
+        """The result G > (h > A), under the premise's other hypotheses, from
+        a premise proving A, in which the hypothesis ``hyp`` stating h may be
+        open."""
+        h, own = self.hyps[hyp], res[1]
+        if own and own[-1] == hyp:
+            m, own = self.weaken(res, own), own[:-1]  # (g & h) > A, or h > A
+            g = self.conj(own)
+            if g is not None:
+                a = self.line(m).prop.right
+                m = self.add(MpLine(m, _pi2(self, g, h, a)), Imp(g, Imp(h, a)))
+            return m, own
+        a = self.proves(res)
+        return self.apply(self.conj(own), self.schema("K", [("A", a), ("B", h)]), res, own, Imp(h, a)), own
+
+    def eliminate(self, g: Optional[Proposition], minor: tuple, major: tuple, ctx: Context,
+                  b: Proposition) -> int:
+        """g > b from the results of a minor premise proving a and a major
+        one proving a > b.  A closed premise is used as it stands."""
+        if not major[1]:
+            return self.apply(g, major[0], minor, ctx, b)
+        if minor[0] is None and minor[1] == ctx:  # the minor premise is g itself
+            return self.add(MpLine(self.weaken(major, ctx), self.schema("W", [("A", g), ("B", b)])), Imp(g, b))
+        if minor[1]:
+            return _mp_abs_block(self, self.weaken(minor, ctx), self.weaken(major, ctx), g, self.proves(minor), b)
+        a = self.line(minor[0]).prop  # a closed minor premise: swap it in front of g
+        k = self.schema("C", [("A", g), ("B", a), ("C", b)])
+        k = self.add(MpLine(self.weaken(major, ctx), k), Imp(a, Imp(g, b)))
+        return self.add(MpLine(minor[0], k), Imp(g, b))
+
+
+# Each rule gets the walk, the node, its context and conjunction, its premises'
+# results in field order, and the serial of the hypothesis each binding
+# premise may hold open, by premise field; it returns the node's line.
+def _one_premise(w: _Walk, p: Proof, ctx: Context, g, prem: list, bound) -> int:
+    inst = ONE_PREMISE[type(p)].instance(p)
+    return w.apply(g, w.add(SchemaLine(inst), w.cat.instantiate(inst)), prem[0], ctx, p.conclusion)
+
+
+def _and_i(w: _Walk, p: AndI, ctx: Context, g, prem: list, bound) -> int:
+    m1, m2 = (w.weaken(r, ctx) for r in prem)
+    if g is not None:
+        return w.pair(m1, m2)
+    a, b = conclusion_of(p.left), conclusion_of(p.right)  # paired under a, then applied to m1
+    k = w.add(MpLine(m2, w.schema("K", [("A", b), ("B", a)])), Imp(a, b))
+    return w.add(MpLine(m1, w.pair(w.schema("I", [("A", a)]), k)), p.conclusion)
+
+
+def _or_e(w: _Walk, p: OrE, ctx: Context, g, prem: list, bound) -> int:
+    # the branches are joined under their own hypotheses only
+    left, right = w.curry(prem[1], bound["sub_left"]), w.curry(prem[2], bound["sub_right"])
+    own = _union(left[1], right[1])
+    gb, d, dis = w.conj(own), p.conclusion, Or(p.left, p.right)
+    k = w.schema("case", [("A", p.left), ("B", p.right), ("C", d)])
+    k = w.apply(gb, k, left, own, Imp(Imp(p.right, d), Imp(dis, d)))
+    k = w.eliminate(gb, right, (k, own), own, Imp(dis, d))
+    return w.eliminate(g, prem[0], (k, own), ctx, d)
+
+
+def _forall_i(w: _Walk, p: ForallI, ctx: Context, g, prem: list, bound) -> int:
+    # the premise's context is the node's, so g holds only hypotheses that the
+    # checker has found clear of the eigenvariable
+    m, closed = w.weaken(prem[0], ctx), g is None
+    if closed:  # generalized under true, then applied to a proof of it
+        g, a = TRUE, conclusion_of(p.sub)
+        m = w.add(MpLine(m, w.schema("K", [("A", a), ("B", TRUE)])), Imp(TRUE, a))
+    k = w.add(GenLine(m, p.eigen), Imp(g, p.conclusion))
+    return w.add(MpLine(w.add(SchemaLine(instance("T")), TRUE), k), p.conclusion) if closed else k
+
+
+def _exists_e(w: _Walk, p: ExistsE, ctx: Context, g, prem: list, bound) -> int:
+    # part runs over the branch's own hypotheses, which the checker has found
+    # clear of the eigenvariable; the major premise's may not be
+    hyp = bound["sub"]
+    branch, own = w.curry(prem[1], hyp)  # gb > (h > c), or h > c
+    gb, c, ex = w.conj(own), p.conclusion, Exists(p.var, p.body)
+    if gb is None:
+        k = w.add(PartLine(branch, p.eigen), Imp(ex, c))
+    else:
+        h = w.hyps[hyp]
+        branch = w.add(MpLine(branch, w.schema("C", [("A", gb), ("B", h), ("C", c)])), Imp(h, Imp(gb, c)))
+        k = w.add(PartLine(branch, p.eigen), Imp(ex, Imp(gb, c)))
+        k = w.add(MpLine(k, w.schema("C", [("A", ex), ("B", gb), ("C", c)])), Imp(gb, Imp(ex, c)))
+    return w.eliminate(g, prem[0], (k, own), ctx, c)
+
+
+def _bot_e(w: _Walk, p: BotE, ctx: Context, g, prem: list, bound) -> int:
+    m, a, k1 = w.weaken(prem[0], ctx), p.conclusion, None
+    if g is None:  # under a > a, then applied to a proof of it
+        k1, g = w.schema("I", [("A", a)]), Imp(a, a)
+        m = w.add(MpLine(m, w.schema("K", [("A", FALSE), ("B", g)])), Imp(g, FALSE))
+    k = w.add(MpLine(m, w.schema("efsq", [("A", g), ("B", a)])), Imp(g, a))
+    return k if k1 is None else w.add(MpLine(k1, k), a)
+
+
+_RULES: dict[type, Callable[..., int]] = {
+    Assume: lambda w, p, *_: w.add(SchemaLine(w.instances[p.name]), p.conclusion),  # checked against them
+    TopI: lambda w, p, *_: w.add(SchemaLine(instance("T")), TRUE),
+    Tnd: lambda w, p, *_: w.add(SchemaLine(instance("TND", templates=[("A", p.disjunct)])), p.conclusion),
+    ImpI: lambda w, p, ctx, g, prem, bound: w.weaken(w.curry(prem[0], bound["sub"]), ctx),
+    ImpE: lambda w, p, ctx, g, prem, bound: w.eliminate(g, prem[0], prem[1], ctx, p.conclusion),
+    AndI: _and_i,
+    OrE: _or_e,
+    ForallI: _forall_i,
+    ExistsE: _exists_e,
+    BotE: _bot_e,
+    **dict.fromkeys(ONE_PREMISE, _one_premise),
+}
+_UNBOUND: dict[str, int] = {}
 
 
 def nd_to_hilbert(
@@ -777,7 +757,11 @@ def nd_to_hilbert(
     cat: Catalogue,
     instances: Mapping[str, SchemaInstance] = (),
 ) -> HilbertProof:
-    """The bracket-abstraction translation into the schematic system.
+    """The translation into the schematic system, in one walk that keeps its
+    own stack.  Each node is translated once, under the hypotheses open in
+    its subtree: with none, as the rule's own lines, and otherwise as one
+    line ``G > A``, where G conjoins those hypotheses.  So the output has
+    O(n · (h + 1)) lines for n inferences and at most h open hypotheses.
 
     The input must check in pure natural deduction (no rewrite system) with
     assumptions that are schema instances named by ``instances``.
@@ -786,13 +770,36 @@ def nd_to_hilbert(
     verdict = check_nd(proof, assumptions={name: cat.instantiate(inst) for name, inst in instances.items()})
     if not verdict.ok:
         raise TranslationError(f"input is not a pure closed proof: {verdict.error}")
-    translator = _NdToHilbert(cat, instances)
-    buf = _Buf()
-    translator.tree(proof, buf)
-    for line in buf.lines:
-        if isinstance(line.just, HypLine):
-            raise TranslationError("internal: hypothesis line left in the output")
-    return HilbertProof(tuple(buf.lines))
+    w = _Walk(cat, instances)
+    done: list[tuple[Optional[int], Context]] = []  # the line and context of each node translated
+    stack: list = [(proof, {}, None)]  # a node, the serials of the labels in scope, and once
+    while stack:  # its premises are pushed, the serial each binding premise may hold open
+        node, scope, bound = stack.pop()
+        kind = KINDS[type(node)]
+        if bound is None:
+            if type(node) is Hyp:
+                done.append((None, (scope[node.label],)))
+                continue
+            if type(node) not in _RULES:
+                raise TranslationError(f"cannot translate node {type(node).__name__}")
+            inner = bound = _UNBOUND
+            if kind.binds:
+                bound = {b.scope: len(w.hyps) + i for i, b in enumerate(kind.binds)}
+                inner = {b.scope: {**scope, getattr(node, b.label): bound[b.scope]} for b in kind.binds}
+                w.hyps += [b.prop(node) for b in kind.binds]
+            stack.append((node, scope, bound))
+            stack.extend((getattr(node, name), inner.get(name, scope), None) for name in reversed(kind.premises))
+            continue
+        cut = len(done) - len(kind.premises)
+        prem = done[cut:]
+        del done[cut:]
+        ctx: Context = ()
+        for name, (_, own) in zip(kind.premises, prem):
+            if own:
+                ctx = _union(ctx, own[:-1] if own[-1] == bound.get(name) else own)
+        done.append((_RULES[type(node)](w, node, ctx, w.conj(ctx) if ctx else None, prem, bound), ctx))
+    root = done[0][0]  # the lines after it, if any, are not cited
+    return HilbertProof(tuple(w.lines[:root]))
 
 
 # ---------------------------------------------------------------------------

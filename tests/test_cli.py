@@ -155,13 +155,17 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "--max-size must be at least 1, got -1"),
         ({}, ["probe", "--system", "ws", "--samples", "0"], "--samples must be at least 1, got 0"),
         ({}, ["probe", "--system", "ho", "--samples", "-3"], "--samples must be at least 1, got -3"),
+        ({}, ["normalize", "0", "--system", "add", "--fuel", "0"], "--fuel must be at least 1, got 0"),
+        ({"p.sexp": TOP_PROOF}, ["check-nd", "p.sexp", "--fuel", "-1"], "--fuel must be at least 1, got -1"),
+        ({}, ["confluence", "--system", "add", "--fuel", "0"], "--fuel must be at least 1, got 0"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
          "short-instance", "incomplete-instance", "second-sorts", "no-sorts", "undeclared-sort",
          "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system", "sort-leading-zero",
          "sort-non-ascii-digit", "no-hha-fragment", "schema-level", "schema-level-leading-zero",
-         "probe-size-zero", "probe-size-negative", "probe-no-samples", "probe-negative-samples"],
+         "probe-size-zero", "probe-size-negative", "probe-no-samples", "probe-negative-samples",
+         "normalize-no-fuel", "check-nd-negative-fuel", "confluence-no-fuel"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)

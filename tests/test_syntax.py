@@ -773,6 +773,19 @@ def test_free_variables_of_shared_input_visit_each_distinct_node_once(monkeypatc
     assert free_variables(p) == {x}
 
 
+def test_free_substitutability_on_shared_input_visits_each_distinct_node_once(monkeypatch):
+    # no binder catches z, so the whole proposition is searched; a node's
+    # verdict does not depend on the binders above it
+    p = _iff_nest(8, Atom("=", (x, y)), y)
+    distinct, _ = _distinct_and_tree_size(p)
+    _calls_at_most(monkeypatch, "children", distinct)
+    assert freely_substitutable(z, x, p)
+    monkeypatch.undo()
+    deep = _iff_nest(40, Atom("=", (x, y)), y)
+    assert freely_substitutable(z, x, deep) and freely_substitutable(s(zero), x, deep)
+    assert not freely_substitutable(y, x, deep) and not freely_substitutable(s(y), x, deep)
+
+
 def test_generated_rebuild_of_every_kind_is_its_constructor():
     swap = {x: zero, zero: y, FALSE: TRUE, P(x): P(z), P(zero): FALSE, Imp(P(y), P(x)): P(y)}  # new children
     for q in SAMPLES:

@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from demod import fileformat as ff
+from demod.bench import random_nd_corpus
 from demod.hilbert import (
     HilbertProof,
     Line,
@@ -19,6 +23,7 @@ from demod.nd import (
     AndE,
     AndI,
     Assume,
+    ExistsE,
     ExistsI,
     ForallE,
     OrE,
@@ -26,10 +31,12 @@ from demod.nd import (
     Hyp,
     ImpE,
     ImpI,
+    KINDS,
     OrI,
     TopI,
     check_nd,
     conclusion_of,
+    fold_proof,
     nd_length,
 )
 from demod.rewriting import RewriteSystem, Rule
@@ -68,7 +75,6 @@ from demod.theories import (
 from demod.translate import (
     CompatibilityCertificate,
     TranslationError,
-    _pi1,
     _pi2,
     _Buf,
     eliminate_axioms,
@@ -95,12 +101,6 @@ def one_line(inst, cat=CAT):
 
 def test_pinned_propositional_lemmas():
     a, b, c = eq(ZERO, ZERO), TRUE, FALSE
-    buf = _Buf()
-    idx = _pi1(buf, a, b, c)
-    proof = HilbertProof(tuple(buf.lines))
-    assert idx == 17 and hilbert_length(proof) == 17
-    v = check_hilbert(proof, CAT)
-    assert v.ok, v.error
     buf2 = _Buf()
     idx2 = _pi2(buf2, a, b, c)
     proof2 = HilbertProof(tuple(buf2.lines))
@@ -354,6 +354,157 @@ def test_nd_to_hilbert_or_elim_abstraction():
     v = check_hilbert(out, CAT)
     assert v.ok, v.error
     assert alpha_equal(out.conclusion(), Imp(dis, a))
+
+
+def _most_open_hypotheses(proof):
+    """The most hypotheses open in any node's subtree, counted by label as the
+    checker discharges them: a binder closes its label in its own premise."""
+    most = 0
+
+    def open_labels(p, results):
+        nonlocal most
+        if isinstance(p, Hyp):
+            labels = {p.label}
+        else:
+            closed = {b.scope: getattr(p, b.label) for b in KINDS[type(p)].binds}
+            labels = set()
+            for name, below in zip(KINDS[type(p)].premises, results):
+                labels |= below - {closed.get(name)}
+        most = max(most, len(labels))
+        return labels
+
+    fold_proof(proof, open_labels)
+    return most
+
+
+def _nested(k):
+    """k nested implication introductions over the left-nested conjunction of
+    their k hypotheses: 2k - 1 inferences, and k hypotheses open at the root
+    of the conjunction."""
+    hyps = [eq(var0(f"x{i}"), var0(f"x{i}")) for i in range(k)]
+    body = Hyp("u0", hyps[0])
+    for i in range(1, k):
+        body = AndI(And(conclusion_of(body), hyps[i]), body, Hyp(f"u{i}", hyps[i]))
+    for i in reversed(range(k)):
+        body = ImpI(Imp(hyps[i], conclusion_of(body)), hyp=hyps[i], label=f"u{i}", sub=body)
+    return body
+
+
+_E, _Y = var0("e"), var0("y")
+_SOME = Exists(_Y, eq(_Y, _Y))
+
+
+def _eigen_in_major_hypothesis():
+    # the major premise of the case on e holds h : e = e & ex y. y = y open,
+    # with e free in it; the branch holds nothing open
+    h = And(eq(_E, _E), _SOME)
+    major = AndE(_SOME, other=eq(_E, _E), side="right", sub=Hyp("h", h))
+    case = ExistsE(TRUE, var=_Y, body=eq(_Y, _Y), eigen=_E, label="w", major=major, sub=TopI(TRUE))
+    return ImpI(Imp(h, TRUE), hyp=h, label="h", sub=case)
+
+
+def _eigen_in_outer_hypothesis():
+    # e is generalized below h : e = 0, in a subtree where h is not open
+    every = ForallI(Forall(_E, eq(_E, _E)), var=_E, body=eq(_E, _E), eigen=_E,
+                    sub=ForallE(eq(_E, _E), var=_X, body=eq(_X, _X), term=_E, sub=Assume("r", _REFL)))
+    h = eq(_E, ZERO)
+    both = AndI(And(conclusion_of(every), h), every, Hyp("h", h))
+    inner = ImpI(Imp(TRUE, conclusion_of(both)), hyp=TRUE, label="k", sub=both)
+    return ImpI(Imp(h, conclusion_of(inner)), hyp=h, label="h", sub=inner)
+
+
+def _imp_chain_over(hyps, labels, body):
+    for h, label in zip(reversed(hyps), reversed(labels)):
+        body = ImpI(Imp(h, conclusion_of(body)), hyp=h, label=label, sub=body)
+    return body
+
+
+_C = eq(s_(s_(ZERO)), s_(s_(ZERO)))
+_XYZ = AndI(And(And(_A, _B), _C), AndI(And(_A, _B), Hyp("x", _A), Hyp("y", _B)), Hyp("z", _C))
+
+# inputs the seeded corpus does not draw
+HYPOTHESIS_CASES = {
+    "eigen-in-major-hypothesis": _eigen_in_major_hypothesis(),
+    "eigen-in-outer-hypothesis": _eigen_in_outer_hypothesis(),
+    # an inner binder reuses the outer label u: each leaf is the nearest binder's
+    "label-reused-in-a-branch": ImpI(Imp(_A, And(_A, Imp(_B, _B))), hyp=_A, label="u", sub=AndI(
+        And(_A, Imp(_B, _B)), Hyp("u", _A), ImpI(Imp(_B, _B), hyp=_B, label="u", sub=Hyp("u", _B)))),
+    "label-reused-below-another": _imp_chain_over(
+        [_A, _C, _B], ["u", "v", "u"], AndI(And(_C, _B), Hyp("v", _C), Hyp("u", _B))),
+    # proj-r and inj-r with two and three hypotheses open at the node
+    "proj-r-under-two": _imp_chain_over(
+        [_A, _B, _C], ["x", "y", "z"], AndE(_B, other=_A, side="right", sub=AndI(
+            And(_A, _B), Hyp("x", _A), Hyp("y", _B)))),
+    "proj-r-under-three": _imp_chain_over(
+        [_A, _B, _C], ["x", "y", "z"], AndE(_C, other=And(_A, _B), side="right", sub=_XYZ)),
+    "inj-r-under-two": _imp_chain_over(
+        [_A, _B], ["x", "y"], OrI(Or(_A, _B), other=_A, side="right", sub=AndE(
+            _B, other=_A, side="right", sub=AndI(And(_A, _B), Hyp("x", _A), Hyp("y", _B))))),
+    "inj-r-under-three": _imp_chain_over(
+        [_A, _B, _C], ["x", "y", "z"], OrI(Or(_A, _C), other=_A, side="right", sub=AndE(
+            _C, other=And(_A, _B), side="right", sub=_XYZ))),
+}
+
+
+@pytest.mark.parametrize("name", HYPOTHESIS_CASES)
+def test_nd_to_hilbert_under_open_hypotheses(name):
+    # the first two once came out as Hilbert proofs that generalized over a
+    # hypothesis holding the eigenvariable free
+    proof = HYPOTHESIS_CASES[name]
+    assert check_nd(proof, assumptions={"r": _REFL}).ok
+    out = nd_to_hilbert(proof, CAT, instances={"r": instance("refl")})
+    v = check_hilbert(out, CAT)
+    assert v.ok, v.error
+    assert alpha_equal(out.conclusion(), conclusion_of(proof))
+    schemas = {line.just.instance.schema for line in out.lines if isinstance(line.just, SchemaLine)}
+    for rule in ("proj-r", "inj-r"):
+        assert rule not in name or rule in schemas
+
+
+@pytest.mark.parametrize("depth", [1500, 10_000])
+def test_nd_to_hilbert_reaches_any_depth(depth):
+    proof = TopI(TRUE)
+    for _ in range(depth):
+        proof = OrI(Or(conclusion_of(proof), TRUE), other=TRUE, side="left", sub=proof)
+    out = nd_to_hilbert(proof, CAT)
+    assert hilbert_length(out) == 2 * depth + 1
+    assert check_hilbert(out, CAT).ok
+    assert out.conclusion() is conclusion_of(proof)
+
+
+def test_nd_to_hilbert_is_linear_in_open_hypotheses():
+    # each node is translated once, as one line under the conjunction of the
+    # hypotheses open in its subtree, which costs O(h + 1) lines: the bound's
+    # constant is criterion 7's
+    from test_acceptance import K_ABSTRACTION
+
+    def length(proof, instances=(), check=True):
+        out = nd_to_hilbert(proof, CAT, instances)
+        if check:
+            v = check_hilbert(out, CAT)
+            assert v.ok, v.error
+            assert alpha_equal(out.conclusion(), conclusion_of(proof))
+        n, h = nd_length(proof), _most_open_hypotheses(proof)
+        assert hilbert_length(out) <= K_ABSTRACTION * n * (h + 1)
+        return hilbert_length(out)
+
+    nested = {k: length(_nested(k), check=k <= 12 or k % 50 == 0) for k in range(1, 201)}
+    assert [nested[k] for k in range(1, 7)] == [1, 23, 49, 75, 101, 127]
+    assert nested[200] == 5171
+    for seed, restricted in ((2025, True), (2026, False)):  # criterion 7's corpora
+        for proof, instances in random_nd_corpus(60, seed, restricted):
+            length(proof, instances)
+    for proof in HYPOTHESIS_CASES.values():
+        length(proof, {"r": instance("refl")})
+
+
+def test_translation_without_open_hypotheses_is_pinned():
+    # restricted proofs discharge no hypothesis, so each node is translated
+    # with no context: these are the lines of the rules themselves
+    digest = hashlib.sha256()
+    for proof, instances in random_nd_corpus(60, 2025, restricted=True):
+        digest.update(ff.dumps(ff.hilbert_to_sx(nd_to_hilbert(proof, CAT, instances))).encode() + b"\n")
+    assert digest.hexdigest() == "b031143d80a93e4aa76f86916094bf9c9d803b3fa3811bc277126a7c42a1bbe6"
 
 
 # ---------------------------------------------------------------------------
