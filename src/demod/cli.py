@@ -16,9 +16,16 @@ from typing import Callable, Optional
 from . import bench, fileformat as ff
 from .hilbert import SchemaError, check_hilbert, zi_axiom_schemata
 from .nd import check_nd, nd_length
-from .rewriting import EMPTY_SYSTEM, FuelExhausted, check_left_linear, critical_pairs, normalize
+from .rewriting import (
+    EMPTY_SYSTEM,
+    FuelExhausted,
+    _normal_forms,
+    check_left_linear,
+    critical_pairs,
+    normalize,
+)
 from .sexpr import SexprError
-from .syntax import SortError, alpha_equal
+from .syntax import SortError
 from .theories import (
     OrderConfig,
     add_signature,
@@ -139,9 +146,8 @@ def cmd_confluence(args) -> int:
     all_joined = True
     for pair in pairs:
         try:
-            nl, tl = normalize(pair.left, system, fuel=args.fuel)
-            nr, tr = normalize(pair.right, system, fuel=args.fuel)
-            joined, steps = alpha_equal(nl, nr), len(tl) + len(tr)  # what joinable decides
+            joined, (_, n_l), (_, n_r) = _normal_forms(pair.left, pair.right, system, args.fuel)
+            steps = n_l + n_r
         except FuelExhausted:
             joined, steps = False, None
         all_joined &= joined

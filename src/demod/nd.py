@@ -444,10 +444,12 @@ class _Ctx:
         if self.mode == "witnessed":
             raise CheckFailure(f"missing trace for {p} <->* {q} in witnessed mode")
         try:
-            joined, (nf_p, tp), (nf_q, tq) = _normal_forms(p, q, self.system, self.fuel)
+            joined, (nf_p, n_p), (nf_q, n_q) = _normal_forms(
+                p, q, self.system.congruence_system(), self.fuel
+            )
         except (CongruenceError, FuelExhausted) as exc:
             raise CheckFailure(f"cannot decide {p} <->* {q}: {exc}") from exc
-        self.steps += len(tp) + len(tq)
+        self.steps += n_p + n_q
         if not joined:
             raise CheckFailure(f"congruence fails: {p} and {q} have normal forms {nf_p} vs {nf_q}")
 

@@ -11,6 +11,16 @@ sound normalize-and-compare checks when the full system does not terminate.
 object once with a cursor: after each step it resumes where it rewrote and
 rechecks only the ancestors within the rules' reach (``RewriteSystem.reach``).
 
+Deciding a congruence by normalizing both sides (``congruent``,
+``congruent_auto``, ``joinable``, the checker's obligations) normalizes each
+distinct input once per system: the system keeps a table from an input node
+to its normal form and the number of steps to it, with no trace.  Nodes are
+interned, so the node is the key.  A hit is taken only if a fresh run would
+succeed: its steps must be within the fuel given, or within the default fuel
+when none is, and it raises the fresh run's ``FuelExhausted`` otherwise.  An
+input that runs out of fuel is not entered.  ``connecting_trace`` needs the
+traces themselves and calls ``normalize``, which keeps no table.
+
 Each rule is compiled once (``Compiled``, shared by equal rules through one
 table): a matcher written out for its left side, and a builder for each side
 that puts the matched images in without capture checks unless the side binds.
@@ -170,6 +180,13 @@ class RewriteSystem:
 
     @cached_property
     def _by_shape(self) -> dict[tuple[str, ArgHeads], tuple[tuple[Rule, "Compiled"], ...]]:
+        return {}
+
+    @cached_property
+    def _normal_form_table(self) -> dict[Obj, tuple[Obj, int]]:
+        """Each input ``_normal_form`` normalized under this system: its normal
+        form and the number of steps to it, no trace.  Nodes are interned, so
+        the key is the object itself; only successes are entered."""
         return {}
 
     def candidates(self, subject: Obj) -> tuple[Rule, ...]:
@@ -560,18 +577,44 @@ def normalize(x: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> tupl
         found = _redex_at(focus, system)
 
 
+def _normal_form(x: Obj, system: RewriteSystem, fuel: Optional[int]) -> tuple[Obj, int]:
+    """``normalize(x, system, fuel)``'s normal form and the length of its
+    trace, normalizing each input once per system.
+
+    A hit in ``system._normal_form_table`` raises what a fresh run would: a
+    run of n steps needs fuel of at least n, and the default fuel, at least
+    ``FUEL_COEFF`` since a node's size is at least 1, is worked out only for
+    a longer one.  An input that ran out of fuel is run afresh every time.
+    """
+    table = system._normal_form_table
+    got = table.get(x)
+    if got is None:
+        nf, trace = normalize(x, system, fuel)
+        got = table[x] = nf, len(trace)
+        return got
+    steps = got[1]
+    if fuel is None:
+        if steps <= FUEL_COEFF:
+            return got
+        fuel = system.default_fuel(x)
+    if fuel <= 0:
+        raise FuelExhausted("normalize needs positive fuel")
+    if steps > fuel:
+        raise FuelExhausted(f"no normal form within {fuel} steps under {system.name}", fuel)
+    return got
+
+
 def _normal_forms(
     p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int]
-) -> tuple[bool, tuple[Obj, Trace], tuple[Obj, Trace]]:
-    """Normalize both sides under the congruence system and compare the results.
+) -> tuple[bool, tuple[Obj, int], tuple[Obj, int]]:
+    """Normalize p, then q, under ``system`` and compare the results.
 
     Returns whether the normal forms are alpha-equal, and each side's normal
-    form beside the trace to it.
+    form beside the number of steps to it.
     """
-    sub = system.congruence_system()
-    nf_p, tp = normalize(p, sub, fuel)
-    nf_q, tq = normalize(q, sub, fuel)
-    return alpha_equal(nf_p, nf_q), (nf_p, tp), (nf_q, tq)
+    got_p = _normal_form(p, system, fuel)
+    got_q = _normal_form(q, system, fuel)
+    return alpha_equal(got_p[0], got_q[0]), got_p, got_q
 
 
 def congruent_auto(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
@@ -592,15 +635,17 @@ def congruent(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None)
     """
     if alpha_equal(p, q):
         return True
-    return _normal_forms(p, q, system, fuel)[0]
+    return _normal_forms(p, q, system.congruence_system(), fuel)[0]
 
 
 def connecting_trace(p: Obj, q: Obj, system: RewriteSystem, fuel: Optional[int] = None) -> Trace:
     """Build a trace certifying p <->* q via their common normal form."""
     if alpha_equal(p, q):
         return Trace()
-    joined, (_, tp), (_, tq) = _normal_forms(p, q, system, fuel)
-    if not joined:
+    sub = system.congruence_system()
+    nf_p, tp = normalize(p, sub, fuel)
+    nf_q, tq = normalize(q, sub, fuel)
+    if not alpha_equal(nf_p, nf_q):
         raise CongruenceError(f"{p} and {q} have distinct normal forms")
     return Trace(tp.steps + tq.reversed().steps)
 
@@ -752,9 +797,7 @@ def critical_pairs(system: RewriteSystem) -> list[CriticalPair]:
 
 
 def joinable(pair: CriticalPair, system: RewriteSystem, fuel: Optional[int] = None) -> bool:
-    nl, _ = normalize(pair.left, system, fuel)
-    nr, _ = normalize(pair.right, system, fuel)
-    return alpha_equal(nl, nr)
+    return _normal_forms(pair.left, pair.right, system, fuel)[0]
 
 
 def check_left_linear(system: RewriteSystem) -> bool:

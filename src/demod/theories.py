@@ -274,6 +274,7 @@ def add_atom(a: Term, b: Term, c: Term) -> Atom:
     return Atom("Add", (a, b, c))
 
 
+@cache  # one system: its rules, shape index and normal forms shared by every caller
 def add_system() -> RewriteSystem:
     x, y, z = var0("x"), var0("y"), var0("z")
     rules = (

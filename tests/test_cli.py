@@ -65,6 +65,11 @@ def test_confluence_report(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["left_linear"] and out["all_joinable"]
     assert len(out["critical_pairs"]) == 3
+    # a pair that runs out of fuel reports no steps; the others report both sides' steps
+    assert main(["confluence", "--system", "hha", "--order", "1", "--fuel", "1"]) == 1
+    rows = json.loads(capsys.readouterr().out)["critical_pairs"]
+    got = [(row["joinable"], row["steps"]) for row in rows]
+    assert got.count((False, None)) == 16 and sorted(set(got) - {(False, None)}) == [(False, 0), (True, 1)]
 
 
 def test_unknown_subcommand_exits_2():

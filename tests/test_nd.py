@@ -322,3 +322,52 @@ def test_deep_proofs_compare_hash_and_print():
     leaf = repr(TopI(TRUE))
     before, _, after = repr(chain(1)).partition(leaf)
     assert repr(a) == before * 10_000 + leaf + after * 10_000
+
+
+def test_verdicts_are_the_same_on_a_fresh_and_a_warm_normal_form_table(monkeypatch):
+    # each congruence system keeps a table of the normal forms it reached; a
+    # hit must give the verdict, and the rewrite steps, a fresh run would
+    import demod.rewriting as rw
+    from demod.bench import random_hilbert_corpus
+    from demod.fragments import FZ_LIBRARY, HHA_LIBRARY, fz_fragment, hha_fragment
+    from demod.hilbert import zi_axiom_schemata
+    from demod.nd import witness_all
+    from demod.theories import build_HO, fz_axioms
+    from demod.translate import zi_hilbert_to_fz_modulo
+
+    ho, hha = build_HO(OrderConfig(1)), build_HHA(OrderConfig(1))
+    fz = dict(fz_axioms().axioms)
+    cat2 = zi_axiom_schemata(OrderConfig(2))
+    checks = []
+    for proof in random_hilbert_corpus(120, seed=2024):  # criterion 7's FZ outputs
+        out = zi_hilbert_to_fz_modulo(proof, cat2)
+        checks.append((out.proof, dict(out.assumption_dict()), ho, "auto"))
+    for name in FZ_LIBRARY:
+        proof = fz_fragment(name).proof
+        checks.append((proof, fz, ho, "mixed"))
+        checks.append((witness_all(proof, ho), fz, ho, "witnessed"))
+    for name in HHA_LIBRARY:
+        proof = hha_fragment(name).proof
+        checks.append((proof, {}, hha, "mixed"))
+        checks.append((witness_all(proof, hha), {}, hha, "witnessed"))
+    forged = TopI(add_atom(numeral(1), numeral(1), numeral(1)))
+    checks.append((forged, {}, ADD, "auto"))
+    systems = {ho.congruence_system(), hha.congruence_system(), ADD}
+
+    def verdicts():
+        return [check_nd(p, assumptions=a, system=s, mode=m) for p, a, s, m in checks]
+
+    cold = []
+    for check in checks:
+        for system in systems:
+            system.__dict__.pop("_normal_form_table", None)
+        p, a, s, m = check
+        cold.append(check_nd(p, assumptions=a, system=s, mode=m))
+    assert verdicts() == cold  # warm with the obligations of the checks before each
+    calls = []
+    plain = rw.normalize
+    monkeypatch.setattr(rw, "normalize", lambda *a: calls.append(a[0]) or plain(*a))
+    assert verdicts() == cold  # warm with every obligation
+    steps = sum(v.rewrite_steps for v in cold)
+    assert not calls and steps > 500 and sum(len(s._normal_form_table) for s in systems) > 100
+    assert not cold[-1].ok and sum(not v.ok for v in cold) == 2  # forged, and witnessed onto-s

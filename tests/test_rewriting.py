@@ -11,6 +11,7 @@ from demod.rewriting import (
     RewriteStep,
     RewriteSystem,
     Trace,
+    _normal_form,
     apply_redex,
     check_left_linear,
     congruent,
@@ -1028,3 +1029,67 @@ def test_systems_with_compiled_rules_pickle_and_share_them():
     first, second = build_HHA(OrderConfig(1)), build_HHA(OrderConfig(1))
     for a, b in zip(first.rules, second.rules):
         assert compiled(a.lhs, a.rhs) is compiled(b.lhs, b.rhs)
+
+
+def _table_outcome(x, system, fuel=None):
+    return _outcome(_normal_form, x, system, fuel)
+
+
+def _fresh_outcome(x, system, fuel=None):
+    got = _outcome(normalize, x, system, fuel)
+    return got if isinstance(got[1], int) else (got[0], len(got[1]))
+
+
+def test_a_table_hit_behaves_as_a_fresh_run(monkeypatch):
+    import demod.rewriting as rw
+
+    # Go rewrites in one step to Add(250, 0, 250), which takes 251 more, so
+    # Go's 252 steps exceed its default fuel of 200 * size(Go) ** 2 = 200
+    go = Atom("Go", ())
+    long = add_atom(numeral(250), ZERO, numeral(250))
+    system = RewriteSystem("go", (Rule("go", go, long), *ADD.rules), terminating=True)
+    six = add_atom(numeral(5), numeral(5), numeral(10))
+    calls = []
+    plain = rw.normalize
+    monkeypatch.setattr(rw, "normalize", lambda *a: calls.append(a[0]) or plain(*a))
+
+    # run out at fuel 5, then succeed with more: not entered, then the cold result
+    cold = _fresh_outcome(six, system, 5)
+    assert cold == ("no normal form within 5 steps under go", 5)
+    assert _table_outcome(six, system, 5) == cold and six not in system._normal_form_table
+    assert _table_outcome(six, system, 6) == _fresh_outcome(six, system, 6) == (repr(TRUE), 6)
+    # warm: fuel n - 1 raises as the cold run did, fuel n succeeds
+    calls.clear()
+    assert _table_outcome(six, system, 5) == cold
+    assert _table_outcome(six, system, 6) == (repr(TRUE), 6)
+    assert _table_outcome(six, system) == (repr(TRUE), 6)
+    assert calls == []
+
+    # n > 200 without fuel: the default fuel is worked out and applied
+    assert _table_outcome(go, system, 1000) == (repr(TRUE), 252)
+    assert _table_outcome(long, system) == _fresh_outcome(long, system) == (repr(TRUE), 251)
+    calls.clear()
+    want = _fresh_outcome(go, system)
+    assert want == ("no normal form within 200 steps under go", 200)
+    assert _table_outcome(go, system) == want
+    assert _table_outcome(long, system) == (repr(TRUE), 251)
+    assert calls == []
+
+    # a warm input that takes no step still needs positive fuel
+    assert _table_outcome(TRUE, system) == (repr(TRUE), 0)
+    for fuel in (0, -1):
+        assert _table_outcome(TRUE, system, fuel) == ("normalize needs positive fuel", 0)
+    assert calls == [TRUE]
+
+
+def test_joinable_and_congruent_go_through_the_table():
+    from demod.rewriting import CriticalPair
+
+    system = RewriteSystem("Add", ADD.rules, terminating=True, confluent=True)
+    table = system._normal_form_table
+    p, q = add_atom(numeral(2), numeral(2), numeral(4)), add_atom(numeral(1), numeral(1), numeral(2))
+    assert congruent(p, q, system) and congruent_auto(q, p, system)
+    assert table == {p: (TRUE, 3), q: (TRUE, 2)}
+    r = add_atom(numeral(1), numeral(1), numeral(1))
+    assert not joinable(CriticalPair(p, r, q, ("add-step", "add-step"), ()), system)
+    assert table[r] == (add_atom(ZERO, numeral(1), ZERO), 1)
