@@ -15,7 +15,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fragments import FZ_LIBRARY, HHA_LIBRARY, fz_fragment, hha_fragment
 from .hilbert import (
@@ -62,6 +63,7 @@ from .syntax import (
     TRUE,
     Term,
     Var,
+    alpha_equal,
     apply_substitution,
     arith,
     free_variables,
@@ -78,6 +80,7 @@ from .theories import (
     build_WS,
     encode_prop,
     eq,
+    fz_axioms,
     member,
     mem,
     numeral,
@@ -85,7 +88,7 @@ from .theories import (
     s_,
     var0,
 )
-from .translate import hilbert_to_nd, nd_to_hilbert, zi_hilbert_to_fz_modulo
+from .translate import expand_congruences, hilbert_to_nd, nd_to_hilbert, zi_hilbert_to_fz_modulo
 
 
 @dataclass
@@ -158,9 +161,8 @@ def fit_growth(xs: Sequence[float], ys: Sequence[float]) -> dict:
                 rel_residual([math.exp(c) * x**d for x in xs]),
             )
         sxy3 = sum(x * v for x, v in zip(xs, ly))
-        denom3 = n * sxx - sx * sx
-        if denom3:
-            a3 = (n * sxy3 - sx * sy2) / denom3
+        if denom:
+            a3 = (n * sxy3 - sx * sy2) / denom
             b3 = (sy2 - a3 * sx) / n
             fits["exponential"] = (
                 {"rate": a3, "coefficient": math.exp(b3)},
@@ -247,45 +249,20 @@ def gen_add_axiomatic_proof(n: int) -> Proof:
 
 def bench_add(n_max: int) -> BenchReport:
     report = BenchReport("add-speedup")
-    add = add_system()
-    axioms = add_compatible_axioms().as_dict()
+    contexts = (("modulo", gen_add_modulo_proof, {"system": add_system()}),
+                ("axiomatic", gen_add_axiomatic_proof, {"assumptions": add_compatible_axioms().as_dict()}))
     for n in range(1, n_max + 1):
-        t0 = time.monotonic()
-        modulo = gen_add_modulo_proof(n)
-        vm = check_nd(modulo, system=add)
-        t1 = time.monotonic()
-        if not vm.ok:
-            raise RuntimeError(f"modulo proof for {n} failed: {vm.error}")
-        report.rows.append(
-            {
-                "n": n,
-                "system": "modulo",
-                "length": vm.length,
-                "rewrite_steps": vm.rewrite_steps,
-                "wall_time": t1 - t0,
-            }
-        )
-        t2 = time.monotonic()
-        axiomatic = gen_add_axiomatic_proof(n)
-        va = check_nd(axiomatic, assumptions=axioms)
-        t3 = time.monotonic()
-        if not va.ok:
-            raise RuntimeError(f"axiomatic proof for {n} failed: {va.error}")
-        report.rows.append(
-            {
-                "n": n,
-                "system": "axiomatic",
-                "length": va.length,
-                "rewrite_steps": va.rewrite_steps,
-                "wall_time": t3 - t2,
-            }
-        )
-    mod_lengths = [r["length"] for r in report.rows if r["system"] == "modulo"]
-    ax_pairs = [(r["n"], r["length"]) for r in report.rows if r["system"] == "axiomatic"]
-    report.summary = {
-        "modulo_fit": fit_growth([n for n, _ in ax_pairs], mod_lengths),
-        "axiomatic_fit": fit_growth([n for n, _ in ax_pairs], [l for _, l in ax_pairs]),
-    }
+        for system, generate, context in contexts:
+            t0 = time.monotonic()
+            verdict = check_nd(generate(n), **context)
+            wall_time = time.monotonic() - t0
+            if not verdict.ok:
+                raise RuntimeError(f"{system} proof for {n} failed: {verdict.error}")
+            report.rows.append({"n": n, "system": system, "length": verdict.length,
+                                "rewrite_steps": verdict.rewrite_steps, "wall_time": wall_time})
+    for system, _, _ in contexts:
+        rows = [r for r in report.rows if r["system"] == system]
+        report.summary[f"{system}_fit"] = fit_growth([r["n"] for r in rows], [r["length"] for r in rows])
     return report
 
 
@@ -326,22 +303,16 @@ def bench_fragments(samples: int = 100, seed: int = 2024) -> BenchReport:
     rng = random.Random(seed)
     report = BenchReport("fragment-constancy")
     cfg = OrderConfig(1)
-    ho = build_HO(cfg)
-    hha = build_HHA(cfg)
-    from .theories import fz_axioms
-
-    fz = dict(fz_axioms().axioms)
-    for library, names in (("fz", FZ_LIBRARY), ("hha", HHA_LIBRARY)):
+    libraries = (
+        ("fz", FZ_LIBRARY, fz_fragment, {"assumptions": dict(fz_axioms().axioms), "system": build_HO(cfg)}),
+        ("hha", HHA_LIBRARY, hha_fragment, {"system": build_HHA(cfg), "mode": "mixed"}),
+    )
+    for library, names, fragment, context in libraries:
         for name in names:
             lengths = set()
             for _ in range(samples):
                 tmpl = _random_template(rng, split_schema_id(name)[1])
-                if library == "fz":
-                    frag = fz_fragment(name, tmpl)
-                    verdict = check_nd(frag.proof, assumptions=fz, system=ho)
-                else:
-                    frag = hha_fragment(name, tmpl)
-                    verdict = check_nd(frag.proof, system=hha, mode="mixed")
+                verdict = check_nd(fragment(name, tmpl).proof, **context)
                 if not verdict.ok:
                     raise RuntimeError(f"{library}/{name}: {verdict.error}")
                 lengths.add(verdict.length)
@@ -670,78 +641,108 @@ def _random_nd_proof(rng: random.Random, restricted: bool) -> tuple[Proof, dict]
     return proof, instances
 
 
-def bench_growth(
-    hilbert_count: int = 120, nd_count: int = 120, seed: int = 2024
-) -> BenchReport:
+# ---------------------------------------------------------------------------
+# The paper's length claims
+
+# a seeded family: generate(count(hilbert_count, nd_count), seed + offset), its rows of kind ``kind``
+Corpus = NamedTuple("Corpus", [("kind", str), ("generate", Callable), ("count", Callable), ("offset", int)])
+
+# each linear form's bound over C, at input length (or rewrite steps) n and k open hypotheses (or layers)
+_UNITS = {"C*n": lambda n, k: n, "C*n*(h+1)": lambda n, k: n * (k + 1),
+          "C*steps*(depth+1)": lambda n, k: n * (k + 1), "C*(n+1)": lambda n, k: n + 1}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One length claim: on every input of ``family``, ``translator``'s output,
+    counted by ``measure``, is within the bound of ``form`` with C = ``constant``."""
+
+    name: str
+    family: Corpus | str  # a seeded corpus, or the family a test drives
+    translator: Callable
+    measure: str  # the output length counted, as bench_growth's rows name it
+    form: str  # a key of _UNITS, or "C^n": log(length) <= log(C) * n
+    constant: int
+
+    def ratio(self, length: int, n: int, k: int = 0) -> float:
+        """``length`` against the bound's unit; at most ``ceiling`` while the claim holds."""
+        return math.log(length) / n if self.form == "C^n" else length / _UNITS[self.form](n, k)
+
+    @property
+    def ceiling(self) -> float:
+        return math.log(self.constant) if self.form == "C^n" else self.constant
+
+    def within(self, length: int, n: int, k: int = 0) -> bool:
+        return self.ratio(length, n, k) <= self.ceiling
+
+
+_HILBERT = Corpus("hilbert", random_hilbert_corpus, lambda h, nd: h, 0)
+_K = 37  # ND to Hilbert: one constant for its three claims
+
+CLAIMS = {claim.name: claim for claim in (
+    Claim("hilbert_to_nd", _HILBERT, hilbert_to_nd, "nd_length", "C*n", 6),
+    Claim("zi_hilbert_to_fz", _HILBERT, zi_hilbert_to_fz_modulo, "fz_length", "C*n", 8),
+    Claim("nd_to_hilbert_restricted",
+          Corpus("nd-restricted", partial(random_nd_corpus, restricted=True), lambda h, nd: nd // 2, 1),
+          nd_to_hilbert, "hilbert_length", "C*n", _K),
+    Claim("nd_to_hilbert_general", Corpus("nd-general", random_nd_corpus, lambda h, nd: nd - nd // 2, 2),
+          nd_to_hilbert, "hilbert_length", "C^n", _K),
+    Claim("nd_to_hilbert_open_hypotheses", "nested ImpI over AndI chains, and the ND corpora",
+          nd_to_hilbert, "hilbert_length", "C*n*(h+1)", _K),
+    Claim("expand_add", "gen_add_modulo_proof(n)", expand_congruences, "nd_length", "C*(n+1)", 10),
+    Claim("expand_per_layer", "a > b by its hypothesis, a and b add-rule steps apart under depth - 1 layers",
+          expand_congruences, "nd_length", "C*steps*(depth+1)", 8),
+)}
+
+
+def seeded_claims() -> list[Claim]:
+    """The claims ``bench_growth`` measures, in ``CLAIMS`` order."""
+    return [claim for claim in CLAIMS.values() if isinstance(claim.family, Corpus)]
+
+
+def broken_claims(report: BenchReport) -> list[str]:
+    """The seeded claims that some row of a ``bench_growth`` report breaks."""
+    return [c.name for c in seeded_claims()
+            if not all(c.within(r[c.measure], r["input"]) for r in report.rows if r["kind"] == c.family.kind)]
+
+
+def bench_growth(hilbert_count: int = 120, nd_count: int = 120, seed: int = 2024) -> BenchReport:
+    """The seeded claims on their corpora: a row per input with each claim's
+    length, and per claim its largest ratio and a growth fit.  An output that
+    fails to check, proves another conclusion or, modulo, assumes more than
+    FZ raises."""
     report = BenchReport("translation-growth")
-    cfg = OrderConfig(1)
-    cat2 = zi_axiom_schemata(OrderConfig(2))
-    cat1 = zi_axiom_schemata(OrderConfig(1))
-    ho = build_HO(cfg)
-    from .theories import fz_axioms
+    cat1, cat2 = zi_axiom_schemata(OrderConfig(1)), zi_axiom_schemata(OrderConfig(2))
 
-    fz = dict(fz_axioms().axioms)
+    def measure(translator, item) -> tuple[int, int]:  # the input's length and the output's
+        if translator is nd_to_hilbert:
+            proof, instances = item
+            out = nd_to_hilbert(proof, cat1, instances)
+            n, v, got, want = nd_length(proof), check_hilbert(out, cat1), out.conclusion(), conclusion_of(proof)
+        else:
+            out, modulo = translator(item, cat2), translator is zi_hilbert_to_fz_modulo
+            system = build_HO(OrderConfig(1)) if modulo else None
+            v = check_nd(out.proof, assumptions=out.assumption_dict(), system=system)
+            n, got, want = hilbert_length(item), conclusion_of(out.proof), item.conclusion()
+            if modulo and not dict(out.assumptions).keys() <= dict(fz_axioms().axioms).keys():
+                raise RuntimeError(f"{translator.__name__} assumes more than FZ")
+        if not (v.ok and alpha_equal(got, want)):
+            raise RuntimeError(f"{translator.__name__} fails: {v.error or f'proves {got}, not {want}'}")
+        return n, v.length
 
-    xs_h, ys_nd, ys_fz = [], [], []
-    for proof in random_hilbert_corpus(hilbert_count, seed):
-        n = hilbert_length(proof)
-        out = hilbert_to_nd(proof, cat2)
-        v = check_nd(out.proof, assumptions=out.assumption_dict())
-        if not v.ok:
-            raise RuntimeError(f"translated proof fails: {v.error}")
-        out2 = zi_hilbert_to_fz_modulo(proof, cat2)
-        v2 = check_nd(out2.proof, assumptions=out2.assumption_dict(), system=ho)
-        if not v2.ok:
-            raise RuntimeError(f"modulo translation fails: {v2.error}")
-        xs_h.append(n)
-        ys_nd.append(v.length)
-        ys_fz.append(v2.length)
-        report.rows.append(
-            {"kind": "hilbert", "input": n, "nd_length": v.length, "fz_length": v2.length}
-        )
-
-    xs_r, ys_r = [], []
-    for proof, instances in random_nd_corpus(nd_count // 2, seed + 1, restricted=True):
-        out = nd_to_hilbert(proof, cat1, instances)
-        v = check_hilbert(out, cat1)
-        if not v.ok:
-            raise RuntimeError(f"restricted abstraction fails: {v.error}")
-        xs_r.append(nd_length(proof))
-        ys_r.append(v.length)
-        report.rows.append(
-            {"kind": "nd-restricted", "input": nd_length(proof), "hilbert_length": v.length}
-        )
-    xs_g, ys_g = [], []
-    for proof, instances in random_nd_corpus(nd_count - nd_count // 2, seed + 2, restricted=False):
-        out = nd_to_hilbert(proof, cat1, instances)
-        v = check_hilbert(out, cat1)
-        if not v.ok:
-            raise RuntimeError(f"abstraction fails: {v.error}")
-        xs_g.append(nd_length(proof))
-        ys_g.append(v.length)
-        report.rows.append(
-            {"kind": "nd-general", "input": nd_length(proof), "hilbert_length": v.length}
-        )
-
-    report.summary = {
-        "corpus_size": len(xs_h) + len(xs_r) + len(xs_g),
-        "hilbert_to_nd": {
-            "max_ratio": max(y / x for x, y in zip(xs_h, ys_nd)),
-            "fit": fit_growth(xs_h, ys_nd),
-        },
-        "zi_hilbert_to_fz": {
-            "max_ratio": max(y / x for x, y in zip(xs_h, ys_fz)),
-            "fit": fit_growth(xs_h, ys_fz),
-        },
-        "nd_to_hilbert_restricted": {
-            "max_ratio": max(y / x for x, y in zip(xs_r, ys_r)),
-            "fit": fit_growth(xs_r, ys_r),
-        },
-        "nd_to_hilbert_general": {
-            "max_log_ratio": max(math.log(max(y, 1)) / x for x, y in zip(xs_g, ys_g)),
-            "fit": fit_growth(xs_g, ys_g),
-        },
-    }
+    claims = seeded_claims()
+    for corpus in dict.fromkeys(c.family for c in claims):
+        for item in corpus.generate(corpus.count(hilbert_count, nd_count), seed + corpus.offset):
+            row = {"kind": corpus.kind}
+            for c in claims:
+                if c.family is corpus:
+                    row["input"], row[c.measure] = measure(c.translator, item)
+            report.rows.append(row)
+    report.summary = {"corpus_size": len(report.rows)}
+    for c in claims:
+        xs, ys = zip(*[(r["input"], r[c.measure]) for r in report.rows if r["kind"] == c.family.kind])
+        key = "max_log_ratio" if c.form == "C^n" else "max_ratio"
+        report.summary[c.name] = {key: max(map(c.ratio, ys, xs)), "fit": fit_growth(xs, ys)}
     return report
 
 

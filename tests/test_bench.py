@@ -1,13 +1,17 @@
 import json
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 
 from demod import bench
 from demod.bench import (
+    CLAIMS,
     bench_add,
     bench_fragments,
     bench_growth,
+    broken_claims,
     enumerate_probe_terms,
     fit_growth,
     gen_add_axiomatic_proof,
@@ -224,9 +228,21 @@ def test_bench_growth_summary():
     report = bench_growth(hilbert_count=15, nd_count=15, seed=9)
     s = report.summary
     assert s["corpus_size"] == 30
-    assert s["hilbert_to_nd"]["max_ratio"] < 40
-    assert s["nd_to_hilbert_restricted"]["max_ratio"] <= 37
-    assert s["nd_to_hilbert_general"]["max_log_ratio"] <= math.log(37)
+    assert s["hilbert_to_nd"]["max_ratio"] <= CLAIMS["hilbert_to_nd"].constant
+    assert s["zi_hilbert_to_fz"]["max_ratio"] <= CLAIMS["zi_hilbert_to_fz"].constant
+    assert s["nd_to_hilbert_restricted"]["max_ratio"] <= CLAIMS["nd_to_hilbert_restricted"].constant
+    assert s["nd_to_hilbert_general"]["max_log_ratio"] <= math.log(CLAIMS["nd_to_hilbert_general"].constant)
+    assert broken_claims(report) == []
+
+
+def test_the_benchmark_keeps_the_claims_constants():
+    # perfbench works its known answers out apart from the program, so it keeps
+    # its own copies of criterion 7's constants: they must not drift apart
+    oracles = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "oracles.py"))
+    assert oracles["C_HILBERT_TO_ND"] == CLAIMS["hilbert_to_nd"].constant
+    assert oracles["C_ZI_TO_FZ"] == CLAIMS["zi_hilbert_to_fz"].constant
+    for name in ("nd_to_hilbert_restricted", "nd_to_hilbert_general", "nd_to_hilbert_open_hypotheses"):
+        assert oracles["K_ABSTRACTION"] == CLAIMS[name].constant
 
 
 def test_report_rows_recheck_from_serialized_form():

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from demod import cli
+from demod import bench, cli
 from demod.cli import main
 from demod.fileformat import dumps, hilbert_to_sx, nd_proof_document
 from demod.hilbert import HilbertProof, instance, schema_line, zi_axiom_schemata
@@ -163,6 +164,13 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
         ({}, ["normalize", "0", "--system", "add", "--fuel", "0"], "--fuel must be at least 1, got 0"),
         ({"p.sexp": TOP_PROOF}, ["check-nd", "p.sexp", "--fuel", "-1"], "--fuel must be at least 1, got -1"),
         ({}, ["confluence", "--system", "add", "--fuel", "0"], "--fuel must be at least 1, got 0"),
+        ({}, ["bench-growth", "--count", "1"], "--count must be at least 2, got 1"),
+        ({}, ["bench-growth", "--count", "0"], "--count must be at least 2, got 0"),
+        ({}, ["bench-growth", "--count", "-3"], "--count must be at least 2, got -3"),
+        ({}, ["bench-fragments", "--samples", "0"], "--samples must be at least 1, got 0"),
+        ({}, ["bench-fragments", "--samples", "-1"], "--samples must be at least 1, got -1"),
+        ({}, ["bench-add", "0"], "n must be at least 1, got 0"),
+        ({}, ["bench-add", "-2"], "n must be at least 1, got -2"),
     ],
     ids=["short-line", "line-number", "mp-reference", "empty-justification", "short-axiom", "no-axioms",
          "short-fun", "short-rules", "extra-variable", "duplicate-rule", "misspelt-flag",
@@ -170,7 +178,8 @@ NORMALIZE_RULES = ["normalize", "0", "--system", "r.rules"]
          "leading-zero", "non-ascii-digit", "duplicate-sort", "unknown-system", "sort-leading-zero",
          "sort-non-ascii-digit", "no-hha-fragment", "schema-level", "schema-level-leading-zero",
          "probe-size-zero", "probe-size-negative", "probe-no-samples", "probe-negative-samples",
-         "normalize-no-fuel", "check-nd-negative-fuel", "confluence-no-fuel"],
+         "normalize-no-fuel", "check-nd-negative-fuel", "confluence-no-fuel", "growth-one", "growth-zero",
+         "growth-negative", "fragments-no-samples", "fragments-negative-samples", "add-zero", "add-negative"],
 )
 def test_malformed_documents_exit_2(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -279,6 +288,16 @@ def test_bench_add_cli(tmp_path):
     assert len(payload["rows"]) == 8
 
 
+def test_bench_growth_exits_1_when_a_seeded_claim_breaks_its_bound(monkeypatch, capsys):
+    assert main(["bench-growth"]) == 0
+    held = capsys.readouterr().out
+    claim = bench.CLAIMS["hilbert_to_nd"]
+    assert json.loads(held)["summary"][claim.name]["max_ratio"] > 1
+    monkeypatch.setitem(bench.CLAIMS, claim.name, dataclasses.replace(claim, constant=1))
+    assert main(["bench-growth"]) == 1
+    assert capsys.readouterr().out == held
+
+
 def test_translate_cli(tmp_path, capsys):
     cat = zi_axiom_schemata(OrderConfig(2))
     from demod.syntax import TRUE
@@ -301,21 +320,21 @@ def test_a_builtin_system_is_resolved_to_one_object():
 
 def test_translated_reuse_proof_files_check_in_linear_length(tmp_path, capsys):
     # 37 lines, each round's T cited twice: copying shared lines would write
-    # about 20,000 inference nodes; cuts keep the files within criterion 7's
-    # C * lines, C = 6 (pure ND) and 8 (FZ modulo)
+    # about 20,000 inference nodes; cuts keep the files within criterion 7's claims
     from test_translate import _reuse_proof
 
     proof = _reuse_proof(12)
     assert len(proof.lines) == 37
     path = tmp_path / "reuse.sexp"
     path.write_text(dumps(hilbert_to_sx(proof)))
-    for direction, system, bound in (("hilbert-nd", [], 6), ("hilbert-fz", ["--system", "ho"], 8)):
+    for direction, system, claim in (("hilbert-nd", [], "hilbert_to_nd"),
+                                     ("hilbert-fz", ["--system", "ho"], "zi_hilbert_to_fz")):
         out = tmp_path / f"{direction}.sexp"
         assert main(["translate", direction, str(path), "--order", "1", "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["check-nd", str(out), "--order", "1", *system]) == 0
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["ok"] and verdict["length"] <= bound * 37
+        assert verdict["ok"] and bench.CLAIMS[claim].within(verdict["length"], len(proof.lines))
 
 
 def test_probe_cli(capsys):

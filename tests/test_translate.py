@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from demod import fileformat as ff
-from demod.bench import random_nd_corpus
+from demod.bench import CLAIMS, random_nd_corpus
 from demod.hilbert import (
     HilbertProof,
     Line,
@@ -474,9 +474,8 @@ def test_nd_to_hilbert_reaches_any_depth(depth):
 
 def test_nd_to_hilbert_is_linear_in_open_hypotheses():
     # each node is translated once, as one line under the conjunction of the
-    # hypotheses open in its subtree, which costs O(h + 1) lines: the bound's
-    # constant is criterion 7's
-    from test_acceptance import K_ABSTRACTION
+    # hypotheses open in its subtree, which costs O(h + 1) lines
+    claim = CLAIMS["nd_to_hilbert_open_hypotheses"]
 
     def length(proof, instances=(), check=True):
         out = nd_to_hilbert(proof, CAT, instances)
@@ -485,7 +484,7 @@ def test_nd_to_hilbert_is_linear_in_open_hypotheses():
             assert v.ok, v.error
             assert alpha_equal(out.conclusion(), conclusion_of(proof))
         n, h = nd_length(proof), _most_open_hypotheses(proof)
-        assert hilbert_length(out) <= K_ABSTRACTION * n * (h + 1)
+        assert claim.within(hilbert_length(out), n, h)
         return hilbert_length(out)
 
     nested = {k: length(_nested(k), check=k <= 12 or k % 50 == 0) for k in range(1, 201)}
@@ -779,7 +778,7 @@ def test_expanded_add_proofs_are_linear_in_n():
     axioms = GAMMA_STD.as_dict()
     for n in (0, 1, 2, 3, 5, 10, 50, 100, 200):
         pure = expand_congruences(gen_add_modulo_proof(n), ADD_ONLY)
-        assert nd_length(pure) <= 10 * (n + 1)
+        assert CLAIMS["expand_add"].within(nd_length(pure), n)
         v = check_nd(pure, assumptions=axioms)
         assert v.ok, v.error
         assert conclusion_of(pure) == add_atom(numeral(n), numeral(n), numeral(2 * n))
@@ -812,9 +811,8 @@ def test_each_step_costs_at_most_eight_inferences_per_layer():
     from demod.rewriting import connecting_trace
 
     # a > b proved modulo by its hypothesis leaves one obligation, (a > b) against (a > a), whose
-    # trace runs through the common normal form, so it has backward steps.  With k steps at depth
-    # d, the expansion has at most C k (d + 1) inferences, C = 8.  The first context puts the
-    # backward steps under an implication's premise and a quantifier; the others are random.
+    # trace runs through the common normal form, so it has backward steps.  The first context puts
+    # the backward steps under an implication's premise and a quantifier; the others are random.
     rng = random.Random(24)
     kinds = ("and-left", "and-right", "or-left", "or-right", "imp-left", "imp-right", "forall", "exists")
     contexts = [("forall", "imp-left")]
@@ -828,7 +826,7 @@ def test_each_step_costs_at_most_eight_inferences_per_layer():
             assert not all(step.forward for step in trace.steps)
             pure = expand_congruences(proof, ADD_ONLY)
             depth = len(layers) + 1  # of the rewritten atoms in a > b
-            assert nd_length(pure) <= 8 * len(trace) * (depth + 1)
+            assert CLAIMS["expand_per_layer"].within(nd_length(pure), len(trace), depth)
             v = check_nd(pure, assumptions=GAMMA_STD.as_dict())
             assert v.ok, v.error
             assert conclusion_of(pure) == Imp(a, b)
@@ -929,17 +927,13 @@ def _length_within(proof, budget: int) -> int:
     return count
 
 
-# criterion 7's constants, not raised for shared lines
-C_HILBERT_TO_ND, C_ZI_TO_FZ = 6, 8
-TRANSLATIONS = ((hilbert_to_nd, None, C_HILBERT_TO_ND), (zi_hilbert_to_fz_modulo, HO, C_ZI_TO_FZ))
-
-
 def _assert_linear(proof: HilbertProof) -> None:
+    # criterion 7's claims, not raised for shared lines
     n = len(proof.lines)
-    for translate, system, bound in TRANSLATIONS:
-        out = translate(proof, CAT_Z1)
-        length = _length_within(out.proof, bound * n)  # a local, so a failure does not print the proof
-        assert length <= bound * n, (translate.__name__, n)
+    for claim, system in ((CLAIMS["hilbert_to_nd"], None), (CLAIMS["zi_hilbert_to_fz"], HO)):
+        out = claim.translator(proof, CAT_Z1)
+        length = _length_within(out.proof, claim.constant * n)  # a local, so a failure does not print the proof
+        assert claim.within(length, n), (claim.name, n)
         verdict = check_nd(out.proof, assumptions=out.assumption_dict(), system=system)
         assert verdict.ok, verdict.error
         assert alpha_equal(conclusion_of(out.proof), proof.conclusion())
@@ -947,8 +941,8 @@ def _assert_linear(proof: HilbertProof) -> None:
 
 def test_a_line_used_twice_is_built_once():
     # each round's T is cited twice: copied at each use, the output would
-    # double every round (2^r); proved once and cut, it stays within
-    # C * lines, with C = 6 (pure ND) and 8 (FZ modulo), up to 3,001 lines
+    # double every round (2^r); proved once and cut, it stays linear in the
+    # lines, up to 3,001 lines
     for rounds in (*range(31), 1000):
         _assert_linear(_reuse_proof(rounds))
 
