@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -710,7 +711,11 @@ def bench_growth(hilbert_count: int = 120, nd_count: int = 120, seed: int = 2024
     """The seeded claims on their corpora: a row per input with each claim's
     length, and per claim its largest ratio and a growth fit.  An output that
     fails to check, proves another conclusion or, modulo, assumes more than
-    FZ raises."""
+    FZ raises, and so does a count below the least ``demod bench-growth``
+    accepts: each corpus needs an input, and the ND corpus is split in two."""
+    for name, value, least in (("hilbert_count", hilbert_count, 1), ("nd_count", nd_count, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     report = BenchReport("translation-growth")
     cat1, cat2 = zi_axiom_schemata(OrderConfig(1)), zi_axiom_schemata(OrderConfig(2))
 
@@ -771,48 +776,80 @@ def enumerate_probe_terms(max_size: int) -> Iterable[tuple[Term, bool, bool]]:
     term it is applied to; decoding an encoded proposition never produces
     that shape.
     """
-    for _, (terms, has, nested) in _probe_terms_by_size(max_size):
+    for _, (terms, has, nested), _ in _probe_terms_by_size(max_size):
         yield from zip(terms, map(bool, has), map(bool, nested))
 
 
 ProbeBucket = tuple[list[Term], bytearray, bytearray]
 
 
-def _probe_terms_by_size(max_size: int) -> Iterable[tuple[int, ProbeBucket]]:
+def _probe_terms_by_size(max_size: int, build_all: bool = True) -> Iterable[tuple[int, ProbeBucket, int]]:
     """The terms of ``enumerate_probe_terms`` in buckets of one size and sort:
     the terms, and for each one byte saying whether it has a substitution
     node and one whether it has nested substitutions, so a bucket holds no
-    object per term besides the term."""
+    object per term besides the term.  Each bucket comes with the number of
+    its substitution-free terms left out of it: without ``build_all`` the
+    largest size's buckets hold only terms with a substitution node."""
     by_key: dict[tuple[str, int], ProbeBucket] = {}
     none: ProbeBucket = ([], bytearray(), bytearray())
     for k in range(1, max_size + 1):
+        lean = k == max_size and not build_all
         for sort in ("0", "list"):
             terms, has, nested = bucket = ([], bytearray(), bytearray())
+            left_out = 0
             for fn, args, result in PROBE_FUNS:
                 if str(result) != sort:
                     continue
                 if len(args) == 0:
-                    if k == 1:
+                    if k == 1 and lean:
+                        left_out += 1
+                    elif k == 1:
                         terms.append(App(fn, (), result))
                         has.append(0)
                         nested.append(0)
                 elif len(args) == 1:
-                    subs, sub_has, sub_nested = by_key.get((str(args[0]), k - 1), none)
+                    sub = by_key.get((str(args[0]), k - 1), none)
+                    if lean:
+                        left_out += _free_count(sub)
+                        sub = _with_substitution(sub)
+                    subs, sub_has, sub_nested = sub
                     terms += [App(fn, (t,), result) for t in subs]
                     has += sub_has
                     nested += sub_nested
                 else:
                     is_sub = fn == "sub^0"
                     for i in range(1, k - 1):
-                        lefts, has1, nested1 = by_key.get((str(args[0]), i), none)
-                        rights, has2, nested2 = by_key.get((str(args[1]), k - 1 - i), none)
+                        lefts, has1, nested1 = left = by_key.get((str(args[0]), i), none)
+                        rights, _, nested2 = right = by_key.get((str(args[1]), k - 1 - i), none)
                         ones = b"\1" * len(rights)
+                        # the right sides paired with a substitution-free left side
+                        tails, tails_has, tails_nested = right
+                        if lean and not is_sub:  # a pair of substitution-free sides is only counted
+                            left_out += _free_count(left) * _free_count(right)
+                            tails, tails_has, tails_nested = _with_substitution(right)
                         for t1, h1, n1 in zip(lefts, has1, nested1):
-                            terms += [App(fn, (t1, t2), result) for t2 in rights]
-                            has += ones if h1 or is_sub else has2
-                            nested += ones if n1 or (is_sub and h1) else nested2
+                            if h1 or is_sub:
+                                terms += [App(fn, (t1, t2), result) for t2 in rights]
+                                has += ones
+                                nested += ones if n1 or (is_sub and h1) else nested2
+                            else:
+                                terms += [App(fn, (t1, t2), result) for t2 in tails]
+                                has += tails_has
+                                nested += tails_nested
             by_key[(sort, k)] = bucket
-            yield k, bucket
+            yield k, bucket, left_out
+
+
+def _free_count(bucket: ProbeBucket) -> int:
+    """The number of the bucket's terms with no substitution node."""
+    return len(bucket[0]) - bucket[1].count(1)
+
+
+def _with_substitution(bucket: ProbeBucket) -> ProbeBucket:
+    """The bucket's terms that have a substitution node, with their flags."""
+    terms, has, nested = bucket
+    kept = list(itertools.compress(terms, has))
+    return kept, bytearray(b"\1" * len(kept)), bytearray(itertools.compress(nested, has))
 
 
 def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> BenchReport:
@@ -830,29 +867,34 @@ def probe_ws_exhaustive(max_size: int = 10, include_nested: bool = True) -> Benc
     # The loop runs by size, so a term's children, and its smaller reducts,
     # were probed before it and are in ``known``, a term with no
     # substitution node at 0; a term of the largest size is never one of
-    # those, so it is not kept.
+    # those, so it is not kept, and one with no substitution node is only
+    # counted, never built.  The one-step reducts of every subterm the
+    # searches meet are shared through ``table``.
     known: dict[Term, int] = {}
-    for n, buckets in itertools.groupby(_probe_terms_by_size(max_size), key=lambda entry: entry[0]):
+    table: dict[Term, tuple[Term, ...]] = {}
+    by_size = _probe_terms_by_size(max_size, build_all=False)
+    for n, buckets in itertools.groupby(by_size, key=lambda entry: entry[0]):
         keep = n < max_size
         count = max_derivation = flat_violations = nested_over_size = 0
-        for _, bucket in buckets:
-            for term, has_redex, nested in zip(*bucket):
-                if nested and not include_nested:
+        for _, bucket, left_out in buckets:
+            terms, has, nested = bucket
+            count += _free_count(bucket) + left_out
+            if keep:
+                free = itertools.compress(terms, map(operator.not_, has))
+                known.update(zip(free, itertools.repeat(0)))
+            for term, nest in itertools.compress(zip(terms, nested), has):
+                if nest and not include_nested:
                     continue
                 count += 1
-                if not has_redex:
-                    if keep:
-                        known[term] = 0
-                    continue
                 if term.fn in heads:
-                    longest = longest_derivation(term, ws, known=known)
+                    longest = longest_derivation(term, ws, known=known, table=table)
                 else:  # no rule for the head: the children's derivations do not interact
                     longest = sum([known[arg] for arg in term.args])
                 if keep:
                     known[term] = longest
                 max_derivation = max(max_derivation, longest)
                 if longest > n:
-                    if nested:
+                    if nest:
                         nested_over_size += 1
                         if worst_nested is None or longest - n > worst_nested[2] - worst_nested[1]:
                             worst_nested = (str(term), n, longest)

@@ -167,11 +167,23 @@ def cmd_confluence(args) -> int:
     return 0 if all_joined else 1
 
 
-def cmd_probe(args) -> int:
+def _probe_mode(args) -> str:
+    """The probe ``args`` selects: ``exhaustive``, ``hha`` or ``sampled``."""
     if args.system == "ws" and args.exhaustive:
+        return "exhaustive"
+    return "hha" if args.system == "hha" else "sampled"
+
+
+# the count options each probe leaves unread, so unchecked
+_PROBE_UNREAD = {"exhaustive": ("samples",), "hha": ("max_size", "samples"), "sampled": ("max_size",)}
+
+
+def cmd_probe(args) -> int:
+    mode = _probe_mode(args)
+    if mode == "exhaustive":
         report = bench.probe_ws_exhaustive(args.max_size)
         ok = report.summary["flat_within_size"]
-    elif args.system == "hha":
+    elif mode == "hha":
         report = bench.probe_hha_nontermination()
         ok = report.summary["always_exhausts"]
     else:
@@ -314,9 +326,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.order < 1:
         parser.error("argument --order: order parameter must be at least 1")
     # each count a command reads, and its least value: bench-growth splits its ND corpus in two
+    unread = _PROBE_UNREAD[_probe_mode(args)] if args.command == "probe" else ()
     for flag, least in (("--fuel", 1), ("--max-size", 1), ("--samples", 1), ("--count", 2), ("n", 1)):
-        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None and value < least:
+        dest = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, dest, None)
+        if value is not None and value < least and dest not in unread:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return 2
     try:

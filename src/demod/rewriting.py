@@ -809,7 +809,11 @@ def check_left_linear(system: RewriteSystem) -> bool:
 
 
 def longest_derivation(
-    x: Obj, system: RewriteSystem, fuel: int = 100_000, known: Optional[Mapping[Obj, int]] = None
+    x: Obj,
+    system: RewriteSystem,
+    fuel: int = 100_000,
+    known: Optional[Mapping[Obj, int]] = None,
+    table: Optional[dict[Obj, tuple[Obj, ...]]] = None,
 ) -> int:
     """Exact maximal derivation length from x, by exhaustive memoized search.
 
@@ -831,11 +835,19 @@ def longest_derivation(
     is split or searched, and a hit is taken as the answer without spending
     any of ``fuel``, so with ``known`` a search may finish where it would
     otherwise exhaust its budget.  A wrong entry gives a wrong result.
+
+    ``table`` maps nodes to their one-step reducts under this same system.
+    The search reads it and enters every node whose reducts it computes, so
+    a caller may share one table over many calls.  An entry depends only on
+    the node and the system, and a searched term spends ``fuel`` on its
+    reducts whether or not they were in the table, so sharing changes no
+    result and no ``FuelExhausted``.
     """
     heads = system._by_head
     done = known if known is not None else {}
     memo: dict[Obj, int] = {}  # searched term -> its longest derivation
-    table: dict[Obj, tuple[Obj, ...]] = {}  # subterm -> its one-step reducts
+    if table is None:
+        table = {}  # subterm -> its one-step reducts
     budget = fuel
     # A frame is [term, its reducts, index of the reduct being split, best so
     # far, the known part of that reduct's sum, its parts still to search].
@@ -903,7 +915,7 @@ def _reducts(
     order at one node, one per redex: the right sides of the redexes at the
     root, then each child's reducts put in its place.  A child ``known`` to
     have no derivation has no reducts and is not walked.  Each subterm's
-    reducts are entered in ``table``, which later calls of one search reuse."""
+    reducts are entered in ``table``, which later calls reuse."""
     stack = [x]
     while stack:
         node = stack[-1]

@@ -171,7 +171,7 @@ def test_ws_probe_matches_per_term_search(monkeypatch, include_nested):
     for max_size in range(1, 9):
         reports[max_size] = probe_ws_exhaustive(max_size, include_nested).to_json()
 
-    def per_term(term, ws, known):
+    def per_term(term, ws, known, table=None):
         return longest_derivation(term, ws)
 
     monkeypatch.setattr(bench, "longest_derivation", per_term)
@@ -233,6 +233,21 @@ def test_bench_growth_summary():
     assert s["nd_to_hilbert_restricted"]["max_ratio"] <= CLAIMS["nd_to_hilbert_restricted"].constant
     assert s["nd_to_hilbert_general"]["max_log_ratio"] <= math.log(CLAIMS["nd_to_hilbert_general"].constant)
     assert broken_claims(report) == []
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [((4, 1), "nd_count must be at least 2, got 1"), ((0, 4), "hilbert_count must be at least 1, got 0"),
+     ((-2, 4), "hilbert_count must be at least 1, got -2")],
+)
+def test_bench_growth_rejects_counts_below_the_cli_least(counts, message):
+    with pytest.raises(ValueError, match=message):
+        bench_growth(*counts, 1)
+
+
+def test_bench_growth_accepts_the_least_counts():
+    report = bench_growth(1, 2, 1)
+    assert report.summary["corpus_size"] == 3 and broken_claims(report) == []
 
 
 def test_the_benchmark_keeps_the_claims_constants():

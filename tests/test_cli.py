@@ -343,6 +343,22 @@ def test_probe_cli(capsys):
     assert out["summary"]["flat_within_size"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--system", "ws", "--exhaustive", "--max-size", "6", "--samples", "0"],
+        ["probe", "--system", "hha", "--max-size", "0"],
+        ["probe", "--system", "hha", "--samples", "-1"],
+        ["probe", "--system", "ho", "--samples", "3", "--max-size", "0"],
+    ],
+    ids=["exhaustive-no-samples", "hha-size-zero", "hha-negative-samples", "sampled-size-zero"],
+)
+def test_probe_checks_only_the_counts_its_mode_reads(capsys, argv):
+    # the probe --max-size and --samples range checks are in test_malformed_documents_exit_2
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rows"]
+
+
 def test_python_m_demod_runs_the_command_line(tmp_path):
     import os
     import subprocess

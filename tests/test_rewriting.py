@@ -1093,3 +1093,33 @@ def test_joinable_and_congruent_go_through_the_table():
     r = add_atom(numeral(1), numeral(1), numeral(1))
     assert not joinable(CriticalPair(p, r, q, ("add-step", "add-step"), ()), system)
     assert table[r] == (add_atom(ZERO, numeral(1), ZERO), 1)
+
+
+def test_a_shared_reducts_table_changes_no_longest_derivation():
+    # one table over the whole enumeration, as the exhaustive probe shares it
+    from demod.bench import enumerate_probe_terms
+    from demod.theories import OrderConfig, build_WS
+
+    ws = build_WS(OrderConfig(1))
+    table = {}
+    for t, _, _ in enumerate_probe_terms(7):
+        assert longest_derivation(t, ws, table=table) == longest_derivation(t, ws), t
+    assert table
+
+
+@pytest.mark.parametrize("case, longest, fuel", [c for c in SEARCH_FUEL if isinstance(c[0], str)])
+def test_a_warm_reducts_table_spends_the_same_fuel(case, longest, fuel):
+    # a searched term spends fuel on its reducts even when the table holds them
+    from demod import fileformat as ff
+    from demod.theories import OrderConfig, build_WS, classes_signature
+
+    start = ff.term_or_prop_from_sx(ff.loads(case), classes_signature(1))
+    ws = build_WS(OrderConfig(1))
+    table = {}
+    assert longest_derivation(start, ws, fuel=fuel, table=table) == longest
+    warm = dict(table)
+    with pytest.raises(FuelExhausted) as exc:
+        longest_derivation(start, ws, fuel=fuel - 1, table=table)
+    assert str(exc.value) == "longest_derivation search budget exhausted"
+    assert table == warm  # every reduct the second search met was in the table
+    assert longest_derivation(start, ws, fuel=fuel, table=table) == longest
